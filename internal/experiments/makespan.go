@@ -144,7 +144,8 @@ func runOneDAG(cfg MakespanConfig, p workload.SynthParams, seed int64) (dagResul
 	}
 	opt := schedsim.Options{Cores: cfg.Cores, Instances: cfg.Instances, Kernel: cfg.Kernel}
 
-	// Proposed: Algorithm 1 priorities + ETM communication.
+	// Proposed: Algorithm 1 priorities + ETM communication, on a clone so
+	// its priorities stay apart from the baselines'.
 	prop, err := schedsim.NewProposed(task.Clone(), cfg.Zeta, cfg.WayBytes)
 	if err != nil {
 		return dagResult{}, err
@@ -153,12 +154,14 @@ func runOneDAG(cfg MakespanConfig, p workload.SynthParams, seed int64) (dagResul
 		return dagResult{}, err
 	}
 
-	// Baselines: longest-path-first priorities, conventional caches.
+	// Baselines: longest-path-first priorities, conventional caches. Both
+	// share one schedule of the task itself; schedsim.Run never mutates
+	// its *sched.Result.
+	alloc, err := sched.LongestPathFirst(task)
+	if err != nil {
+		return dagResult{}, err
+	}
 	for _, plat := range []schedsim.Platform{schedsim.CMPL1(), schedsim.CMPL2()} {
-		alloc, err := sched.LongestPathFirst(task.Clone())
-		if err != nil {
-			return dagResult{}, err
-		}
 		if err := record(&res, task.Period, plat.Name(), alloc, plat, opt); err != nil {
 			return dagResult{}, err
 		}

@@ -19,20 +19,42 @@ type Event struct {
 	Component string
 	Name      string
 	Args      map[string]any
+
+	// Span and Trial identify the runner trial a span covers when
+	// IsTrial is set. They stay typed so a trial span allocates nothing
+	// when emitted; ChromeArgs renders them as {"span", "trial"} args.
+	Span    uint64
+	Trial   int
+	IsTrial bool
 }
+
+// ChromeArgs returns the event's Chrome trace args: Args, or for a trial
+// span the span ID as 16 hex digits and the trial index.
+func (e *Event) ChromeArgs() map[string]any {
+	if !e.IsTrial {
+		return e.Args
+	}
+	return map[string]any{"span": FormatSpanID(e.Span), "trial": e.Trial}
+}
+
+// FormatSpanID renders a trial span's identity as 16 hex digits, the form
+// trace args and operator tooling join on.
+func FormatSpanID(span uint64) string { return fmt.Sprintf("%016x", span) }
 
 // DefaultTraceCap is the ring capacity of the Default tracer.
 const DefaultTraceCap = 1 << 16
 
-// Tracer is a fixed-capacity ring buffer of events. When full, the oldest
-// events are overwritten and counted as dropped. A nil *Tracer is a valid
-// no-op sink, so components can hold one unconditionally.
+// Tracer is a fixed-capacity ring buffer of events. The buffer grows on
+// demand up to its capacity; when full, the oldest events are overwritten
+// and counted as dropped. A nil *Tracer is a valid no-op sink, so
+// components can hold one unconditionally.
 type Tracer struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	wrapped bool
-	dropped uint64
+	mu       sync.Mutex
+	buf      []Event
+	capacity int
+	next     int
+	wrapped  bool
+	dropped  uint64
 }
 
 // Trace is the process-wide tracer the cmd/ tools serialise with -trace.
@@ -59,7 +81,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{buf: make([]Event, 0, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 // Emit records one instant event. Safe for concurrent use and on a nil
@@ -73,10 +95,22 @@ func (t *Tracer) Emit(cycle uint64, component, name string, args map[string]any)
 // wall-clock microseconds; simulated components may use it with cycle
 // spans. Safe for concurrent use and on a nil tracer.
 func (t *Tracer) EmitSpan(cycle, dur uint64, component, name string, args map[string]any) {
-	if dur == 0 {
-		dur = 1 // a zero-width X slice is invisible in the viewers
+	t.emitSpan(Event{Cycle: cycle, Dur: dur, Component: component, Name: name, Args: args})
+}
+
+// EmitTrialSpan is EmitSpan for a runner trial: span (the trial's seed)
+// and trial (its index) become the event's Chrome args at export, so the
+// emission itself allocates nothing.
+func (t *Tracer) EmitTrialSpan(cycle, dur uint64, component, name string, span uint64, trial int) {
+	t.emitSpan(Event{Cycle: cycle, Dur: dur, Component: component, Name: name,
+		Span: span, Trial: trial, IsTrial: true})
+}
+
+func (t *Tracer) emitSpan(ev Event) {
+	if ev.Dur == 0 {
+		ev.Dur = 1 // a zero-width X slice is invisible in the viewers
 	}
-	t.emit(Event{Cycle: cycle, Dur: dur, Component: component, Name: name, Args: args})
+	t.emit(ev)
 }
 
 func (t *Tracer) emit(ev Event) {
@@ -84,11 +118,11 @@ func (t *Tracer) emit(ev Event) {
 		return
 	}
 	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
+	if len(t.buf) < t.capacity {
 		t.buf = append(t.buf, ev)
 	} else {
 		t.buf[t.next] = ev
-		t.next = (t.next + 1) % cap(t.buf)
+		t.next = (t.next + 1) % t.capacity
 		t.wrapped = true
 		t.dropped++
 	}
@@ -183,7 +217,7 @@ func (t *Tracer) ChromeJSON() ([]byte, error) {
 			PID:   0,
 			TID:   tid,
 			Scope: "t",
-			Args:  ev.Args,
+			Args:  ev.ChromeArgs(),
 		}
 		if ev.Dur > 0 { // duration events render as complete (X) slices
 			ce.Phase, ce.Scope, ce.Dur = "X", "", ev.Dur

@@ -179,3 +179,44 @@ func TestEmitSpan(t *testing.T) {
 		t.Errorf("Chrome export has %d X slices, want 2", found)
 	}
 }
+
+// TestEmitTrialSpan checks that a typed trial span exports exactly the
+// args a map-carrying span with the same identity does.
+func TestEmitTrialSpan(t *testing.T) {
+	typed, mapped := NewTracer(4), NewTracer(4)
+	typed.EmitTrialSpan(100, 0, "runner/x", "trial.run", 0xabc, 3)
+	mapped.EmitSpan(100, 0, "runner/x", "trial.run",
+		map[string]any{"span": "0000000000000abc", "trial": 3})
+	a, err := typed.ChromeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mapped.ChromeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("typed trial span exports\n%s\nwant\n%s", a, b)
+	}
+}
+
+// TestTracerGrowsOnDemand checks that the ring reserves nothing up front
+// and still holds exactly its capacity once full.
+func TestTracerGrowsOnDemand(t *testing.T) {
+	tr := NewTracer(100)
+	if cap(tr.buf) != 0 {
+		t.Fatalf("new tracer reserved %d events", cap(tr.buf))
+	}
+	for i := 0; i < 250; i++ {
+		tr.Emit(uint64(i), "c", "e", nil)
+	}
+	events := tr.Events()
+	if len(events) != 100 || tr.Dropped() != 150 {
+		t.Fatalf("retained %d, dropped %d; want 100, 150", len(events), tr.Dropped())
+	}
+	for i, ev := range events {
+		if ev.Cycle != uint64(150+i) {
+			t.Fatalf("event %d has cycle %d, want %d", i, ev.Cycle, 150+i)
+		}
+	}
+}

@@ -19,7 +19,6 @@
 package runner
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -32,7 +31,7 @@ import (
 // the trace, flight annotations and operator tooling can therefore be
 // joined on it across runs.
 func SpanID(root int64, index int) string {
-	return fmt.Sprintf("%016x", uint64(Seed(root, index)))
+	return metrics.FormatSpanID(uint64(Seed(root, index)))
 }
 
 // trialRunBounds are the bucket upper bounds (seconds) of the operational
@@ -46,9 +45,11 @@ var trialRunBounds = []float64{
 // suffice.
 type sweepSpans struct {
 	name    string
+	comp    string // trace component, "runner/"+name
 	root    int64
 	epoch   time.Time
 	tracer  *metrics.Tracer
+	runHist *metrics.Histogram
 	runDurs []time.Duration
 	sumRun  time.Duration
 }
@@ -56,7 +57,11 @@ type sweepSpans struct {
 // newSweepSpans starts the span hierarchy of one sweep; epoch anchors all
 // span timestamps (µs offsets).
 func newSweepSpans(name string, root int64, epoch time.Time) *sweepSpans {
-	return &sweepSpans{name: name, root: root, epoch: epoch, tracer: metrics.Trace}
+	return &sweepSpans{
+		name: name, comp: "runner/" + name, root: root, epoch: epoch,
+		tracer:  metrics.Trace,
+		runHist: telemetry.Runtime.Histogram("runner.trial_run_seconds", trialRunBounds),
+	}
 }
 
 // us converts an absolute time to the sweep's µs timeline.
@@ -73,16 +78,15 @@ func (s *sweepSpans) us(t time.Time) uint64 {
 // shard function, redStart bounds the reducer's bookkeeping (its end is
 // now).
 func (s *sweepSpans) trial(index int, enq, start, end, redStart time.Time) {
-	comp := "runner/" + s.name
-	args := map[string]any{"span": SpanID(s.root, index), "trial": index}
-	s.tracer.EmitSpan(s.us(enq), s.us(start)-s.us(enq), comp, "trial.queue", args)
-	s.tracer.EmitSpan(s.us(start), s.us(end)-s.us(start), comp, "trial.run", args)
-	s.tracer.EmitSpan(s.us(redStart), s.us(time.Now())-s.us(redStart), comp, "trial.reduce", args)
+	span := uint64(Seed(s.root, index))
+	s.tracer.EmitTrialSpan(s.us(enq), s.us(start)-s.us(enq), s.comp, "trial.queue", span, index)
+	s.tracer.EmitTrialSpan(s.us(start), s.us(end)-s.us(start), s.comp, "trial.run", span, index)
+	s.tracer.EmitTrialSpan(s.us(redStart), s.us(time.Now())-s.us(redStart), s.comp, "trial.reduce", span, index)
 
 	run := end.Sub(start)
 	s.runDurs = append(s.runDurs, run)
 	s.sumRun += run
-	telemetry.Runtime.Histogram("runner.trial_run_seconds", trialRunBounds).Observe(run.Seconds())
+	s.runHist.Observe(run.Seconds())
 }
 
 // finish emits the sweep span and publishes the latency summary — exact
@@ -92,7 +96,7 @@ func (s *sweepSpans) trial(index int, enq, start, end, redStart time.Time) {
 // are excluded from the distribution by construction.
 func (s *sweepSpans) finish(workers, total, restored int) {
 	now := time.Now()
-	s.tracer.EmitSpan(0, s.us(now), "runner/"+s.name, "sweep", map[string]any{
+	s.tracer.EmitSpan(0, s.us(now), s.comp, "sweep", map[string]any{
 		"trials":   total,
 		"computed": len(s.runDurs),
 		"restored": restored,

@@ -54,7 +54,7 @@ func TestSweepSpanEmission(t *testing.T) {
 		if e.Dur == 0 {
 			t.Errorf("span %s has zero duration", e.Name)
 		}
-		if id, ok := e.Args["span"].(string); ok {
+		if id, ok := e.ChromeArgs()["span"].(string); ok {
 			spanIDs[id] = true
 		}
 	}

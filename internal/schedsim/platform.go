@@ -16,6 +16,13 @@ import (
 // how long its computation runs and how expensive each incoming edge's data
 // transfer is. The simulator is agnostic to which concrete system is behind
 // the interface.
+//
+// Implementations must be pure: every method's result depends on its
+// arguments and the platform's fixed parameters only, never on call
+// history, and no method mutates the node, the edge or the *sched.Result
+// it reads. Run relies on this to replay steady-state instances instead
+// of simulating them (DESIGN.md §11), and the makespan harness to share
+// one schedule between platforms.
 type Platform interface {
 	// Name identifies the system in reports (e.g. "Prop", "CMP|L1").
 	Name() string
