@@ -490,41 +490,46 @@ func (t *Task) CriticalPath(w EdgeWeight) []NodeID {
 	return path
 }
 
-// Clone returns a deep copy of the task (nodes, edges and adjacency).
+// Clone returns a deep copy of the task (nodes, edges and adjacency). The
+// nodes share one backing block and the adjacency rows are carved out of
+// four flat buffers, so a clone costs a fixed handful of allocations. Each
+// row is capped at its length, so AddEdge on the clone reallocates the row
+// instead of appending into the next row's storage.
 func (t *Task) Clone() *Task {
 	c := New(t.Name, t.Period, t.Deadline)
+	block := make([]Node, len(t.Nodes))
 	c.Nodes = make([]*Node, len(t.Nodes))
 	for i, n := range t.Nodes {
-		nn := *n
-		c.Nodes[i] = &nn
+		block[i] = *n
+		c.Nodes[i] = &block[i]
 	}
 	c.Edges = append([]Edge(nil), t.Edges...)
-	c.preds = cloneIDRows(t.preds)
-	c.succs = cloneIDRows(t.succs)
-	c.predEdge = cloneEdgeRows(t.predEdge)
-	c.succEdge = cloneEdgeRows(t.succEdge)
+	c.preds = cloneRows(t.preds)
+	c.succs = cloneRows(t.succs)
+	c.predEdge = cloneRows(t.predEdge)
+	c.succEdge = cloneRows(t.succEdge)
 	if t.topo != nil {
 		c.topo = append([]NodeID(nil), t.topo...)
 	}
 	return c
 }
 
-func cloneIDRows(rows [][]NodeID) [][]NodeID {
-	c := make([][]NodeID, len(rows))
-	for i, r := range rows {
-		if r != nil {
-			c[i] = append([]NodeID(nil), r...)
-		}
+// cloneRows copies rows into one flat buffer. Empty rows stay nil, as
+// AddNode leaves them.
+func cloneRows[T NodeID | int32](rows [][]T) [][]T {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
 	}
-	return c
-}
-
-func cloneEdgeRows(rows [][]int32) [][]int32 {
-	c := make([][]int32, len(rows))
+	flat := make([]T, 0, total)
+	c := make([][]T, len(rows))
 	for i, r := range rows {
-		if r != nil {
-			c[i] = append([]int32(nil), r...)
+		if len(r) == 0 {
+			continue
 		}
+		k := len(flat)
+		flat = append(flat, r...)
+		c[i] = flat[k:len(flat):len(flat)]
 	}
 	return c
 }

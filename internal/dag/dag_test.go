@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,6 +221,69 @@ func TestClone(t *testing.T) {
 	if c.Volume() == task.Volume() {
 		t.Error("clone WCET edit should change volume")
 	}
+
+	// AddEdge on either side of a clone pair must leave the other side's
+	// adjacency as it was, and give the mutated side the adjacency of an
+	// unshared task with the same edges. v2->v6 and v4->v5 grow interior
+	// rows of every adjacency buffer, where an uncapped row of a
+	// flat-buffer clone would append into its neighbour's storage.
+	for _, mutateClone := range []bool{true, false} {
+		orig := Fig1Example()
+		cl := orig.Clone()
+		mutated, kept := cl, orig
+		if !mutateClone {
+			mutated, kept = orig, cl
+		}
+		want := adjacency(kept)
+		ref := Fig1Example()
+		for _, tk := range []*Task{mutated, ref} {
+			tk.MustAddEdge(1, 5, 1, 0.5)
+			tk.MustAddEdge(3, 4, 1, 0.5)
+		}
+		if got := adjacency(kept); !reflect.DeepEqual(got, want) {
+			t.Errorf("AddEdge (mutating clone: %v) changed the other task's adjacency:\ngot  %v\nwant %v",
+				mutateClone, got, want)
+		}
+		if got, want := adjacency(mutated), adjacency(ref); !reflect.DeepEqual(got, want) {
+			t.Errorf("AddEdge (mutating clone: %v) corrupted the mutated task's adjacency:\ngot  %v\nwant %v",
+				mutateClone, got, want)
+		}
+		if len(kept.Edges) != 9 {
+			t.Errorf("AddEdge (mutating clone: %v) changed the other task's edges", mutateClone)
+		}
+		if _, ok := mutated.Edge(1, 5); !ok {
+			t.Errorf("mutating clone: %v: mutated task lost edge 1->5", mutateClone)
+		}
+		if err := kept.Validate(); err != nil {
+			t.Errorf("mutating clone: %v: other task invalid: %v", mutateClone, err)
+		}
+	}
+}
+
+// adjacency snapshots every adjacency row of a task.
+func adjacency(t *Task) [4][][]int {
+	var rows [4][][]int
+	for id := range t.Nodes {
+		v := NodeID(id)
+		var pred, succ, pe, se []int
+		for _, p := range t.Pred(v) {
+			pred = append(pred, int(p))
+		}
+		for _, s := range t.Succ(v) {
+			succ = append(succ, int(s))
+		}
+		for _, e := range t.PredEdges(v) {
+			pe = append(pe, int(e))
+		}
+		for _, e := range t.SuccEdges(v) {
+			se = append(se, int(e))
+		}
+		rows[0] = append(rows[0], pred)
+		rows[1] = append(rows[1], succ)
+		rows[2] = append(rows[2], pe)
+		rows[3] = append(rows[3], se)
+	}
+	return rows
 }
 
 func TestDOT(t *testing.T) {

@@ -104,13 +104,14 @@ func runCaseTrial(rt rtsim.Config, set workload.TaskSetParams, seed int64) (map[
 	if err != nil {
 		return nil, err
 	}
-	res := make(map[string]bool, 4)
-	for _, kind := range CaseStudySystems() {
-		m, err := rtsim.Run(tasks, kind, rt)
-		if err != nil {
-			return nil, err
-		}
-		res[kind.String()] = m.Success()
+	kinds := CaseStudySystems()
+	ok, err := rtsim.Schedulable(tasks, kinds, rt)
+	if err != nil {
+		return nil, err
+	}
+	res := make(map[string]bool, len(kinds))
+	for i, kind := range kinds {
+		res[kind.String()] = ok[i]
 	}
 	return res, nil
 }

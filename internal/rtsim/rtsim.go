@@ -276,27 +276,23 @@ func popEvent(h *eventHeap) event {
 	return top
 }
 
-// sim is the mutable state of one trial.
+// sim is the mutable state of one system's run.
 type sim struct {
-	cfg       Config
-	rec       *flight.Recorder
-	kind      Kind
-	kernel    kernel.Mode
-	plat      *schedsim.CMP // nil for Prop
-	tasks     []*dag.Task
-	allocs    []*sched.Result
-	rmRank    []int // task index -> rate-monotonic rank (0 = highest)
-	partition []int // task index -> cluster (Partitioned mode), else nil
-	relIdx    []int // task index -> next release index
-	prevCore  [][]int
+	*trial
+	rec      *flight.Recorder
+	kind     Kind
+	kernel   kernel.Mode
+	plat     *schedsim.CMP // nil for Prop
+	tasks    []*dag.Task
+	allocs   []*sched.Result
+	relIdx   []int // task index -> next release index
+	prevCore [][]int
 
-	now     float64
-	freeAt  []float64
-	ready   []readyNode
-	events  eventHeap
-	horizon float64
+	now    float64
+	freeAt []float64
+	ready  []readyNode
+	events eventHeap
 
-	clusters int
 	// Way ownership is sticky, as in the hardware: a way stays assigned
 	// to its last owner until the Walloc reassigns it. assigned counts
 	// ways with an owner; reclaimable counts the assigned ways whose
@@ -324,17 +320,192 @@ type sim struct {
 	metrics      Metrics
 }
 
+// trial is the state every system run on one task set shares: what depends
+// only on the task set's periods, deadlines and loads, and the free job
+// records that newJob reuses.
+type trial struct {
+	cfg       Config
+	horizon   float64
+	clusters  int
+	rmRank    []int     // task index -> rate-monotonic rank (0 = highest)
+	partition []int     // task index -> cluster (Partitioned mode), else nil
+	releases  []release // every release inside the horizon, in dispatch order
+	free      [][]*job  // task index -> finished jobs
+}
+
+// release is one job release of a task.
+type release struct {
+	at      float64
+	taskIdx int
+}
+
+// plan is one planning family's per-task result: clones of the task set
+// carrying the family's node priorities, and the scheduler's results.
+type plan struct {
+	tasks  []*dag.Task
+	allocs []*sched.Result
+}
+
+// family indexes the planning a system needs. The proposed system plans
+// with Alg. 1; every CMP system uses longest-path-first, which does not
+// depend on the platform, so the three share one plan.
+func family(k Kind) int {
+	if k == KindProp {
+		return 0
+	}
+	return 1
+}
+
 // Run simulates one trial of the task set on the selected system and
 // returns its metrics. The task set is not mutated (tasks are cloned so the
 // per-system priority assignment stays internal).
 func Run(tasks []*dag.Task, kind Kind, cfg Config) (Metrics, error) {
-	if err := cfg.fill(); err != nil {
+	ms, err := simulate(tasks, []Kind{kind}, cfg, false)
+	if err != nil {
 		return Metrics{}, err
 	}
-	if len(tasks) == 0 {
-		return Metrics{}, fmt.Errorf("rtsim: empty task set")
+	return ms[0], nil
+}
+
+// Schedulable reports for each system in kinds whether the task set meets
+// every deadline: Schedulable(tasks, kinds, cfg)[i] equals
+// Run(tasks, kinds[i], cfg).Success(). It plans once per family (the CMP
+// systems share one longest-path-first plan), recycles finished jobs
+// across the systems' runs, and stops a system's run at its first
+// deadline miss, which can never be undone; a run that meets every
+// deadline still simulates the full horizon. The rtsim counters count the
+// work simulated. Schedulable records nothing: cfg.Recorder must be nil.
+func Schedulable(tasks []*dag.Task, kinds []Kind, cfg Config) ([]bool, error) {
+	if cfg.Recorder != nil {
+		return nil, fmt.Errorf("rtsim: Schedulable does not record; use Run")
 	}
-	s := &sim{cfg: cfg, rec: cfg.Recorder, kind: kind, kernel: cfg.Kernel}
+	ms, err := simulate(tasks, kinds, cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	ok := make([]bool, len(ms))
+	for i, m := range ms {
+		ok[i] = m.Success()
+	}
+	return ok, nil
+}
+
+// simulate runs the task set on each system in kinds. With stop set, a
+// run ends at its first deadline miss and its metrics are partial. Each
+// plan is built for the first system of its family and released after
+// the last.
+func simulate(tasks []*dag.Task, kinds []Kind, cfg Config, stop bool) ([]Metrics, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("rtsim: empty task set")
+	}
+	var uses [2]int
+	for _, k := range kinds {
+		if k < KindProp || k > KindSharedL1 {
+			return nil, fmt.Errorf("rtsim: unknown system %v", k)
+		}
+		uses[family(k)]++
+	}
+	tr := newTrial(tasks, cfg)
+	var plans [2]*plan
+	out := make([]Metrics, len(kinds))
+	for i, k := range kinds {
+		f := family(k)
+		if plans[f] == nil {
+			p, err := newPlan(tasks, k == KindProp, cfg)
+			if err != nil {
+				return nil, err
+			}
+			plans[f] = p
+		}
+		out[i] = tr.runSystem(k, plans[f], stop)
+		if uses[f]--; uses[f] == 0 {
+			plans[f] = nil
+		}
+	}
+	return out, nil
+}
+
+// newPlan clones every task and schedules the clone: Alg. 1 when prop is
+// set (the way plan and priorities), longest-path-first otherwise.
+func newPlan(tasks []*dag.Task, prop bool, cfg Config) (*plan, error) {
+	p := &plan{tasks: make([]*dag.Task, len(tasks)), allocs: make([]*sched.Result, len(tasks))}
+	for ti, t := range tasks {
+		c := t.Clone()
+		var err error
+		if prop {
+			p.allocs[ti], err = sched.L15ScheduleRec(c, cfg.Zeta, cfg.WayBytes, cfg.Recorder, ti)
+		} else {
+			p.allocs[ti], err = sched.LongestPathFirstRec(c, cfg.Recorder, ti)
+		}
+		if err != nil {
+			return nil, err
+		}
+		p.tasks[ti] = c
+	}
+	return p, nil
+}
+
+// newTrial derives the horizon, the rate-monotonic ranks, the cluster
+// partition and the release sequence of the task set.
+func newTrial(tasks []*dag.Task, cfg Config) *trial {
+	tr := &trial{
+		cfg:      cfg,
+		clusters: (cfg.Cores + cfg.ClusterSize - 1) / cfg.ClusterSize,
+		free:     make([][]*job, len(tasks)),
+	}
+	var maxPeriod float64
+	for _, t := range tasks {
+		if t.Period > maxPeriod {
+			maxPeriod = t.Period
+		}
+	}
+	tr.horizon = cfg.HorizonPeriods * maxPeriod
+
+	// Rate-monotonic ranks: shorter period = higher priority.
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return tasks[order[a]].Period < tasks[order[b]].Period
+	})
+	tr.rmRank = make([]int, len(tasks))
+	for rank, idx := range order {
+		tr.rmRank[idx] = rank
+	}
+
+	if cfg.Partitioned {
+		tr.partition = partitionTasks(tasks, tr.clusters)
+	}
+
+	// Every release inside the horizon, by time, then rate-monotonic rank.
+	for i, t := range tasks {
+		for k := 0; ; k++ {
+			at := float64(k) * t.Period
+			if at+t.Deadline > tr.horizon {
+				break
+			}
+			tr.releases = append(tr.releases, release{at: at, taskIdx: i})
+		}
+	}
+	sort.SliceStable(tr.releases, func(a, b int) bool {
+		ra, rb := tr.releases[a], tr.releases[b]
+		if ra.at != rb.at {
+			return ra.at < rb.at
+		}
+		return tr.rmRank[ra.taskIdx] < tr.rmRank[rb.taskIdx]
+	})
+	return tr
+}
+
+// runSystem simulates the trial on one system with its family's plan.
+func (tr *trial) runSystem(kind Kind, p *plan, stop bool) Metrics {
+	cfg := tr.cfg
+	s := &sim{trial: tr, rec: cfg.Recorder, kind: kind, kernel: cfg.Kernel,
+		tasks: p.tasks, allocs: p.allocs}
 	switch kind {
 	case KindProp:
 	case KindCMPL1:
@@ -343,45 +514,7 @@ func Run(tasks []*dag.Task, kind Kind, cfg Config) (Metrics, error) {
 		s.plat = schedsim.CMPL2()
 	case KindSharedL1:
 		s.plat = schedsim.SharedL1()
-	default:
-		return Metrics{}, fmt.Errorf("rtsim: unknown system %v", kind)
 	}
-
-	// Per-task scheduling (priorities and, for Prop, the way plan).
-	var maxPeriod float64
-	for ti, t := range tasks {
-		c := t.Clone()
-		var alloc *sched.Result
-		var err error
-		if kind == KindProp {
-			alloc, err = sched.L15ScheduleRec(c, cfg.Zeta, cfg.WayBytes, s.rec, ti)
-		} else {
-			alloc, err = sched.LongestPathFirstRec(c, s.rec, ti)
-		}
-		if err != nil {
-			return Metrics{}, err
-		}
-		s.tasks = append(s.tasks, c)
-		s.allocs = append(s.allocs, alloc)
-		if t.Period > maxPeriod {
-			maxPeriod = t.Period
-		}
-	}
-	s.horizon = cfg.HorizonPeriods * maxPeriod
-
-	// Rate-monotonic ranks: shorter period = higher priority.
-	order := make([]int, len(s.tasks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return s.tasks[order[a]].Period < s.tasks[order[b]].Period
-	})
-	s.rmRank = make([]int, len(s.tasks))
-	for rank, idx := range order {
-		s.rmRank[idx] = rank
-	}
-
 	s.freeAt = make([]float64, cfg.Cores)
 	s.relIdx = make([]int, len(s.tasks))
 	s.prevCore = make([][]int, len(s.tasks))
@@ -391,55 +524,35 @@ func Run(tasks []*dag.Task, kind Kind, cfg Config) (Metrics, error) {
 			s.prevCore[i][j] = -1
 		}
 	}
-	s.clusters = (cfg.Cores + cfg.ClusterSize - 1) / cfg.ClusterSize
 	s.assigned = make([]int, s.clusters)
 	s.reclaimable = make([]int, s.clusters)
 	s.sduFreeAt = make([]float64, s.clusters)
 
-	if cfg.Partitioned {
-		s.partitionTasks()
-	}
-
-	s.run()
+	s.run(stop)
 	s.metrics.System = kind
 	mTrials.Inc()
 	mJobs.Add(uint64(s.metrics.Jobs))
 	mMisses.Add(uint64(s.metrics.Misses))
-	return s.metrics, nil
+	return s.metrics
+}
+
+// jobRef names one release's incarnation of a recycled job record.
+type jobRef struct {
+	j      *job
+	jobIdx int
 }
 
 // run executes the event loop: releases and completions in time order, with
-// a dispatch pass after every event.
-func (s *sim) run() {
-	// Pre-compute all releases inside the horizon.
-	type release struct {
-		at      float64
-		taskIdx int
-	}
-	var releases []release
-	for i, t := range s.tasks {
-		for k := 0; ; k++ {
-			at := float64(k) * t.Period
-			if at+t.Deadline > s.horizon {
-				break
-			}
-			releases = append(releases, release{at: at, taskIdx: i})
-		}
-	}
-	sort.SliceStable(releases, func(a, b int) bool {
-		if releases[a].at != releases[b].at {
-			return releases[a].at < releases[b].at
-		}
-		return s.rmRank[releases[a].taskIdx] < s.rmRank[releases[b].taskIdx]
-	})
-
-	var jobs []*job
-	ri := 0
-	for ri < len(releases) || s.events.Len() > 0 {
+// a dispatch pass after every event. With stop set it ends at the first
+// deadline miss.
+func (s *sim) run(stop bool) {
+	jobs := make([]jobRef, 0, len(s.releases))
+	ri, stopped := 0, false
+	for ri < len(s.releases) || s.events.Len() > 0 {
 		// Next event time: release or completion.
 		next := math.Inf(1)
-		if ri < len(releases) {
-			next = releases[ri].at
+		if ri < len(s.releases) {
+			next = s.releases[ri].at
 		}
 		if s.events.Len() > 0 && s.events[0].at < next {
 			next = s.events[0].at
@@ -453,21 +566,30 @@ func (s *sim) run() {
 			ev := popEvent(&s.events)
 			s.complete(ev.j, ev.v)
 		}
+		if stop && s.metrics.Misses > 0 {
+			stopped = true
+			break
+		}
 		// Then releases.
-		for ri < len(releases) && releases[ri].at <= s.now {
-			rel := releases[ri]
+		for ri < len(s.releases) && s.releases[ri].at <= s.now {
+			rel := s.releases[ri]
 			ri++
 			j := s.newJob(rel.taskIdx, rel.at)
-			jobs = append(jobs, j)
+			jobs = append(jobs, jobRef{j: j, jobIdx: j.jobIdx})
 			s.metrics.Jobs++
 			s.ready = append(s.ready, readyNode{j: j, v: j.task.Source()})
 		}
 		s.dispatch()
 	}
 	// Any job still unfinished at the horizon missed its deadline (the
-	// deadline was inside the horizon by construction).
-	for _, j := range jobs {
-		if j.left > 0 && !j.missed {
+	// deadline was inside the horizon by construction). A stopped run
+	// already has its miss.
+	for _, r := range jobs {
+		j := r.j
+		if j.jobIdx != r.jobIdx || j.left == 0 {
+			continue // finished, maybe reused by a later release
+		}
+		if !stopped && !j.missed {
 			j.missed = true
 			s.metrics.Misses++
 			s.rec.Emit(flight.Event{Kind: flight.KindDeadline,
@@ -475,6 +597,7 @@ func (s *sim) run() {
 				Job: int32(j.jobIdx), Node: -1, Core: -1,
 				Cluster: -1, Wave: -1, A: j.deadline, B: 1})
 		}
+		s.recycle(j)
 	}
 	if s.clusterBusy > 0 && s.cfg.Zeta > 0 {
 		s.metrics.WayUtilization = s.wayIntegral / (s.clusterBusy * float64(s.cfg.Zeta))
@@ -488,28 +611,37 @@ func (s *sim) run() {
 	}
 }
 
+// newJob releases the next job of a task. It reuses a free job record of
+// the task when there is one, reset to exactly what a fresh record holds.
 func (s *sim) newJob(taskIdx int, at float64) *job {
 	t := s.tasks[taskIdx]
 	n := len(t.Nodes)
-	// One backing array serves all five int-valued per-node fields; a job
-	// release costs three allocations instead of seven.
-	ints := make([]int, 5*n)
-	j := &job{
-		taskIdx:  taskIdx,
-		jobIdx:   s.relIdx[taskIdx],
-		task:     t,
-		alloc:    s.allocs[taskIdx],
-		release:  at,
-		deadline: at + t.Deadline,
-		indeg:    ints[0*n : 1*n],
-		done:     make([]bool, n),
-		coreOf:   ints[1*n : 2*n],
-		startAt:  make([]float64, n),
-		granted:  ints[2*n : 3*n],
-		cluster:  ints[3*n : 4*n],
-		succLeft: ints[4*n : 5*n],
-		left:     n,
+	var j *job
+	if free := s.free[taskIdx]; len(free) > 0 {
+		j = free[len(free)-1]
+		s.free[taskIdx] = free[:len(free)-1]
+	} else {
+		// One backing array serves all five int-valued per-node
+		// fields; a job costs three allocations instead of seven.
+		ints := make([]int, 5*n)
+		j = &job{
+			indeg:    ints[0*n : 1*n],
+			done:     make([]bool, n),
+			coreOf:   ints[1*n : 2*n],
+			startAt:  make([]float64, n),
+			granted:  ints[2*n : 3*n],
+			cluster:  ints[3*n : 4*n],
+			succLeft: ints[4*n : 5*n],
+		}
 	}
+	j.taskIdx = taskIdx
+	j.jobIdx = s.relIdx[taskIdx]
+	j.task = t
+	j.alloc = s.allocs[taskIdx]
+	j.release = at
+	j.deadline = at + t.Deadline
+	j.left = n
+	j.missed = false
 	s.relIdx[taskIdx]++
 	s.rec.Emit(flight.Event{Kind: flight.KindRelease, Time: at,
 		Task: int32(taskIdx), Job: int32(j.jobIdx), Node: -1, Core: -1,
@@ -520,8 +652,17 @@ func (s *sim) newJob(taskIdx int, at float64) *job {
 		j.succLeft[id] = len(t.Succ(v))
 		j.coreOf[id] = -1
 		j.cluster[id] = -1
+		j.granted[id] = 0
+		j.done[id] = false
+		j.startAt[id] = 0
 	}
 	return j
+}
+
+// recycle returns a job record to its task's free list.
+func (s *sim) recycle(j *job) {
+	j.task, j.alloc = nil, nil
+	s.free[j.taskIdx] = append(s.free[j.taskIdx], j)
 }
 
 // integrate advances the way-utilisation and busy-time accumulators to t.
@@ -561,15 +702,15 @@ func (s *sim) integrate(t float64) {
 // partitionTasks binds each task to a cluster, worst-fit decreasing by
 // load (computation plus communication over period), so the clusters stay
 // balanced.
-func (s *sim) partitionTasks() {
-	s.partition = make([]int, len(s.tasks))
-	load := make([]float64, s.clusters)
-	order := make([]int, len(s.tasks))
+func partitionTasks(tasks []*dag.Task, clusters int) []int {
+	partition := make([]int, len(tasks))
+	load := make([]float64, clusters)
+	order := make([]int, len(tasks))
 	for i := range order {
 		order[i] = i
 	}
 	taskLoad := func(i int) float64 {
-		t := s.tasks[i]
+		t := tasks[i]
 		var comm float64
 		for _, e := range t.Edges {
 			comm += e.Cost
@@ -581,14 +722,15 @@ func (s *sim) partitionTasks() {
 	})
 	for _, idx := range order {
 		best := 0
-		for cl := 1; cl < s.clusters; cl++ {
+		for cl := 1; cl < clusters; cl++ {
 			if load[cl] < load[best] {
 				best = cl
 			}
 		}
-		s.partition[idx] = best
+		partition[idx] = best
 		load[best] += taskLoad(idx)
 	}
+	return partition
 }
 
 // dispatch places ready nodes on idle cores, highest priority first. In
@@ -992,6 +1134,7 @@ func (s *sim) complete(j *job, v dag.NodeID) {
 					C: float64(s.assigned[cl])})
 			}
 		}
+		s.recycle(j)
 	}
 }
 
