@@ -122,6 +122,19 @@ func (c *Cache) Probe(set int, tag uint32, allowed bitmap.Bitmap) int {
 	return -1
 }
 
+// Holds reports whether the line containing addr is present in any way,
+// without counting an access or touching the replacement state.
+func (c *Cache) Holds(addr uint32) bool {
+	set, tag := c.Split(addr)
+	base := set * c.ways
+	for w := 0; w < c.ways; w++ {
+		if c.valid[base+w] && c.tag[base+w] == tag {
+			return true
+		}
+	}
+	return false
+}
+
 // AccessResult describes one cache access.
 type AccessResult struct {
 	Hit       bool

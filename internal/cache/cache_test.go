@@ -60,6 +60,9 @@ func TestHitMiss(t *testing.T) {
 	all := c.AllWays()
 	set, tag := c.Split(0x100)
 
+	if c.Holds(0x100) {
+		t.Error("cold cache holds the line")
+	}
 	res := c.Access(set, tag, false, all)
 	if res.Hit {
 		t.Error("cold access hit")
@@ -67,6 +70,9 @@ func TestHitMiss(t *testing.T) {
 	res = c.Access(set, tag, false, all)
 	if !res.Hit {
 		t.Error("second access missed")
+	}
+	if !c.Holds(0x13f) || c.Holds(0x140) {
+		t.Error("Holds disagrees with the filled line")
 	}
 	if c.Stats.Hits != 1 || c.Stats.Misses != 1 {
 		t.Errorf("stats = %+v", c.Stats)

@@ -318,8 +318,11 @@ func (c *Core) StepIssue() (Trap, error) {
 	return c.Step()
 }
 
+// FlushCycles is the IF/ID refill a taken branch or jump costs.
+const FlushCycles = 2
+
 func (c *Core) flush() {
-	c.Cycles += 2
+	c.Cycles += FlushCycles
 	c.Stats.BranchFlushes++
 }
 

@@ -37,6 +37,13 @@ func advanceTicked(l *L15, target uint64) {
 
 func compareTwins(t *testing.T, tk, ev *L15) {
 	t.Helper()
+	for _, l := range []*L15{tk, ev} {
+		// The cached idle bit must match a fresh scan.
+		cached := l.sduIdle()
+		if l.updateIdle(); l.sduIdle() != cached {
+			t.Fatalf("stale idle bit at tick %d: cached %t, scan %t", l.Ticks(), cached, l.sduIdle())
+		}
+	}
 	if tk.Ticks() != ev.Ticks() {
 		t.Fatalf("ticks diverged: ticked %d, events %d", tk.Ticks(), ev.Ticks())
 	}
@@ -143,6 +150,11 @@ func TestNextWakeupProtocol(t *testing.T) {
 	}
 	if w := l.NextWakeup(); w != l.Ticks()+1 {
 		t.Fatalf("shrink wakeup = %d, want %d", w, l.Ticks()+1)
+	}
+	// Once the revocations are done the SDU is idle again.
+	l.AdvanceTo(20)
+	if w := l.NextWakeup(); l.Pending(0) || w != kernel.Never {
+		t.Fatalf("shrunk SDU wakeup = %d (pending %t), want Never", w, l.Pending(0))
 	}
 }
 

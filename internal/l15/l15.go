@@ -101,6 +101,10 @@ type L15 struct {
 
 	next  NextLevel
 	ticks uint64
+	// idle caches sduIdle: Demand, assignWay and revokeWay — the only
+	// calls that change a demand, an ownership or the free ways —
+	// recompute it, so a settled SDU advances in O(1).
+	idle bool
 
 	// Per-config-epoch mask cache (struct-of-arrays): readM[c] is
 	// OW ∪ same-TID GV, writeM[c] is OW ∖ GV. Any control-state mutation
@@ -209,6 +213,7 @@ func New(cfg Config, next NextLevel) (*L15, error) {
 		readM:         make([]bitmap.Bitmap, cfg.Cores),
 		writeM:        make([]bitmap.Bitmap, cfg.Cores),
 		masksDirty:    true,
+		idle:          true, // nothing owned, nothing demanded
 	}
 	for w := range l.wayOwner {
 		l.wayOwner[w] = -1
@@ -254,6 +259,7 @@ func (l *L15) Demand(core, n int) error {
 	}
 	l.demand[core] = n
 	l.demandTick[core] = l.ticks
+	l.updateIdle()
 	return nil
 }
 
@@ -365,19 +371,20 @@ func (l *L15) Ticks() uint64 { return l.ticks }
 // no-op tick changes no state except the counter, so the SDU stays idle
 // until the next external call (demand, gv_set, revocation) — which is the
 // skip-safety argument of DESIGN.md §11.
-func (l *L15) sduIdle() bool {
+func (l *L15) sduIdle() bool { return l.idle }
+
+// updateIdle recomputes the idle field after a demand or ownership change.
+func (l *L15) updateIdle() {
 	freeExists := l.freeWay() >= 0
+	l.idle = true
 	for core := 0; core < l.cfg.Cores; core++ {
 		have := l.ow[core].Count()
 		want := l.demand[core]
-		if have > want {
-			return false
-		}
-		if have < want && freeExists {
-			return false
+		if have > want || have < want && freeExists {
+			l.idle = false
+			return
 		}
 	}
-	return true
 }
 
 // NextWakeup implements the kernel wakeup protocol: the next cycle at
@@ -431,6 +438,7 @@ func (l *L15) assignWay(core, w int) {
 	l.wayOwner[w] = core
 	l.ow[core] = l.ow[core].Set(w)
 	l.masksDirty = true
+	l.updateIdle()
 	l.Events = append(l.Events, ConfigEvent{Tick: l.ticks, Core: core, Way: w, Assigned: true})
 	if l.tracer != nil {
 		//lint:ignore hotalloc tracer payload, built only when instrumented; trace runs are diagnostic, not timing-measured
@@ -458,6 +466,7 @@ func (l *L15) revokeWay(core, w int) {
 	l.ow[core] = l.ow[core].Clear(w)
 	l.gv[core] = l.gv[core].Clear(w)
 	l.masksDirty = true
+	l.updateIdle()
 	l.Events = append(l.Events, ConfigEvent{Tick: l.ticks, Core: core, Way: w, Assigned: false})
 	if l.tracer != nil {
 		l.tracer.Emit(l.ticks, l.traceName, "way.revoke",

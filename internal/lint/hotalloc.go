@@ -64,10 +64,13 @@ var hotRootNames = map[string]bool{
 }
 
 // hotRootExtra adds the per-package roots: the flight recorder's
-// zero-alloc Emit and the event dispatchers of the two DES simulators.
+// zero-alloc Emit, the SoC's SDU advance and countdown-loop replay (entry
+// and settle points), and the event dispatchers of the two DES simulators.
 var hotRootExtra = map[string]map[string]bool{
-	"flight":   {"Emit": true},
-	"soc":      {"tickSDUs": true},
+	"flight": {"Emit": true},
+	"soc": {"advanceSDUs": true, "globalTime": true, "trackLoop": true,
+		"holdLoops": true, "replayedBetween": true, "settleLoop": true,
+		"settleLoops": true, "interruptLoop": true, "storeLoops": true},
 	"schedsim": {"runInstance": true, "runInstanceEvents": true},
 	"rtsim":    {"dispatch": true, "dispatchTicked": true},
 }

@@ -58,6 +58,16 @@ func (m *Memory) ReadWord(addr PhysAddr) (uint32, error) {
 	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, nil
 }
 
+// PeekWord returns the word at addr without counting a read; ok is false
+// where ReadWord would fail (a misaligned or out-of-range address).
+func (m *Memory) PeekWord(addr PhysAddr) (word uint32, ok bool) {
+	if addr%4 != 0 || int(addr)+4 > len(m.data) {
+		return 0, false
+	}
+	d := m.data[addr:]
+	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, true
+}
+
 // WriteWord stores a little-endian 32-bit word at addr (4-byte aligned).
 func (m *Memory) WriteWord(addr PhysAddr, v uint32) error {
 	if addr%4 != 0 {

@@ -36,6 +36,10 @@ func TestWordRoundTrip(t *testing.T) {
 	if b != 0xef {
 		t.Errorf("byte 0 = %#x, want 0xef (little endian)", b)
 	}
+	// A peek reads the same word without counting.
+	if w, ok := m.PeekWord(16); !ok || w != 0xdeadbeef {
+		t.Errorf("peek = %#x, %t", w, ok)
+	}
 	if m.Reads != 2 || m.Writes != 1 {
 		t.Errorf("stats = %d reads, %d writes", m.Reads, m.Writes)
 	}
@@ -57,6 +61,12 @@ func TestBounds(t *testing.T) {
 	}
 	if _, err := m.LoadByte(64); err == nil {
 		t.Error("byte read past end accepted")
+	}
+	if _, ok := m.PeekWord(64); ok {
+		t.Error("peek past end accepted")
+	}
+	if _, ok := m.PeekWord(2); ok {
+		t.Error("misaligned peek accepted")
 	}
 }
 

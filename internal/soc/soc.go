@@ -125,6 +125,17 @@ type SoC struct {
 
 	l2lvl *l2Level
 	ports []*port
+
+	// Run state: instructions retired per core, the countdown-loop
+	// replays (replay.go), how many are on and how many steps they
+	// have replayed so far, and the clock and core of the step being
+	// executed (of the trapping step inside the handler).
+	retired   []uint64
+	loops     []countdown
+	replaying int
+	replayed  uint64
+	stepT     uint64
+	stepCore  int
 }
 
 // New builds the SoC.
@@ -169,6 +180,8 @@ func New(cfg Config) (*SoC, error) {
 		}
 		s.Cores = append(s.Cores, core)
 	}
+	s.retired = make([]uint64, total)
+	s.loops = make([]countdown, total)
 	return s, nil
 }
 
@@ -239,6 +252,7 @@ func (s *SoC) SetPageTable(core int, pt *tlb.PageTable) error {
 	if core < 0 || core >= len(s.Cores) {
 		return fmt.Errorf("soc: core %d out of range", core)
 	}
+	s.interruptLoop(core)
 	s.ports[core].tlb.SetPageTable(pt)
 	return s.ClusterOf(core).L15.SetTID(s.localIndex(core), pt.TID)
 }
@@ -253,87 +267,120 @@ func (s *SoC) IdentityPageTable(tid uint16) *tlb.PageTable {
 
 // Run advances the system until every core is halted or maxInstrs
 // instructions have retired per core. Cores are stepped in local-time
-// order (the earliest core executes next), which keeps the interleaving
-// deterministic, and each cluster's SDU ticks forward with global time.
-// The handler receives ECALL traps (may be nil); ebreak halts only its own
-// core. The first error trap (illegal instruction, privilege violation,
-// memory fault) on any core stops the run and is returned.
+// order (the earliest core executes next, ties to the lower index), which
+// keeps the interleaving deterministic, and each cluster's SDU ticks
+// forward with global time. The handler receives ECALL traps (may be
+// nil); ebreak halts only its own core. The first error trap (illegal
+// instruction, privilege violation, memory fault) on any core stops the
+// run and is returned.
+//
+// Under the events kernel with no Observer and single issue, a core
+// running a countdown loop from a hot L1I is replayed in closed form
+// instead of stepped (replay.go); every state it leaves behind is the
+// one-step state. Inside the handler, therefore, only the trapping core's
+// state and the other cores' Halted flags are current. The handler may
+// change the trapping core, the L1.5 control registers, and any core
+// through SetPageTable or StartCore (which settle it first); it must not
+// write another core's registers, clock or Halted flag directly, nor
+// write memory except through a core's stores.
 func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu.Trap, error) {
-	retired := make([]uint64, len(s.Cores))
+	replay := s.Cfg.Kernel == kernel.Events && s.Observer == nil && s.Cfg.IssueWidth <= 1
+	clear(s.retired)
+	clear(s.loops)
+	s.replaying = 0
+	// stale: a step ran since the SDUs were last brought to the global
+	// time. One-step execution does that after every step; replay defers
+	// it to just before the next step that can observe it.
+	stale := false
 	for {
-		// Pick the core with the earliest wakeup (its local clock;
-		// halted cores report kernel.Never and drop out).
-		best := -1
-		bestWake := kernel.Never
+		// Pick the core with the earliest wakeup (its local clock; a
+		// replaying core's exit step; halted cores report kernel.Never
+		// and drop out). Cores frozen by maxInstrs still hold the global
+		// time back.
+		best, bestWake, frozen := -1, kernel.Never, kernel.Never
 		for i, c := range s.Cores {
-			if retired[i] >= maxInstrs {
+			w := c.NextWakeup()
+			if r := &s.loops[i]; r.on {
+				w = r.exit()
+			}
+			if s.retired[i] >= maxInstrs {
+				frozen = min(frozen, w)
 				continue
 			}
-			if w := c.NextWakeup(); w < bestWake {
+			if w < bestWake {
 				best, bestWake = i, w
 			}
 		}
 		if best < 0 {
+			if stale {
+				// No loop is on once no core can step.
+				s.advanceSDUs(s.globalTime(0, 0))
+			}
 			return cpu.Trap{}, nil
 		}
+		if s.replaying > 0 && (bestWake < s.stepT || bestWake == s.stepT && best < s.stepCore) {
+			s.holdLoops()
+		}
+		if stale || s.replaying > 0 && s.replayedBetween(s.stepT, s.stepCore, bestWake, best) {
+			// The global time after the step one-step execution ran last.
+			s.advanceSDUs(kernel.Earliest(bestWake, frozen))
+		}
+		if r := &s.loops[best]; r.on {
+			s.settleLoop(best, r.steps-1)
+		}
+		s.stepT, s.stepCore = bestWake, best
 		c := s.Cores[best]
+		pc := c.PC
 		trap, err := c.StepIssue()
 		if err != nil {
+			s.settleLoops()
 			return trap, err
 		}
-		retired[best]++
-		s.tickSDUs()
-		if s.Observer != nil {
-			s.Observer(s)
-		}
-		switch trap.Kind {
-		case cpu.TrapNone:
-		case cpu.TrapEBreak:
-			// The core halted itself; the rest of the SoC runs on.
-		case cpu.TrapECall:
-			if handler == nil || !handler(c, trap) {
-				c.Halted = true
-				return trap, nil
+		s.retired[best]++
+		if replay {
+			stale = true
+			s.trackLoop(best, pc, maxInstrs)
+		} else {
+			s.advanceSDUs(s.globalTime(bestWake, best))
+			if s.Observer != nil {
+				s.Observer(s)
 			}
-		default:
-			return trap, nil
 		}
+		if trap.Kind == cpu.TrapNone || trap.Kind == cpu.TrapEBreak {
+			// An ebreak halts its own core; the rest of the SoC runs on.
+			continue
+		}
+		if stale {
+			s.advanceSDUs(s.globalTime(bestWake, best))
+			stale = false
+		}
+		if trap.Kind == cpu.TrapECall {
+			if handler != nil && handler(c, trap) {
+				continue
+			}
+			c.Halted = true
+		}
+		s.settleLoops()
+		return trap, nil
 	}
 }
 
-// tickSDUs advances every cluster's Walloc to the global time (the minimum
-// core-local clock), preserving the one-way-per-cycle constraint. Under the
-// events kernel a cluster whose SDU reports no wakeup (kernel.Never) jumps
-// its counter straight to the global time instead of idling through the
-// gap cycle by cycle; both kernels reach the same counter value, so every
-// tick-stamped event is identical.
-func (s *SoC) tickSDUs() {
-	var global uint64
-	first := true
-	for _, c := range s.Cores {
-		if c.Halted {
-			continue
-		}
-		if first || c.Cycles < global {
-			global = c.Cycles
-			first = false
-		}
-	}
-	if first {
-		// All halted: settle to the max clock.
-		for _, c := range s.Cores {
-			if c.Cycles > global {
-				global = c.Cycles
-			}
-		}
-	}
+// advanceSDUs brings every cluster's Walloc to the global time target,
+// preserving the one-way-per-cycle constraint. Under the events kernel a
+// cluster whose SDU reports no wakeup (kernel.Never) jumps its counter
+// straight to the target instead of idling through the gap cycle by
+// cycle; both kernels reach the same counter value, so every tick-stamped
+// event is identical. A target in the past is a no-op, and between two
+// external calls advancing to a then b equals advancing to b, which is
+// why replay may skip the targets of the steps it does not run.
+func (s *SoC) advanceSDUs(target uint64) {
 	for _, cl := range s.Clusters {
 		if s.Cfg.Kernel == kernel.Ticked {
-			for cl.L15.Ticks() < global {
+			for cl.L15.Ticks() < target {
 				cl.L15.Tick()
 			}
 		} else {
-			cl.L15.AdvanceTo(global)
+			cl.L15.AdvanceTo(target)
 		}
 	}
 }
@@ -368,6 +415,7 @@ func (s *SoC) LoadProgram(base uint32, src string) (int, error) {
 // StartCore points the core at pc with a fresh register file, kernel
 // privilege and the given stack pointer.
 func (s *SoC) StartCore(core int, pc, sp uint32) {
+	s.interruptLoop(core)
 	c := s.Cores[core]
 	c.PC = pc
 	c.Priv = cpu.PrivKernel
@@ -497,6 +545,9 @@ func (p *port) Store(core int, va uint32, size int, value uint32) (int, error) {
 	if p.soc.Cfg.UARTAddr != 0 && uint32(pa) == p.soc.Cfg.UARTAddr {
 		p.soc.UART = append(p.soc.UART, byte(value))
 		return tlat + 1, nil
+	}
+	if p.soc.replaying > 0 {
+		p.soc.storeLoops(pa, size)
 	}
 	lat := tlat + p.access(p.l1d, va, pa, true)
 	switch size {

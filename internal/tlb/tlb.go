@@ -126,6 +126,19 @@ func (t *TLB) PublishMetrics(r *metrics.Registry, prefix string) {
 	})
 }
 
+// Peek returns the translation Translate would serve from the TLB for va,
+// without counting a hit or filling an entry; ok is false when Translate
+// would walk the page table.
+func (t *TLB) Peek(va VirtAddr) (pa mem.PhysAddr, ok bool) {
+	vpn := va.VPN()
+	for _, e := range t.entries {
+		if e.valid && e.vpn == vpn {
+			return mem.PhysAddr(e.pfn<<PageBits | va.Offset()), true
+		}
+	}
+	return 0, false
+}
+
 // Translate returns the physical address for va and the translation
 // latency: 0 cycles on a TLB hit (the lookup overlaps the cache index), the
 // miss penalty on a page walk.
@@ -133,19 +146,16 @@ func (t *TLB) Translate(va VirtAddr) (mem.PhysAddr, int, error) {
 	if t.pt == nil {
 		return 0, 0, fmt.Errorf("tlb: no page table bound")
 	}
-	vpn := va.VPN()
-	for _, e := range t.entries {
-		if e.valid && e.vpn == vpn {
-			t.Hits++
-			return mem.PhysAddr(e.pfn<<PageBits | va.Offset()), 0, nil
-		}
+	if pa, ok := t.Peek(va); ok {
+		t.Hits++
+		return pa, 0, nil
 	}
 	t.Misses++
 	pa, err := t.pt.Lookup(va)
 	if err != nil {
 		return 0, t.missLat, err
 	}
-	t.entries[t.next] = entry{vpn: vpn, pfn: uint32(pa) >> PageBits, valid: true}
+	t.entries[t.next] = entry{vpn: va.VPN(), pfn: uint32(pa) >> PageBits, valid: true}
 	t.next = (t.next + 1) % len(t.entries)
 	return pa, t.missLat, nil
 }

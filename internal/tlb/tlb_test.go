@@ -85,6 +85,13 @@ func TestTranslateHitMiss(t *testing.T) {
 	if lat != 0 {
 		t.Errorf("hit latency = %d", lat)
 	}
+	// Peek serves cached translations only, and counts nothing.
+	if pa, ok := tl.Peek(0x2abc); !ok || pa != 0x102abc {
+		t.Errorf("peek cached page = %#x, %t", pa, ok)
+	}
+	if _, ok := tl.Peek(0x5000); ok {
+		t.Error("peek of an uncached page hit")
+	}
 	if tl.Hits != 1 || tl.Misses != 1 {
 		t.Errorf("stats: %d/%d", tl.Hits, tl.Misses)
 	}
