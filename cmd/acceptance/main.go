@@ -7,7 +7,7 @@
 // Usage:
 //
 //	acceptance [-dags N] [-cores M] [-seed S] [-workers N] [-checkpoint file.json]
-//	           [-memo] [-memo-dir DIR] [-kernel events|ticked]
+//	           [-memo] [-memo-dir DIR]
 //
 // Trials fan out on the internal/runner pool: -workers caps the
 // concurrency (0 = NumCPU) without changing any result, -checkpoint makes
@@ -21,83 +21,32 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 
 	"l15cache/internal/cli"
 	"l15cache/internal/experiments"
-	"l15cache/internal/kernel"
-	"l15cache/internal/memo"
-	"l15cache/internal/metrics"
-	"l15cache/internal/runner"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("acceptance: ")
-
 	dags := flag.Int("dags", 200, "tasks per utilisation point")
 	cores := flag.Int("cores", 8, "core count m")
-	seed := flag.Int64("seed", 1, "base RNG seed")
-	workers := flag.Int("workers", 0, "max concurrent trials (0 = NumCPU; never changes results)")
-	checkpoint := flag.String("checkpoint", "", "JSON checkpoint file; an interrupted sweep resumes from it")
-	memoFlag := flag.Bool("memo", false, "enable the in-memory trial result cache (never changes results)")
-	memoDir := flag.String("memo-dir", "", "on-disk trial cache directory, shareable across runs (implies -memo)")
 	csv := flag.Bool("csv", false, "emit CSV instead of the formatted table")
-	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
-	showVersion := cli.VersionFlag()
-	startTelemetry := cli.TelemetryFlag()
-	flag.Parse()
-	showVersion()
-	flushTelemetry := startTelemetry()
+	cli.Main("acceptance", func(ctx context.Context, sw *cli.Sweep) error {
+		cfg := experiments.DefaultAcceptanceConfig()
+		cfg.DAGs = *dags
+		cfg.Cores = *cores
+		cfg.Seed = sw.Seed
+		cfg.Run = sw.Run
 
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ctx, stop := runner.SignalContext(context.Background())
-	defer stop()
-
-	// die flushes the partial -metrics/-trace artifacts before a fatal
-	// exit, so an interrupted sweep (Ctrl-C → runner.Canceled) still
-	// leaves complete files behind.
-	die := func(err error) {
-		if werr := metrics.WriteFiles(*metricsOut, *traceOut); werr != nil {
-			log.Print(werr)
+		utils := []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0}
+		points, err := experiments.AcceptanceRatio(ctx, cfg, utils)
+		if err != nil {
+			return err
 		}
-		if werr := flushTelemetry(); werr != nil {
-			log.Print(werr)
+		if *csv {
+			fmt.Print(experiments.AcceptanceCSV(points))
+		} else {
+			fmt.Print(experiments.FormatAcceptance(points))
 		}
-		log.Fatal(err)
-	}
-
-	cfg := experiments.DefaultAcceptanceConfig()
-	cfg.DAGs = *dags
-	cfg.Cores = *cores
-	cfg.Seed = *seed
-	cache, err := memo.FromFlags(*memoFlag, *memoDir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.Run = runner.Options{Workers: *workers, Checkpoint: *checkpoint, Memo: cache}
-	cfg.Kernel = kern
-
-	utils := []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0}
-	points, err := experiments.AcceptanceRatio(ctx, cfg, utils)
-	if err != nil {
-		die(err)
-	}
-	if *csv {
-		fmt.Print(experiments.AcceptanceCSV(points))
-	} else {
-		fmt.Print(experiments.FormatAcceptance(points))
-	}
-	if err := metrics.WriteFiles(*metricsOut, *traceOut); err != nil {
-		log.Fatal(err)
-	}
-	if err := flushTelemetry(); err != nil {
-		log.Fatal(err)
-	}
+		return nil
+	})
 }

@@ -6,9 +6,9 @@
 //
 // Usage:
 //
-//	l15sim [-program file.s]... [-max N] [-stats] [-kernel events|ticked]
-//	       [-metrics out.json] [-trace out.json] [-flight out.jsonl]
-//	       [-telemetry out.jsonl] [-http addr] [-pprof addr]
+//	l15sim [-program file.s]... [-max N] [-stats] [-metrics out.json]
+//	       [-trace out.json] [-flight out.jsonl] [-telemetry out.jsonl]
+//	       [-http addr] [-pprof addr]
 //	       [-cpuprofile out.pb.gz] [-memprofile out.pb.gz] [-version]
 //
 // -metrics serialises the metrics registry (L1/L1.5/L2/TLB counters, SDU
@@ -42,7 +42,6 @@ import (
 	"l15cache/internal/cli"
 	"l15cache/internal/flight"
 	"l15cache/internal/isa"
-	"l15cache/internal/kernel"
 	"l15cache/internal/metrics"
 	"l15cache/internal/soc"
 )
@@ -72,17 +71,11 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
 	showVersion := cli.VersionFlag()
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
 	flushTelemetry := startTelemetry()
-
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	var rec *flight.Recorder
 	if *flightOut != "" || *httpAddr != "" {
@@ -173,7 +166,6 @@ func main() {
 	}
 
 	cfg := soc.DefaultConfig()
-	cfg.Kernel = kern
 	if *width > 1 {
 		cfg.IssueWidth = *width
 		cfg.MemPorts = 2

@@ -7,7 +7,7 @@
 //
 //	repro [-quick] [-o report.md] [-seed S] [-workers N] [-checkpoint cp.json]
 //	      [-memo] [-memo-dir DIR] [-metrics m.json] [-trace t.json]
-//	      [-flight rec.jsonl] [-kernel events|ticked]
+//	      [-flight rec.jsonl]
 //
 // -quick runs reduced sample sizes (~30 s); the default runs the paper's
 // full sizes (500 DAGs × 10 instances, 200 trials — several minutes).
@@ -33,156 +33,29 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"strings"
 
 	"l15cache/internal/area"
 	"l15cache/internal/cli"
 	"l15cache/internal/experiments"
-	"l15cache/internal/flight"
-	"l15cache/internal/kernel"
-	"l15cache/internal/memo"
 	"l15cache/internal/metrics"
 	"l15cache/internal/monitor"
 	"l15cache/internal/rtsim"
-	"l15cache/internal/runner"
 	"l15cache/internal/soc"
 	"l15cache/internal/workload"
 )
 
-// socSmoke runs the §4.3 producer/consumer demo plus an L1-overflowing
-// sweep on the cycle-approximate SoC with the monitor attached, feeding the
-// default metrics registry and tracer. This is what puts real L1/L1.5/L2
-// hit+miss counters and an SDU reassignment-latency histogram into the
-// -metrics snapshot.
-func socSmoke(rec *flight.Recorder, kern kernel.Mode) (string, error) {
-	cfg := soc.DefaultConfig()
-	cfg.Kernel = kern
-	s, err := soc.New(cfg)
-	if err != nil {
-		return "", err
-	}
-	s.Instrument(metrics.Default, metrics.Trace)
-	s.FlightRecord(rec)
-	mon, err := monitor.Attach(s, 64)
-	if err != nil {
-		return "", err
-	}
-	mon.Tracer = metrics.Trace
-	mon.PublishMetrics(metrics.Default)
+var (
+	quick     = flag.Bool("quick", false, "reduced sample sizes (~30s instead of minutes)")
+	out       = flag.String("o", "repro_report.md", "output report path ('-' for stdout)")
+	flightOut = flag.String("flight", "", "write a flight recording (.jsonl or .bin) of a representative trial")
+)
 
-	pt := s.IdentityPageTable(1)
-	base := uint32(0x1000)
-	for core, src := range []string{soc.DemoProducer, soc.DemoConsumer, soc.DemoSweeper} {
-		n, err := s.LoadProgram(base, src)
-		if err != nil {
-			return "", err
-		}
-		if err := s.SetPageTable(core, pt); err != nil {
-			return "", err
-		}
-		s.StartCore(core, base, 0x8000+uint32(core)*0x1000)
-		base += uint32(4*n) + 0x100
-	}
-	for core := 3; core < len(s.Cores); core++ {
-		s.Cores[core].Halted = true
-	}
-	if _, err := s.Run(1_000_000, nil); err != nil {
-		return "", err
-	}
-	s.SettleSDU(64)
+func main() { cli.Main("repro", reproduce) }
 
-	var sb strings.Builder
-	if err := mon.WriteReport(&sb); err != nil {
-		return "", err
-	}
-	cl := s.Clusters[0].L15
-	var hits, misses, global uint64
-	for _, st := range cl.Stats {
-		hits += st.Hits
-		misses += st.Misses
-		global += st.GlobalHits
-	}
-	fmt.Fprintf(&sb, "cluster 0 L1.5: hits %d (global %d), misses %d\n", hits, global, misses)
-	fmt.Fprintf(&sb, "L2: hits %d, misses %d\n", s.L2.Stats.Hits, s.L2.Stats.Misses)
-	return sb.String(), nil
-}
-
-// recordTrial runs one representative Fig. 8 case-study trial (8 cores,
-// 60% utilisation, proposed system) with the flight recorder attached.
-// The recording is a pure function of seed.
-func recordTrial(seed int64, rec *flight.Recorder, kern kernel.Mode) error {
-	r := rand.New(rand.NewSource(seed))
-	set := workload.DefaultTaskSetParams()
-	set.TargetUtilization = 0.6 * 8
-	tasks, err := workload.TaskSet(r, set)
-	if err != nil {
-		return err
-	}
-	cfg := rtsim.DefaultConfig()
-	cfg.Recorder = rec
-	cfg.Kernel = kern
-	_, err = rtsim.Run(tasks, rtsim.KindProp, cfg)
-	return err
-}
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("repro: ")
-
-	quick := flag.Bool("quick", false, "reduced sample sizes (~30s instead of minutes)")
-	out := flag.String("o", "repro_report.md", "output report path ('-' for stdout)")
-	seed := flag.Int64("seed", 1, "base RNG seed")
-	workers := flag.Int("workers", 0, "max concurrent trials (0 = NumCPU; never changes results)")
-	checkpoint := flag.String("checkpoint", "", "JSON checkpoint file; an interrupted run resumes from it")
-	memoFlag := flag.Bool("memo", false, "enable the in-memory trial result cache (never changes results)")
-	memoDir := flag.String("memo-dir", "", "on-disk trial cache directory, shareable across runs (implies -memo)")
-	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
-	flightOut := flag.String("flight", "", "write a flight recording (.jsonl or .bin) of a representative trial")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
-	showVersion := cli.VersionFlag()
-	startTelemetry := cli.TelemetryFlag()
-	flag.Parse()
-	showVersion()
-	flushTelemetry := startTelemetry()
-
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ctx, stop := runner.SignalContext(context.Background())
-	defer stop()
-	cache, err := memo.FromFlags(*memoFlag, *memoDir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	run := runner.Options{Workers: *workers, Checkpoint: *checkpoint, Memo: cache}
-
-	var rec *flight.Recorder
-	if *flightOut != "" {
-		rec = flight.New()
-	}
-	// die flushes the partial -metrics/-trace/-flight artifacts before
-	// exiting, so an interrupted run (runner.Canceled reaches every
-	// log.Fatal site through die) never leaves truncated or missing
-	// output files.
-	die := func(err error) {
-		if werr := metrics.WriteFiles(*metricsOut, *traceOut); werr != nil {
-			log.Print(werr)
-		}
-		if werr := flushTelemetry(); werr != nil {
-			log.Print(werr)
-		}
-		if *flightOut != "" {
-			if werr := flight.WriteFile(*flightOut, rec.Snapshot()); werr != nil {
-				log.Print(werr)
-			}
-		}
-		log.Fatal(err)
-	}
+func reproduce(ctx context.Context, sw *cli.Sweep) error {
+	rec := sw.Flight(*flightOut)
 
 	var sb strings.Builder
 	sb.WriteString("# Reproduction report — L1.5 Cache co-design (DAC 2024)\n\n")
@@ -190,17 +63,15 @@ func main() {
 	if *quick {
 		mode = "quick"
 	}
-	fmt.Fprintf(&sb, "Mode: %s, seed %d. See EXPERIMENTS.md for the paper-side numbers.\n\n", mode, *seed)
+	fmt.Fprintf(&sb, "Mode: %s, seed %d. See EXPERIMENTS.md for the paper-side numbers.\n\n", mode, sw.Seed)
 
 	mk := experiments.DefaultMakespanConfig()
-	mk.Seed = *seed
-	mk.Run = run
-	mk.Kernel = kern
+	mk.Seed = sw.Seed
+	mk.Run = sw.Run
 	cs8 := experiments.DefaultCaseStudyConfig(8)
 	cs16 := experiments.DefaultCaseStudyConfig(16)
-	cs8.Seed, cs16.Seed = *seed, *seed
-	cs8.Run, cs16.Run = run, run
-	cs8.RT.Kernel, cs16.RT.Kernel = kern, kern
+	cs8.Seed, cs16.Seed = sw.Seed, sw.Seed
+	cs8.Run, cs16.Run = sw.Run, sw.Run
 	seTrials := 50
 	utils := []float64{0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90}
 	if *quick {
@@ -233,7 +104,7 @@ func main() {
 		step(sr.name)
 		s, err := sr.run()
 		if err != nil {
-			die(err)
+			return err
 		}
 		section(sr.name)
 		sb.WriteString(s.FormatFig7())
@@ -248,7 +119,7 @@ func main() {
 		step(name)
 		res, err := experiments.RunCaseStudy(ctx, cfg, utils)
 		if err != nil {
-			die(err)
+			return err
 		}
 		section(name)
 		sb.WriteString(res.Format())
@@ -257,17 +128,15 @@ func main() {
 
 	// Fig. 8(c).
 	step("Fig. 8(c) — side effects")
-	seRT := rtsim.DefaultConfig()
-	seRT.Kernel = kern
 	sePts, err := experiments.RunSideEffects(ctx, experiments.SideEffectsConfig{
 		Trials: seTrials,
-		Seed:   *seed,
-		RT:     seRT,
+		Seed:   sw.Seed,
+		RT:     rtsim.DefaultConfig(),
 		Set:    workload.DefaultTaskSetParams(),
-		Run:    run,
+		Run:    sw.Run,
 	}, []int{8, 16}, []float64{0.8, 1.0})
 	if err != nil {
-		die(err)
+		return err
 	}
 	section("Fig. 8(c) — L1.5 utilisation and φ")
 	sb.WriteString(experiments.FormatSideEffects(sePts))
@@ -277,7 +146,7 @@ func main() {
 	step("§5.4 — hardware overhead")
 	rep, err := area.CompareOverhead(area.Synopsys28nm())
 	if err != nil {
-		die(err)
+		return err
 	}
 	section("§5.4 — hardware overhead")
 	sb.WriteString(rep.Format())
@@ -293,11 +162,11 @@ func main() {
 	step("ablations")
 	zeta, err := experiments.AblateZeta(ctx, abl, experiments.AblationZetaDefault())
 	if err != nil {
-		die(err)
+		return err
 	}
 	prio, err := experiments.AblatePriorities(ctx, abl)
 	if err != nil {
-		die(err)
+		return err
 	}
 	section("Ablations")
 	sb.WriteString(zeta.Format())
@@ -307,16 +176,15 @@ func main() {
 
 	// Acceptance.
 	acc := experiments.DefaultAcceptanceConfig()
-	acc.Seed = *seed
-	acc.Run = run
-	acc.Kernel = kern
+	acc.Seed = sw.Seed
+	acc.Run = sw.Run
 	if *quick {
 		acc.DAGs = 50
 	}
 	step("acceptance ratio")
 	pts, err := experiments.AcceptanceRatio(ctx, acc, []float64{1.0, 2.0, 2.5, 3.0, 4.0})
 	if err != nil {
-		die(err)
+		return err
 	}
 	section("§4.2 — analytical acceptance ratio")
 	sb.WriteString(experiments.FormatAcceptance(pts))
@@ -324,19 +192,19 @@ func main() {
 
 	// Representative Fig. 8 trial, recorded: one proposed-system
 	// real-time trial whose flight recording cmd/explain can dissect.
-	if *flightOut != "" {
+	if rec != nil {
 		step("flight-recorded case-study trial")
-		if err := recordTrial(*seed, rec, kern); err != nil {
-			die(err)
+		if err := experiments.RecordCaseTrial(sw.Seed, 8, rec); err != nil {
+			return err
 		}
 	}
 
 	// Cycle-accurate smoke: the SoC + monitor run that grounds the metrics
 	// snapshot in real cache counters.
 	step("cycle-accurate smoke (SoC + monitor)")
-	smoke, err := socSmoke(rec, kern)
+	smoke, err := monitor.Demo(soc.DefaultConfig(), metrics.Default, metrics.Trace, rec)
 	if err != nil {
-		die(err)
+		return err
 	}
 	section("Cycle-accurate smoke — SoC hierarchy and SDU")
 	sb.WriteString(smoke)
@@ -345,37 +213,19 @@ func main() {
 	// Embed the unified metrics snapshot in the report.
 	snap, err := metrics.Default.Snapshot().JSON()
 	if err != nil {
-		die(err)
+		return err
 	}
 	sb.WriteString("\n## Metrics snapshot\n\n```json\n")
 	sb.Write(snap)
 	sb.WriteString("\n```\n")
 
-	if err := metrics.WriteFiles(*metricsOut, *traceOut); err != nil {
-		die(err)
-	}
-	if err := flushTelemetry(); err != nil {
-		die(err)
-	}
-	if *metricsOut != "" {
-		log.Printf("wrote %s", *metricsOut)
-	}
-	if *traceOut != "" {
-		log.Printf("wrote %s", *traceOut)
-	}
-	if *flightOut != "" {
-		if err := flight.WriteFile(*flightOut, rec.Snapshot()); err != nil {
-			die(err)
-		}
-		log.Printf("wrote %s (%d events, %d dropped)", *flightOut, rec.Len(), rec.Dropped())
-	}
-
 	if *out == "-" {
 		fmt.Print(sb.String())
-		return
+		return nil
 	}
 	if err := os.WriteFile(*out, []byte(sb.String()), 0o644); err != nil {
-		die(err)
+		return err
 	}
 	log.Printf("wrote %s", *out)
+	return nil
 }

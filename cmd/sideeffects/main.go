@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sideeffects [-trials N] [-seed S] [-workers N] [-checkpoint file.json]
-//	            [-memo] [-memo-dir DIR] [-kernel events|ticked]
+//	            [-memo] [-memo-dir DIR]
 //
 // Trials fan out on the internal/runner pool: -workers caps the
 // concurrency (0 = NumCPU) without changing any result, -checkpoint makes
@@ -20,86 +20,33 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 
 	"l15cache/internal/cli"
 	"l15cache/internal/experiments"
-	"l15cache/internal/kernel"
-	"l15cache/internal/memo"
-	"l15cache/internal/metrics"
 	"l15cache/internal/rtsim"
-	"l15cache/internal/runner"
 	"l15cache/internal/workload"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sideeffects: ")
-
 	trials := flag.Int("trials", 50, "trials per configuration")
-	seed := flag.Int64("seed", 1, "base RNG seed")
-	workers := flag.Int("workers", 0, "max concurrent trials (0 = NumCPU; never changes results)")
-	checkpoint := flag.String("checkpoint", "", "JSON checkpoint file; an interrupted sweep resumes from it")
-	memoFlag := flag.Bool("memo", false, "enable the in-memory trial result cache (never changes results)")
-	memoDir := flag.String("memo-dir", "", "on-disk trial cache directory, shareable across runs (implies -memo)")
 	csv := flag.Bool("csv", false, "emit CSV instead of the formatted table")
-	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
-	showVersion := cli.VersionFlag()
-	startTelemetry := cli.TelemetryFlag()
-	flag.Parse()
-	showVersion()
-	flushTelemetry := startTelemetry()
-
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ctx, stop := runner.SignalContext(context.Background())
-	defer stop()
-
-	// die flushes the partial -metrics/-trace artifacts before a fatal
-	// exit, so an interrupted sweep (Ctrl-C → runner.Canceled) still
-	// leaves complete files behind.
-	die := func(err error) {
-		if werr := metrics.WriteFiles(*metricsOut, *traceOut); werr != nil {
-			log.Print(werr)
+	cli.Main("sideeffects", func(ctx context.Context, sw *cli.Sweep) error {
+		cfg := experiments.SideEffectsConfig{
+			Trials: *trials,
+			Seed:   sw.Seed,
+			RT:     rtsim.DefaultConfig(),
+			Set:    workload.DefaultTaskSetParams(),
+			Run:    sw.Run,
 		}
-		if werr := flushTelemetry(); werr != nil {
-			log.Print(werr)
+		pts, err := experiments.RunSideEffects(ctx, cfg, []int{8, 16}, []float64{0.8, 1.0})
+		if err != nil {
+			return err
 		}
-		log.Fatal(err)
-	}
-
-	cache, err := memo.FromFlags(*memoFlag, *memoDir)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	rt := rtsim.DefaultConfig()
-	rt.Kernel = kern
-	cfg := experiments.SideEffectsConfig{
-		Trials: *trials,
-		Seed:   *seed,
-		RT:     rt,
-		Set:    workload.DefaultTaskSetParams(),
-		Run:    runner.Options{Workers: *workers, Checkpoint: *checkpoint, Memo: cache},
-	}
-	pts, err := experiments.RunSideEffects(ctx, cfg, []int{8, 16}, []float64{0.8, 1.0})
-	if err != nil {
-		die(err)
-	}
-	if *csv {
-		fmt.Print(experiments.SideEffectsCSV(pts))
-	} else {
-		fmt.Print(experiments.FormatSideEffects(pts))
-	}
-	if err := metrics.WriteFiles(*metricsOut, *traceOut); err != nil {
-		log.Fatal(err)
-	}
-	if err := flushTelemetry(); err != nil {
-		log.Fatal(err)
-	}
+		if *csv {
+			fmt.Print(experiments.SideEffectsCSV(pts))
+		} else {
+			fmt.Print(experiments.FormatSideEffects(pts))
+		}
+		return nil
+	})
 }

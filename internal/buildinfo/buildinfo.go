@@ -8,8 +8,8 @@
 // The block is a pure function of the binary, so embedding it in the
 // -metrics snapshot keeps the determinism contract intact: two runs of one
 // binary serialise identical headers, and the CI byte-compare jobs
-// (kernel equivalence, memo warm-run identity, telemetry on/off) all
-// compare artifacts produced by a single build.
+// (memo warm-run identity, telemetry on/off) both compare artifacts
+// produced by a single build.
 package buildinfo
 
 import (

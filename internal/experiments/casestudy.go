@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"l15cache/internal/flight"
 	"l15cache/internal/rtsim"
 	"l15cache/internal/runner"
 	"l15cache/internal/workload"
@@ -114,6 +115,25 @@ func runCaseTrial(rt rtsim.Config, set workload.TaskSetParams, seed int64) (map[
 		res[kind.String()] = ok[i]
 	}
 	return res, nil
+}
+
+// RecordCaseTrial runs one representative case-study trial (60% target
+// utilisation on the given core count, proposed system) with rec
+// attached, for cmd/explain to dissect. The recording is a pure function
+// of seed and cores.
+func RecordCaseTrial(seed int64, cores int, rec *flight.Recorder) error {
+	r := rand.New(rand.NewSource(seed))
+	set := workload.DefaultTaskSetParams()
+	set.TargetUtilization = 0.6 * float64(cores)
+	tasks, err := workload.TaskSet(r, set)
+	if err != nil {
+		return err
+	}
+	cfg := rtsim.DefaultConfig()
+	cfg.Cores = cores
+	cfg.Recorder = rec
+	_, err = rtsim.Run(tasks, rtsim.KindProp, cfg)
+	return err
 }
 
 // Format renders the success-ratio table behind Fig. 8(a) or (b).

@@ -7,17 +7,22 @@
 // state (a miss completing, the Walloc FSM moving a way, a task release).
 // When every unit reports Never, the kernel may jump the clock directly
 // to the earliest external wakeup instead of idling through no-op ticks —
-// the "events" kernel. The legacy "ticked" kernel advances one cycle at a
-// time regardless; both must produce byte-identical flight recordings,
-// metrics snapshots and experiment outputs, which the kernel-equivalence
-// CI job enforces with a byte compare.
+// the "events" kernel, which every command runs. The "ticked" kernel
+// advances one cycle at a time regardless and is the test oracle: both
+// must produce identical flight recordings, metrics and experiment
+// outputs. The tests that hold them to it select the mode through the
+// Kernel field of soc.Config, rtsim.Config, schedsim.Options and the
+// experiment configs: internal/experiments/kernel_test.go (every sweep
+// entry point), internal/monitor/demo_test.go (the repro SoC smoke run),
+// internal/rtos/kernel_test.go (the full stack), and the per-simulator
+// kernel tests of soc, rtsim and schedsim.
 package kernel
 
 import "fmt"
 
 // Mode selects the simulator kernel. The zero value is Events, the
-// time-skipping kernel; Ticked is the legacy cycle-by-cycle kernel kept
-// for one release so the equivalence harness can diff the two.
+// time-skipping kernel; Ticked is the cycle-by-cycle kernel the tests
+// diff it against.
 type Mode uint8
 
 const (
@@ -25,12 +30,12 @@ const (
 	// runnable the clock jumps to the minimum reported wakeup.
 	Events Mode = iota
 
-	// Ticked is the legacy kernel: every unit is ticked every cycle,
+	// Ticked is the oracle kernel: every unit is ticked every cycle,
 	// even through known-latency stalls.
 	Ticked
 )
 
-// String returns the flag spelling of the mode.
+// String returns the name of the mode, as memo fingerprints record it.
 func (m Mode) String() string {
 	switch m {
 	case Events:
@@ -39,18 +44,6 @@ func (m Mode) String() string {
 		return "ticked"
 	}
 	return fmt.Sprintf("kernel.Mode(%d)", uint8(m))
-}
-
-// Parse converts a -kernel flag value into a Mode. The empty string
-// selects the default (events) kernel.
-func Parse(s string) (Mode, error) {
-	switch s {
-	case "", "events":
-		return Events, nil
-	case "ticked":
-		return Ticked, nil
-	}
-	return Events, fmt.Errorf("kernel: unknown mode %q (want ticked or events)", s)
 }
 
 // Never is the wakeup a unit reports when no future tick can change its

@@ -793,8 +793,8 @@ func (s *sim) dispatch() {
 	}
 }
 
-// dispatchTicked is the legacy dispatcher, kept for one release behind
-// -kernel=ticked so the equivalence harness can diff the kernels.
+// dispatchTicked is the ticked kernel's dispatcher, the oracle the
+// kernel-equivalence tests diff the events dispatcher against.
 func (s *sim) dispatchTicked() {
 	for {
 		var idle []int

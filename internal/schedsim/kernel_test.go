@@ -13,7 +13,8 @@ import (
 
 // runBothKernels simulates the same allocation under the ticked and events
 // dispatch kernels and requires identical stats and flight recordings —
-// the per-run slice of what the kernel-equivalence CI job byte-compares.
+// the per-run slice of what internal/experiments/kernel_test.go compares
+// across whole sweeps.
 func runBothKernels(t *testing.T, seed int64, instances int) {
 	t.Helper()
 	p := workload.DefaultSynthParams()

@@ -381,7 +381,7 @@ func popCompletion(h *[]completion) completion {
 // work-conserving dispatch over the same strict event order, with the
 // container/heap boxing and per-iteration idle-core slices replaced by a
 // hand-rolled heap and scratch reuse. It must emit byte-identical flight
-// events — the kernel-equivalence CI job diffs the two.
+// events — the kernel-equivalence tests diff the two.
 func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, observe dispatchFunc, rec *flight.Recorder, task, job int32, sc *scratch) (InstanceStats, []int) {
 	mInstances.Inc()
 	t := alloc.Task
