@@ -14,13 +14,15 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"strings"
 
 	"l15cache/internal/cli"
 	"l15cache/internal/dag"
+	"l15cache/internal/flight"
+	"l15cache/internal/forensics"
 	"l15cache/internal/metrics"
 	"l15cache/internal/sched"
 	"l15cache/internal/schedsim"
-	"l15cache/internal/trace"
 	"l15cache/internal/workload"
 )
 
@@ -105,15 +107,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tl, _, err := trace.Record(prop.Alloc, prop, schedsim.Options{Cores: 8})
-		if err != nil {
+		rec := flight.New()
+		if _, err := schedsim.Run(prop.Alloc, prop, schedsim.Options{Cores: 8, Recorder: rec}); err != nil {
 			log.Fatal(err)
 		}
+		m := forensics.Build(rec.Snapshot())
 		fmt.Println()
 		if *csv {
-			fmt.Print(tl.CSV())
+			fmt.Print(spansCSV(m, task))
 		} else {
-			fmt.Print(tl.Gantt(0, 100))
+			fmt.Print(m.Gantt(forensics.JobKey{}, 100))
 		}
 	}
 
@@ -135,4 +138,18 @@ func main() {
 	eff := task.CriticalPathLength(res.Model.Weight())
 	fmt.Printf("\ncritical path: raw %.2f -> with L1.5 %.2f (%.1f%% shorter)\n",
 		raw, eff, 100*(raw-eff)/raw)
+}
+
+// spansCSV renders every recorded span, in dispatch order, as
+// comma-separated rows with a header: the fetch phase is [start,
+// fetch_end), the computation [fetch_end, end).
+func spansCSV(m *forensics.Model, task *dag.Task) string {
+	var sb strings.Builder
+	sb.WriteString("instance,core,node,name,start,fetch_end,end\n")
+	for _, sp := range m.Spans() {
+		fmt.Fprintf(&sb, "%d,%d,%d,%s,%.6g,%.6g,%.6g\n",
+			sp.Job, sp.Core, sp.Node, task.Node(dag.NodeID(sp.Node)).Name,
+			sp.Start, sp.Start+sp.Fetch, sp.Finish)
+	}
+	return sb.String()
 }

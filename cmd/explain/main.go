@@ -13,8 +13,9 @@
 // is a deterministic function of the recording: a summary, an ASCII
 // per-core timeline, the critical path with per-step gates, a per-node
 // attribution table, and per-cluster way-occupancy statistics. -chrome
-// additionally converts the dispatch spans into a Chrome trace_event file
-// for chrome://tracing.
+// additionally converts the dispatch spans and the per-cluster way
+// occupancy into a Chrome trace_event file for chrome://tracing or
+// Perfetto.
 package main
 
 import (
@@ -114,7 +115,9 @@ func explainJob(sb *strings.Builder, m *forensics.Model, key forensics.JobKey, w
 	fmt.Fprintf(sb, "\n== focus: %v  (release %.4g, finish %.4g, makespan %.6g)\n",
 		key, j.Release, j.Finish, j.Makespan())
 
-	timeline(sb, m, key, width)
+	if g := m.Gantt(key, width); g != "" {
+		sb.WriteString("\n" + g)
+	}
 
 	path, err := m.CriticalPath(key)
 	if err != nil {
@@ -165,53 +168,6 @@ func explainJob(sb *strings.Builder, m *forensics.Model, key forensics.JobKey, w
 			r.Node, r.Core, r.PredWait, r.CoreWait, r.Fetch, r.Exec, slack[r.Node], ways, r.ETMSaved)
 	}
 	return nil
-}
-
-// timeline draws an ASCII per-core Gantt of the focus job's window. Focus
-// spans render as letters (cycling by dispatch order, see the legend);
-// other jobs' spans render as '·'.
-func timeline(sb *strings.Builder, m *forensics.Model, key forensics.JobKey, width int) {
-	j, _ := m.Job(key)
-	t0, t1 := j.Release, j.Finish
-	if width < 8 || t1 <= t0 {
-		return
-	}
-	marker := make(map[*forensics.Span]byte)
-	legend := make([]string, 0, len(j.Spans))
-	for i, id := range j.Nodes() {
-		c := byte('a' + i%26)
-		marker[j.Spans[id]] = c
-		if i < 26 {
-			legend = append(legend, fmt.Sprintf("%c=n%d", c, id))
-		}
-	}
-	fmt.Fprintf(sb, "\ntimeline [%.4g, %.4g]:\n", t0, t1)
-	for _, core := range m.Cores() {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = ' '
-		}
-		for _, sp := range m.Spans() {
-			if sp.Core != core || sp.Finish <= t0 || sp.Start >= t1 {
-				continue
-			}
-			ch, focus := marker[sp]
-			if !focus {
-				ch = '.'
-			}
-			lo := int(float64(width) * (sp.Start - t0) / (t1 - t0))
-			hi := int(float64(width) * (sp.Finish - t0) / (t1 - t0))
-			for i := max(lo, 0); i <= hi && i < width; i++ {
-				if row[i] == ' ' || focus {
-					row[i] = ch
-				}
-			}
-		}
-		fmt.Fprintf(sb, "core %2d |%s|\n", core, string(row))
-	}
-	if len(legend) > 0 {
-		fmt.Fprintf(sb, "  legend: %s\n", strings.Join(legend, " "))
-	}
 }
 
 // wayOccupancy prints per-cluster way-assignment statistics.
@@ -265,23 +221,28 @@ func missChains(sb *strings.Builder, m *forensics.Model) {
 	}
 }
 
-// writeChrome converts the dispatch spans into a Chrome trace_event file:
-// one complete ("X") event per span, pid = task, tid = core.
+// writeChrome converts the recording into a Chrome trace_event file: one
+// complete ("X") event per dispatch span (pid = task, tid = core), and one
+// counter ("C") series per cluster tracing its assigned L1.5 ways.
 func writeChrome(path string, m *forensics.Model) error {
 	spans := append([]*forensics.Span(nil), m.Spans()...)
 	sort.SliceStable(spans, func(a, b int) bool { return spans[a].Start < spans[b].Start })
-	var sb strings.Builder
-	sb.WriteString(`{"traceEvents":[`)
-	for i, sp := range spans {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb,
+	var events []string
+	for _, sp := range spans {
+		events = append(events, fmt.Sprintf(
 			`{"name":"t%d.j%d.n%d","ph":"X","ts":%g,"dur":%g,"pid":%d,"tid":%d,"args":{"fetch":%g,"exec":%g,"ways":%d}}`,
 			sp.Task, sp.Job, sp.Node, sp.Start*1000, (sp.Finish-sp.Start)*1000,
-			sp.Task, sp.Core, sp.Fetch, sp.Exec, sp.Granted)
+			sp.Task, sp.Core, sp.Fetch, sp.Exec, sp.Granted))
 	}
-	sb.WriteString(`],"displayTimeUnit":"ms"}`)
-	sb.WriteByte('\n')
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
+	for _, cl := range m.Clusters() {
+		for _, pt := range m.WayTimeline(cl) {
+			if pt.Assigned >= 0 {
+				events = append(events, fmt.Sprintf(
+					`{"name":"cluster %d ways","ph":"C","ts":%g,"pid":0,"args":{"assigned":%d}}`,
+					cl, pt.Time*1000, pt.Assigned))
+			}
+		}
+	}
+	out := `{"traceEvents":[` + strings.Join(events, ",") + `],"displayTimeUnit":"ms"}` + "\n"
+	return os.WriteFile(path, []byte(out), 0o644)
 }

@@ -135,7 +135,8 @@ func DecodeJSONL(r io.Reader) (Recording, error) {
 		return rec, fmt.Errorf("flight: unsupported recording version %d", hdr.Flight)
 	}
 	rec.Dropped = hdr.Dropped
-	rec.Events = make([]Event, 0, hdr.Events)
+	// The header's event count is checked, never used as a capacity: a
+	// corrupt file can claim any number.
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -158,6 +159,9 @@ func DecodeJSONL(r io.Reader) (Recording, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return rec, fmt.Errorf("flight: %w", err)
+	}
+	if hdr.Events != len(rec.Events) {
+		return rec, fmt.Errorf("flight: header says %d events, found %d", hdr.Events, len(rec.Events))
 	}
 	return rec, nil
 }
@@ -200,7 +204,8 @@ func DecodeBinary(data []byte) (Recording, error) {
 	n := binary.LittleEndian.Uint64(data[8:])
 	rec.Dropped = binary.LittleEndian.Uint64(data[16:])
 	body := data[24:]
-	if uint64(len(body)) != n*binRecordSize {
+	// Compare without multiplying: n*binRecordSize wraps for huge n.
+	if len(body)%binRecordSize != 0 || n != uint64(len(body)/binRecordSize) {
 		return rec, fmt.Errorf("flight: truncated recording: %d bytes for %d events", len(body), n)
 	}
 	rec.Events = make([]Event, 0, n)

@@ -173,3 +173,74 @@ func TestRtsimRecordingForensics(t *testing.T) {
 		}
 	}
 }
+
+// TestSpansCoverEveryNode checks the span reconstruction on a recorded
+// schedsim run: every node of every instance is dispatched exactly once,
+// each span's fetch phase precedes its execution and ends at Finish, and
+// no two spans of an instance overlap on a core (non-preemptive).
+func TestSpansCoverEveryNode(t *testing.T) {
+	recording, stats := recordSchedsim(t, 3, 2)
+	m := forensics.Build(recording)
+	if len(m.Jobs) != len(stats) {
+		t.Fatalf("jobs = %d, want %d", len(m.Jobs), len(stats))
+	}
+	task, err := workload.Synthetic(rand.New(rand.NewSource(3)), workload.DefaultSynthParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range m.Jobs {
+		if len(j.Spans) != len(task.Nodes) {
+			t.Fatalf("%v: %d spans for %d nodes", j.Key, len(j.Spans), len(task.Nodes))
+		}
+	}
+	if n := len(m.Jobs) * len(task.Nodes); len(m.Spans()) != n {
+		t.Fatalf("%d dispatches, want %d", len(m.Spans()), n)
+	}
+	for _, sp := range m.Spans() {
+		if sp.Fetch < 0 || sp.Exec <= 0 || sp.Finish != sp.Start+sp.Fetch+sp.Exec {
+			t.Fatalf("span %+v: phases do not add up", *sp)
+		}
+	}
+	spans := m.Spans()
+	for i, a := range spans {
+		for _, b := range spans[i+1:] {
+			if a.Job == b.Job && a.Core == b.Core && a.Start < b.Finish && b.Start < a.Finish {
+				t.Fatalf("overlap on core %d: %+v and %+v", a.Core, *a, *b)
+			}
+		}
+	}
+	for i, j := range m.Jobs {
+		if j.Makespan() != stats[i].Makespan {
+			t.Errorf("job %d: makespan %g, simulated %g", i, j.Makespan(), stats[i].Makespan)
+		}
+	}
+}
+
+// TestGantt pins the ASCII renderer on a hand-built recording: the focus
+// job's spans print as letters, another job's span as '.', and the focus
+// span wins a shared column.
+func TestGantt(t *testing.T) {
+	ev := func(k flight.Kind, at float64, task, node, core int32, a, b float64) flight.Event {
+		return flight.Event{Kind: k, Time: at, Task: task, Node: node, Core: core,
+			Cluster: -1, Wave: -1, A: a, B: b}
+	}
+	m := forensics.Build(flight.Recording{Events: []flight.Event{
+		ev(flight.KindRelease, 0, 0, -1, -1, 0, 0),
+		ev(flight.KindRelease, 0, 1, -1, -1, 0, 0),
+		ev(flight.KindDispatch, 0, 0, 0, 0, 1, 3),
+		ev(flight.KindDispatch, 0, 1, 0, 1, 0, 2),
+		ev(flight.KindDispatch, 2, 0, 1, 1, 2, 4),
+		ev(flight.KindDeadline, 2, 1, -1, -1, 0, 0),
+		ev(flight.KindDeadline, 8, 0, -1, -1, 0, 0),
+	}})
+	want := "timeline [0, 8]:\n" +
+		"core  0 |aaaaa   |\n" +
+		"core  1 |..bbbbbb|\n" +
+		"  legend: a=n0 b=n1\n"
+	if got := m.Gantt(forensics.JobKey{}, 8); got != want {
+		t.Errorf("Gantt:\n%s\nwant:\n%s", got, want)
+	}
+	if m.Gantt(forensics.JobKey{Task: 9}, 8) != "" || m.Gantt(forensics.JobKey{}, 7) != "" {
+		t.Error("unknown job or narrow width rendered a chart")
+	}
+}

@@ -6,16 +6,18 @@ import (
 	"testing"
 
 	"l15cache/internal/bitmap"
+	"l15cache/internal/flight"
 	"l15cache/internal/kernel"
 	"l15cache/internal/mem"
 )
 
 // The tests in this file pin down the clock-skip contract of DESIGN.md §11:
 // AdvanceTo must land on exactly the state a cycle-by-cycle Tick loop
-// reaches — same counter, same Events (with their tick stamps), same
-// ownership and same configuration latencies — because the kernel-
-// equivalence CI job byte-compares artifacts built from all of these.
+// reaches — same counter, same flight KindSDU events (with their tick
+// stamps), same ownership and same configuration latencies — because the
+// kernel-equivalence tests byte-compare artifacts built from all of these.
 
+// twins returns two caches, each recording into its own flight recorder.
 func twins(t *testing.T, cfg Config) (tk, ev *L15) {
 	t.Helper()
 	var err error
@@ -25,6 +27,8 @@ func twins(t *testing.T, cfg Config) (tk, ev *L15) {
 	if ev, err = New(cfg, &fakeL2{latency: 20}); err != nil {
 		t.Fatal(err)
 	}
+	tk.FlightRecord(flight.New(), 0)
+	ev.FlightRecord(flight.New(), 0)
 	return tk, ev
 }
 
@@ -47,9 +51,8 @@ func compareTwins(t *testing.T, tk, ev *L15) {
 	if tk.Ticks() != ev.Ticks() {
 		t.Fatalf("ticks diverged: ticked %d, events %d", tk.Ticks(), ev.Ticks())
 	}
-	if !reflect.DeepEqual(tk.Events, ev.Events) {
-		t.Fatalf("config events diverged at tick %d:\nticked %+v\nevents %+v",
-			tk.Ticks(), tk.Events, ev.Events)
+	if a, b := tk.frec.Events(), ev.frec.Events(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("config events diverged at tick %d:\nticked %+v\nevents %+v", tk.Ticks(), a, b)
 	}
 	for core := 0; core < tk.Config().Cores; core++ {
 		owT, _ := tk.Supply(core)
@@ -87,8 +90,8 @@ func TestSkipMatchesTickSimultaneousDemands(t *testing.T) {
 	advanceTicked(tk, 40)
 	ev.AdvanceTo(40)
 	compareTwins(t, tk, ev)
-	if len(ev.Events) != 5+4+3+2 {
-		t.Fatalf("%d config events, want 14", len(ev.Events))
+	if n := ev.frec.Len(); n != 5+4+3+2 || ev.configEvents != uint64(n) {
+		t.Fatalf("%d config events (counted %d), want 14", n, ev.configEvents)
 	}
 
 	// Determinism: a fresh instance fed the same script reproduces the
@@ -100,7 +103,7 @@ func TestSkipMatchesTickSimultaneousDemands(t *testing.T) {
 		}
 	}
 	again.AdvanceTo(40)
-	if !reflect.DeepEqual(again.Events, ev.Events) {
+	if !reflect.DeepEqual(again.frec.Events(), ev.frec.Events()) {
 		t.Fatal("re-run produced a different event order")
 	}
 }
@@ -112,12 +115,12 @@ func TestAdvanceToZeroLength(t *testing.T) {
 	}
 	l.AdvanceTo(2)
 	before := l.Ticks()
-	events := len(l.Events)
+	events := l.configEvents
 	l.AdvanceTo(before) // zero-length advance
 	l.AdvanceTo(1)      // target in the past
-	if l.Ticks() != before || len(l.Events) != events {
+	if l.Ticks() != before || l.configEvents != events {
 		t.Fatalf("zero-length advance changed state: ticks %d -> %d, events %d -> %d",
-			before, l.Ticks(), events, len(l.Events))
+			before, l.Ticks(), events, l.configEvents)
 	}
 }
 

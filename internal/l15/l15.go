@@ -68,15 +68,6 @@ type CoreStats struct {
 	GlobalHits   uint64 // hits served from another core's global way
 }
 
-// ConfigEvent records one Walloc way reassignment, consumed by the
-// cycle-accurate monitor (§5.3).
-type ConfigEvent struct {
-	Tick     uint64
-	Core     int
-	Way      int
-	Assigned bool // true: way granted; false: way revoked
-}
-
 // L15 is one cluster's cache instance.
 type L15 struct {
 	cfg   Config
@@ -94,8 +85,8 @@ type L15 struct {
 
 	wayOwner []int // Walloc register bank: way -> core, -1 = N/U
 	demand   []int // SDU D registers
-	// demandTick records when the latest demand() arrived, so the
-	// monitor can measure configuration latency.
+	// demandTick records when the latest demand() arrived, so
+	// ConfigLatency can measure configuration latency.
 	demandTick    []uint64
 	satisfiedTick []uint64
 
@@ -115,8 +106,11 @@ type L15 struct {
 	writeM     []bitmap.Bitmap
 	masksDirty bool
 
-	Stats  []CoreStats
-	Events []ConfigEvent
+	Stats []CoreStats
+
+	// configEvents counts Walloc way reassignments (grants plus
+	// revocations); a flight recording (FlightRecord) carries each one.
+	configEvents uint64
 
 	// WritebackLines counts dirty lines drained to the next level by
 	// evictions and way revocations (write-back mode only).
@@ -166,7 +160,7 @@ func (l *L15) Instrument(r *metrics.Registry, tr *metrics.Tracer, prefix string)
 		r.Counter(prefix + ".misses").Store(misses)
 		r.Counter(prefix + ".global_hits").Store(global)
 		r.Counter(prefix + ".writeback_lines").Store(l.WritebackLines)
-		r.Counter(prefix + ".config_events").Store(uint64(len(l.Events)))
+		r.Counter(prefix + ".config_events").Store(l.configEvents)
 		r.Gauge(prefix + ".owned_ways").Set(float64(l.OwnedWays()))
 	})
 }
@@ -439,7 +433,7 @@ func (l *L15) assignWay(core, w int) {
 	l.ow[core] = l.ow[core].Set(w)
 	l.masksDirty = true
 	l.updateIdle()
-	l.Events = append(l.Events, ConfigEvent{Tick: l.ticks, Core: core, Way: w, Assigned: true})
+	l.configEvents++
 	if l.tracer != nil {
 		//lint:ignore hotalloc tracer payload, built only when instrumented; trace runs are diagnostic, not timing-measured
 		l.tracer.Emit(l.ticks, l.traceName, "way.assign", map[string]any{"core": core, "way": w})
@@ -467,7 +461,7 @@ func (l *L15) revokeWay(core, w int) {
 	l.gv[core] = l.gv[core].Clear(w)
 	l.masksDirty = true
 	l.updateIdle()
-	l.Events = append(l.Events, ConfigEvent{Tick: l.ticks, Core: core, Way: w, Assigned: false})
+	l.configEvents++
 	if l.tracer != nil {
 		l.tracer.Emit(l.ticks, l.traceName, "way.revoke",
 			//lint:ignore hotalloc tracer payload, built only when instrumented; trace runs are diagnostic, not timing-measured
@@ -516,8 +510,8 @@ func (l *L15) writeMask(core int) bitmap.Bitmap {
 	return l.writeM[core]
 }
 
-// OwnedWays, for the monitor: the number of currently assigned ways across
-// all cores.
+// OwnedWays returns the number of currently assigned ways across all
+// cores.
 func (l *L15) OwnedWays() int {
 	n := 0
 	for _, o := range l.wayOwner {

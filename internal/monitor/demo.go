@@ -11,25 +11,21 @@ import (
 
 // Demo runs the §4.3 producer/consumer demo plus an L1-overflowing sweep
 // (soc.DemoProducer, DemoConsumer and DemoSweeper on cores 0–2) on a fresh
-// SoC built from cfg, with a monitor sampling every 64 cycles attached.
-// The SoC and the monitor feed reg and tr, the SoC's Walloc decisions go
-// to rec (nil records nothing), and the returned report is the monitor's
-// followed by the cluster-0 L1.5 and the L2 hit/miss totals. This is the
-// cycle-accurate smoke run of cmd/repro: it puts real L1/L1.5/L2 counters
-// and an SDU reassignment-latency histogram into the -metrics snapshot.
+// SoC built from cfg, records its L1.5 events and analyses the recording
+// (Analyze). The SoC feeds reg and tr, the report's numbers are published
+// to reg, the recording is appended to rec (nil keeps none), and the
+// returned text is the report followed by the cluster-0 L1.5 and the L2
+// hit/miss totals. This is the cycle-accurate smoke run of cmd/repro: it
+// puts real L1/L1.5/L2 counters and an SDU reassignment-latency histogram
+// into the -metrics snapshot.
 func Demo(cfg soc.Config, reg *metrics.Registry, tr *metrics.Tracer, rec *flight.Recorder) (string, error) {
 	s, err := soc.New(cfg)
 	if err != nil {
 		return "", err
 	}
 	s.Instrument(reg, tr)
-	s.FlightRecord(rec)
-	mon, err := Attach(s, 64)
-	if err != nil {
-		return "", err
-	}
-	mon.Tracer = tr
-	mon.PublishMetrics(reg)
+	own := flight.NewCap(1 << 12) // the demo moves a handful of ways
+	s.FlightRecord(own)
 
 	pt := s.IdentityPageTable(1)
 	base := uint32(0x1000)
@@ -52,10 +48,24 @@ func Demo(cfg soc.Config, reg *metrics.Registry, tr *metrics.Tracer, rec *flight
 	}
 	s.SettleSDU(64)
 
-	var sb strings.Builder
-	if err := mon.WriteReport(&sb); err != nil {
-		return "", err
+	recording := own.Snapshot()
+	if recording.Dropped > 0 {
+		return "", fmt.Errorf("monitor: demo recording overflowed (%d events dropped)", recording.Dropped)
 	}
+	for _, e := range recording.Events {
+		rec.Emit(e)
+	}
+	ways := 0
+	var end uint64
+	for _, cl := range s.Clusters {
+		ways += cl.L15.Config().Ways
+		end = max(end, cl.L15.Ticks())
+	}
+	report := Analyze(recording, ways, end)
+	report.Publish(reg)
+
+	var sb strings.Builder
+	sb.WriteString(report.String())
 	cl := s.Clusters[0].L15
 	var hits, misses, global uint64
 	for _, st := range cl.Stats {

@@ -6,45 +6,18 @@ import (
 	"l15cache/internal/metrics"
 )
 
-// TestObservabilityIntegration wires a fresh registry and tracer into an SoC
-// with the monitor attached, runs a way-demanding program, and asserts the
-// SDU reassignment latency lands in the histogram and the tracer records the
-// Walloc events — the end-to-end path the -metrics/-trace flags expose.
+// TestObservabilityIntegration wires a fresh registry and tracer into an
+// SoC, runs a way-demanding program, publishes the monitor's analysis of
+// the recording, and asserts the SDU reassignment latency lands in the
+// histogram and the tracer records the Walloc events — the end-to-end path
+// the -metrics/-trace flags expose.
 func TestObservabilityIntegration(t *testing.T) {
 	s := newSoC(t)
 	reg := metrics.NewRegistry()
 	tr := metrics.NewTracer(1 << 12)
 	s.Instrument(reg, tr)
-
-	m, err := Attach(s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Tracer = tr
-	m.PublishMetrics(reg)
-
-	prog := `
-		li a0, 4
-		demand a0
-	wait:
-		supply a1
-		beqz a1, wait
-		ebreak
-	`
-	if _, err := s.LoadProgram(0x1000, prog); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetPageTable(0, s.IdentityPageTable(1)); err != nil {
-		t.Fatal(err)
-	}
-	s.StartCore(0, 0x1000, 0x8000)
-	for i := 1; i < len(s.Cores); i++ {
-		s.Cores[i].Halted = true
-	}
-	if _, err := s.Run(100000, nil); err != nil {
-		t.Fatal(err)
-	}
-	s.SettleSDU(64)
+	rec := runRecorded(t, s, demandProg)
+	Analyze(rec, 32, s.Clusters[0].L15.Ticks()).Publish(reg)
 
 	snap := reg.Snapshot()
 	h, ok := snap.Histograms["soc.cluster0.l15.sdu_config_latency_cycles"]
@@ -57,22 +30,20 @@ func TestObservabilityIntegration(t *testing.T) {
 	if h.Max < 1 {
 		t.Fatalf("SDU latency max = %v, want >= 1 cycle", h.Max)
 	}
-	if snap.Counters["monitor.samples"] == 0 {
-		t.Fatal("monitor recorded no samples")
+	if snap.Gauges["monitor.way_utilization"] <= 0 {
+		t.Fatal("monitor published no way utilisation")
 	}
 	if snap.Counters["monitor.reconfigurations"] == 0 {
 		t.Fatal("monitor recorded no reconfigurations")
 	}
 
-	var assigns, satisfied, samples int
+	var assigns, satisfied int
 	for _, ev := range tr.Events() {
 		switch ev.Name {
 		case "way.assign":
 			assigns++
 		case "demand.satisfied":
 			satisfied++
-		case "sample":
-			samples++
 		}
 	}
 	if assigns < 4 {
@@ -80,9 +51,6 @@ func TestObservabilityIntegration(t *testing.T) {
 	}
 	if satisfied == 0 {
 		t.Fatal("no demand.satisfied event traced")
-	}
-	if samples == 0 {
-		t.Fatal("no monitor sample events traced")
 	}
 }
 

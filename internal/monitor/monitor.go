@@ -1,169 +1,129 @@
-// Package monitor implements the cycle-accurate monitor of §5.3: attached
-// to a simulated SoC, it traces the cores and the L1.5 Caches, recording
-// (i) the utilisation of the L1.5 ways and (ii) the configuration latencies
-// of the Supply-Demand Units. The paper used the same instrument to produce
+// Package monitor implements the cycle-accurate monitor of §5.3: from a
+// flight recording of a simulated SoC's L1.5 Caches it derives (i) the
+// utilisation of the L1.5 ways and (ii) the configuration latencies of the
+// Supply-Demand Units. The paper used the same instrument to produce
 // Fig. 8(c).
+//
+// Way occupancy is piecewise constant between the SDU's way moves, and
+// the L1.5 records every move as a KindSDU event, so both numbers are
+// exact functions of the recording rather than samples of the run.
 package monitor
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
+	"l15cache/internal/flight"
+	"l15cache/internal/forensics"
 	"l15cache/internal/metrics"
-	"l15cache/internal/soc"
 )
 
-// Sample is one observation of the system.
-type Sample struct {
-	Cycle     uint64 // global cycle (max core clock at the sample)
-	OwnedWays int    // ways with an owner, across all clusters
-	TotalWays int
+// Report is the §5.3 summary of one hardware recording.
+type Report struct {
+	// End is the SDU tick the utilisation window [0, End] closes at.
+	End uint64
+	// Utilization is the time-weighted mean fraction of assigned ways
+	// over [0, End].
+	Utilization float64
+	// Latencies holds one configuration latency (SDU cycles) per
+	// satisfied demand, cluster by cluster.
+	Latencies []uint64
 }
 
-// Monitor collects samples and SDU configuration events from an SoC.
-type Monitor struct {
-	s        *soc.SoC
-	interval uint64
-	lastAt   uint64
+// Analyze derives the report from a recording of L1.5 hardware events
+// (l15.FlightRecord): totalWays is the way count summed over every
+// cluster, and end the final SDU tick of the run.
+//
+// The utilisation is the exact integral of each cluster's way-occupancy
+// timeline (forensics.WayTimeline; no ways are assigned before a
+// cluster's first event) over [0, end], divided by totalWays·end.
+//
+// The latencies group each cluster's KindSDU events, in recording order,
+// into runs of consecutive moves by the same core; a run stands for one
+// reconfiguration, and its latency is its last tick minus its first plus
+// one (the SDU moves at most one way per cycle).
+func Analyze(rec flight.Recording, totalWays int, end uint64) Report {
+	m := forensics.Build(rec)
+	r := Report{End: end}
+	var area float64
+	for _, cl := range m.Clusters() {
+		var at float64
+		assigned := 0
+		for _, pt := range m.WayTimeline(cl) {
+			area += float64(assigned) * (pt.Time - at)
+			at, assigned = pt.Time, max(pt.Assigned, 0)
+		}
+		area += float64(assigned) * (float64(end) - at)
 
-	// Tracer, when non-nil, receives one "sample" event per observation.
-	Tracer *metrics.Tracer
-
-	Samples []Sample
-}
-
-// Attach hooks the monitor into the SoC's observer slot, sampling every
-// interval global cycles (0 samples after every instruction).
-func Attach(s *soc.SoC, interval uint64) (*Monitor, error) {
-	if s == nil {
-		return nil, fmt.Errorf("monitor: nil SoC")
-	}
-	m := &Monitor{s: s, interval: interval}
-	s.Observer = func(sys *soc.SoC) { m.observe(sys) }
-	return m, nil
-}
-
-// Detach removes the monitor from the SoC.
-func (m *Monitor) Detach() { m.s.Observer = nil }
-
-func (m *Monitor) observe(sys *soc.SoC) {
-	var now uint64
-	for _, c := range sys.Cores {
-		if c.Cycles > now {
-			now = c.Cycles
+		core, first, last := int32(-1), 0.0, 0.0
+		for _, e := range rec.Events {
+			if e.Kind != flight.KindSDU || e.Task >= 0 || e.Node < 0 || int(e.Cluster) != cl {
+				continue
+			}
+			if e.Core != core {
+				if core >= 0 {
+					r.Latencies = append(r.Latencies, uint64(last-first)+1)
+				}
+				core, first = e.Core, e.Time
+			}
+			last = e.Time
+		}
+		if core >= 0 {
+			r.Latencies = append(r.Latencies, uint64(last-first)+1)
 		}
 	}
-	if m.interval > 0 && now < m.lastAt+m.interval {
-		return
+	if totalWays > 0 && end > 0 {
+		r.Utilization = area / (float64(totalWays) * float64(end))
 	}
-	m.lastAt = now
-	owned, total := 0, 0
-	for _, cl := range sys.Clusters {
-		owned += cl.L15.OwnedWays()
-		total += cl.L15.Config().Ways
-	}
-	m.Samples = append(m.Samples, Sample{Cycle: now, OwnedWays: owned, TotalWays: total})
-	m.Tracer.Emit(now, "monitor", "sample",
-		map[string]any{"owned_ways": owned, "total_ways": total})
+	return r
 }
 
-// PublishMetrics registers the monitor's aggregates with the registry:
-// monitor.samples, monitor.way_utilization, monitor.reconfigurations and
-// monitor.mean_config_latency_cycles, all collected at snapshot time.
-func (m *Monitor) PublishMetrics(r *metrics.Registry) {
-	if r == nil {
-		return
-	}
-	r.RegisterCollector(func(r *metrics.Registry) {
-		r.Counter("monitor.samples").Store(uint64(len(m.Samples)))
-		r.Gauge("monitor.way_utilization").Set(m.Utilization())
-		lats := m.ConfigLatencies()
-		r.Counter("monitor.reconfigurations").Store(uint64(len(lats)))
-		var sum uint64
-		for _, l := range lats {
-			sum += l
-		}
-		mean := 0.0
-		if len(lats) > 0 {
-			mean = float64(sum) / float64(len(lats))
-		}
-		r.Gauge("monitor.mean_config_latency_cycles").Set(mean)
-	})
-}
-
-// Utilization returns the mean fraction of owned ways across the samples.
-func (m *Monitor) Utilization() float64 {
-	if len(m.Samples) == 0 {
+// meanLatency is the mean of the latencies (0 when there are none).
+func (r Report) meanLatency() float64 {
+	if len(r.Latencies) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, s := range m.Samples {
-		if s.TotalWays > 0 {
-			sum += float64(s.OwnedWays) / float64(s.TotalWays)
-		}
+	var sum uint64
+	for _, l := range r.Latencies {
+		sum += l
 	}
-	return sum / float64(len(m.Samples))
+	return float64(sum) / float64(len(r.Latencies))
 }
 
-// ConfigLatencies returns every way-reconfiguration latency observable so
-// far: for each cluster, the per-demand tick counts derived from its event
-// stream (one event per way moved).
-func (m *Monitor) ConfigLatencies() []uint64 {
-	var out []uint64
-	for _, cl := range m.s.Clusters {
-		// Group consecutive events per (core); the span from a
-		// demand's first to last event is its configuration latency.
-		events := cl.L15.Events
-		var start uint64
-		lastCore := -1
-		var last uint64
-		for _, ev := range events {
-			if ev.Core != lastCore {
-				if lastCore >= 0 {
-					out = append(out, last-start+1)
-				}
-				lastCore = ev.Core
-				start = ev.Tick
-			}
-			last = ev.Tick
-		}
-		if lastCore >= 0 {
-			out = append(out, last-start+1)
-		}
+// Publish stores the report in the registry as monitor.way_utilization,
+// monitor.reconfigurations and monitor.mean_config_latency_cycles. A nil
+// registry publishes nothing.
+func (r Report) Publish(reg *metrics.Registry) {
+	if reg == nil {
+		return
 	}
-	return out
+	reg.Gauge("monitor.way_utilization").Set(r.Utilization)
+	reg.Counter("monitor.reconfigurations").Store(uint64(len(r.Latencies)))
+	reg.Gauge("monitor.mean_config_latency_cycles").Set(r.meanLatency())
 }
 
 // WriteReport writes a short human-readable summary to w and propagates
 // the first write error, so callers streaming to a file or pipe see
 // truncation instead of a silently short report.
-func (m *Monitor) WriteReport(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "monitor: %d samples, mean L1.5 way utilisation %.1f%%\n",
-		len(m.Samples), 100*m.Utilization()); err != nil {
+func (r Report) WriteReport(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "monitor: mean L1.5 way utilisation %.1f%% over %d SDU cycles\n",
+		100*r.Utilization, r.End); err != nil {
 		return err
 	}
-	lats := m.ConfigLatencies()
-	if len(lats) > 0 {
-		var max, sum uint64
-		for _, l := range lats {
-			sum += l
-			if l > max {
-				max = l
-			}
-		}
-		if _, err := fmt.Fprintf(w, "monitor: %d reconfigurations, mean latency %.1f cycles, max %d\n",
-			len(lats), float64(sum)/float64(len(lats)), max); err != nil {
-			return err
-		}
+	if len(r.Latencies) == 0 {
+		return nil
 	}
-	return nil
+	_, err := fmt.Fprintf(w, "monitor: %d reconfigurations, mean latency %.1f cycles, max %d\n",
+		len(r.Latencies), r.meanLatency(), slices.Max(r.Latencies))
+	return err
 }
 
-// Report renders the summary as a string. It is WriteReport into a
-// strings.Builder, whose writes cannot fail.
-func (m *Monitor) Report() string {
+// String renders the summary. It is WriteReport into a strings.Builder,
+// whose writes cannot fail.
+func (r Report) String() string {
 	var sb strings.Builder
-	_ = m.WriteReport(&sb)
+	_ = r.WriteReport(&sb)
 	return sb.String()
 }

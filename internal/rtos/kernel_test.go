@@ -8,8 +8,8 @@ import (
 
 	"l15cache/internal/cpu"
 	"l15cache/internal/dag"
+	"l15cache/internal/flight"
 	"l15cache/internal/kernel"
-	"l15cache/internal/l15"
 	"l15cache/internal/metrics"
 	"l15cache/internal/soc"
 )
@@ -48,7 +48,7 @@ type runState struct {
 	Halted  []bool
 	Stats   []cpu.Stats
 	Ticks   []uint64
-	Events  [][]l15.ConfigEvent
+	Flight  []flight.Event
 	Reads   uint64
 	Writes  uint64
 	Metrics metrics.Snapshot
@@ -68,12 +68,14 @@ func runPipelines(t *testing.T, mode kernel.Mode, clusters int, useL15 bool, job
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := k.SoC()
+	rec := flight.New()
+	s.FlightRecord(rec)
 	recs, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := k.SoC()
-	st := runState{Records: recs, Reads: s.Mem.Reads, Writes: s.Mem.Writes}
+	st := runState{Records: recs, Flight: rec.Events(), Reads: s.Mem.Reads, Writes: s.Mem.Writes}
 	for _, c := range s.Cores {
 		st.PC = append(st.PC, c.PC)
 		st.Regs = append(st.Regs, c.Regs)
@@ -83,7 +85,6 @@ func runPipelines(t *testing.T, mode kernel.Mode, clusters int, useL15 bool, job
 	}
 	for _, cl := range s.Clusters {
 		st.Ticks = append(st.Ticks, cl.L15.Ticks())
-		st.Events = append(st.Events, cl.L15.Events)
 	}
 	reg := metrics.NewRegistry()
 	s.Instrument(reg, nil)

@@ -73,8 +73,8 @@ func counted(t *testing.T, s system, opt Options) (st []InstanceStats, instances
 	return st, mInstances.Load() - i0, mDispatches.Load() - d0, simulated
 }
 
-// placements returns each instance's node→core placement, observed on a
-// full ticked simulation.
+// placements returns each instance's node→core placement, read from the
+// KindDispatch events of a recorded full ticked simulation.
 func placements(t *testing.T, s system, opt Options) [][]int {
 	t.Helper()
 	n := len(s.alloc.Task.Nodes)
@@ -83,9 +83,14 @@ func placements(t *testing.T, s system, opt Options) [][]int {
 		out[i] = make([]int, n)
 	}
 	opt.Kernel = kernel.Ticked
-	opt.OnDispatch = func(inst, core int, v dag.NodeID, _, _, _ float64) { out[inst][v] = core }
+	opt.Recorder = flight.New()
 	if _, err := Run(s.alloc, s.plat, opt); err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range opt.Recorder.Events() {
+		if e.Kind == flight.KindDispatch {
+			out[e.Job][e.Node] = int(e.Core)
+		}
 	}
 	return out
 }

@@ -4,12 +4,19 @@ import (
 	"reflect"
 	"testing"
 
+	"l15cache/internal/flight"
 	"l15cache/internal/kernel"
 )
 
+// recordedRun is one kernel's SoC and the flight events its L1.5s recorded.
+type recordedRun struct {
+	*SoC
+	events []flight.Event
+}
+
 // runUnderKernel builds a SoC with the given kernel mode, runs src on core
 // 0 (others halted) and settles the SDUs, mirroring runProgram.
-func runUnderKernel(t *testing.T, mode kernel.Mode, src string) *SoC {
+func runUnderKernel(t *testing.T, mode kernel.Mode, src string) recordedRun {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Kernel = mode
@@ -17,6 +24,8 @@ func runUnderKernel(t *testing.T, mode kernel.Mode, src string) *SoC {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := flight.New()
+	s.FlightRecord(rec)
 	if _, err := s.LoadProgram(0x1000, src); err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +40,13 @@ func runUnderKernel(t *testing.T, mode kernel.Mode, src string) *SoC {
 		t.Fatal(err)
 	}
 	s.SettleSDU(64)
-	return s
+	return recordedRun{s, rec.Events()}
 }
 
 // compareSoCs checks everything the flight recorder and metrics snapshots
 // are derived from: per-core clocks and registers, the SDU tick counters,
 // and the full tick-stamped configuration event streams.
-func compareSoCs(t *testing.T, tk, ev *SoC) {
+func compareSoCs(t *testing.T, tk, ev recordedRun) {
 	t.Helper()
 	for i := range tk.Cores {
 		if tk.Cores[i].Cycles != ev.Cores[i].Cycles {
@@ -53,13 +62,12 @@ func compareSoCs(t *testing.T, tk, ev *SoC) {
 		if a.Ticks() != b.Ticks() {
 			t.Errorf("cluster %d SDU ticks: ticked %d, events %d", i, a.Ticks(), b.Ticks())
 		}
-		if !reflect.DeepEqual(a.Events, b.Events) {
-			t.Errorf("cluster %d config events diverged:\nticked %+v\nevents %+v",
-				i, a.Events, b.Events)
-		}
 		if !reflect.DeepEqual(a.Stats, b.Stats) {
 			t.Errorf("cluster %d L1.5 stats diverged:\n%+v\n%+v", i, a.Stats, b.Stats)
 		}
+	}
+	if !reflect.DeepEqual(tk.events, ev.events) {
+		t.Errorf("config events diverged:\nticked %+v\nevents %+v", tk.events, ev.events)
 	}
 }
 
@@ -83,7 +91,7 @@ func TestKernelsAgreeOnDemandProgram(t *testing.T) {
 	tk := runUnderKernel(t, kernel.Ticked, src)
 	ev := runUnderKernel(t, kernel.Events, src)
 	compareSoCs(t, tk, ev)
-	if len(ev.Clusters[0].L15.Events) == 0 {
+	if len(ev.events) == 0 {
 		t.Fatal("program produced no SDU events; test is vacuous")
 	}
 }
@@ -106,8 +114,8 @@ func TestKernelsAgreeOnPureHitLoop(t *testing.T) {
 	tk := runUnderKernel(t, kernel.Ticked, src)
 	ev := runUnderKernel(t, kernel.Events, src)
 	compareSoCs(t, tk, ev)
-	if len(ev.Clusters[0].L15.Events) != 0 {
-		t.Fatalf("hit loop produced SDU events: %+v", ev.Clusters[0].L15.Events)
+	if len(ev.events) != 0 {
+		t.Fatalf("hit loop produced SDU events: %+v", ev.events)
 	}
 	if ev.Clusters[0].L15.Ticks() == 0 {
 		t.Fatal("SDU clock never advanced; skip path untested")

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"l15cache/internal/cpu"
+	"l15cache/internal/flight"
 	"l15cache/internal/isa"
 	"l15cache/internal/kernel"
 	"l15cache/internal/l15"
@@ -27,7 +28,7 @@ type socState struct {
 	Halted  []bool
 	Stats   []cpu.Stats
 	Ticks   []uint64
-	Events  [][]l15.ConfigEvent
+	Flight  []flight.Event
 	L15     [][]l15.CoreStats
 	Reads   uint64
 	Writes  uint64
@@ -35,8 +36,8 @@ type socState struct {
 	Metrics metrics.Snapshot
 }
 
-func stateOf(s *SoC) socState {
-	var st socState
+func stateOf(s *SoC, rec *flight.Recorder) socState {
+	st := socState{Flight: rec.Events()}
 	for _, c := range s.Cores {
 		st.PC = append(st.PC, c.PC)
 		st.Regs = append(st.Regs, c.Regs)
@@ -46,7 +47,6 @@ func stateOf(s *SoC) socState {
 	}
 	for _, cl := range s.Clusters {
 		st.Ticks = append(st.Ticks, cl.L15.Ticks())
-		st.Events = append(st.Events, append([]l15.ConfigEvent(nil), cl.L15.Events...))
 		st.L15 = append(st.L15, append([]l15.CoreStats(nil), cl.L15.Stats...))
 	}
 	st.Reads, st.Writes, st.UART = s.Mem.Reads, s.Mem.Writes, string(s.UART)
@@ -83,6 +83,7 @@ type twinRun struct {
 func (r twinRun) run(t *testing.T, what string) *SoC {
 	t.Helper()
 	var socs [2]*SoC
+	var recs [2]*flight.Recorder
 	var results [2]string
 	for k, mode := range []kernel.Mode{kernel.Ticked, kernel.Events} {
 		cfg := r.cfg
@@ -91,6 +92,8 @@ func (r twinRun) run(t *testing.T, what string) *SoC {
 		if err != nil {
 			t.Fatal(err)
 		}
+		recs[k] = flight.New()
+		s.FlightRecord(recs[k])
 		r.setup(t, s)
 		var h func(*cpu.Core, cpu.Trap) bool
 		if r.handler != nil {
@@ -106,7 +109,7 @@ func (r twinRun) run(t *testing.T, what string) *SoC {
 	if socs[0].replayed != 0 {
 		t.Errorf("%s: the ticked kernel replayed %d steps", what, socs[0].replayed)
 	}
-	diffStates(t, what, stateOf(socs[0]), stateOf(socs[1]))
+	diffStates(t, what, stateOf(socs[0], recs[0]), stateOf(socs[1], recs[1]))
 	return socs[1]
 }
 
@@ -347,26 +350,17 @@ func TestReplayOneIterationLeft(t *testing.T) {
 	}
 }
 
-// With an Observer attached or dual issue configured nothing is replayed.
-func TestReplayOffWithObserverOrDualIssue(t *testing.T) {
-	progs := []string{countdownSrc(500), countdownSrc(700)}
-	observed := twinRun{
-		cfg: DefaultConfig(),
-		setup: func(t *testing.T, s *SoC) {
-			loadAll(t, s, progs)
-			s.Observer = func(*SoC) {}
-		},
-		max: 1 << 40,
-	}.run(t, "observer")
+// With dual issue configured nothing is replayed.
+func TestReplayOffWithDualIssue(t *testing.T) {
 	dual := DefaultConfig()
 	dual.IssueWidth, dual.MemPorts = 2, 2
 	wide := twinRun{
 		cfg:   dual,
-		setup: func(t *testing.T, s *SoC) { loadAll(t, s, progs) },
+		setup: func(t *testing.T, s *SoC) { loadAll(t, s, []string{countdownSrc(500), countdownSrc(700)}) },
 		max:   1 << 40,
 	}.run(t, "dual issue")
-	if observed.replayed != 0 || wide.replayed != 0 {
-		t.Fatalf("replayed %d (observer), %d (dual issue)", observed.replayed, wide.replayed)
+	if wide.replayed != 0 {
+		t.Fatalf("replayed %d steps under dual issue", wide.replayed)
 	}
 }
 

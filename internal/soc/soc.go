@@ -116,10 +116,6 @@ type SoC struct {
 	Clusters []*Cluster
 	Cores    []*cpu.Core
 
-	// Observer, when non-nil, runs after every instruction step — the
-	// attachment point of the cycle-accurate monitor (§5.3).
-	Observer func(*SoC)
-
 	// UART accumulates the bytes programs store to Cfg.UARTAddr.
 	UART []byte
 
@@ -274,17 +270,16 @@ func (s *SoC) IdentityPageTable(tid uint16) *tlb.PageTable {
 // instruction, privilege violation, memory fault) on any core stops the
 // run and is returned.
 //
-// Under the events kernel with no Observer and single issue, a core
-// running a countdown loop from a hot L1I is replayed in closed form
-// instead of stepped (replay.go); every state it leaves behind is the
-// one-step state. Inside the handler, therefore, only the trapping core's
+// Under the events kernel with single issue, a core running a countdown
+// loop from a hot L1I is replayed in closed form instead of stepped
+// (replay.go); every state it leaves behind is the one-step state. Inside the handler, therefore, only the trapping core's
 // state and the other cores' Halted flags are current. The handler may
 // change the trapping core, the L1.5 control registers, and any core
 // through SetPageTable or StartCore (which settle it first); it must not
 // write another core's registers, clock or Halted flag directly, nor
 // write memory except through a core's stores.
 func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu.Trap, error) {
-	replay := s.Cfg.Kernel == kernel.Events && s.Observer == nil && s.Cfg.IssueWidth <= 1
+	replay := s.Cfg.Kernel == kernel.Events && s.Cfg.IssueWidth <= 1
 	clear(s.retired)
 	clear(s.loops)
 	s.replaying = 0
@@ -342,9 +337,6 @@ func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu
 			s.trackLoop(best, pc, maxInstrs)
 		} else {
 			s.advanceSDUs(s.globalTime(bestWake, best))
-			if s.Observer != nil {
-				s.Observer(s)
-			}
 		}
 		if trap.Kind == cpu.TrapNone || trap.Kind == cpu.TrapEBreak {
 			// An ebreak halts its own core; the rest of the SoC runs on.
