@@ -120,7 +120,7 @@ func (s *SoC) holdLoops() {
 
 // trackLoop runs after every step of core i (at pc) while replay is on:
 // it counts consecutive iterations of a loop whose back-branch jumps over
-// one instruction and tries to start a replay when the second one ends.
+// one instruction and tries to start a replay when the first one ends.
 func (s *SoC) trackLoop(i int, pc uint32, maxInstrs uint64) {
 	r := &s.loops[i]
 	next := s.Cores[i].PC
@@ -131,7 +131,7 @@ func (s *SoC) trackLoop(i int, pc uint32, maxInstrs uint64) {
 		if r.pc != next {
 			r.pc, r.iters = next, 0
 		}
-		if r.iters++; r.iters == 2 {
+		if r.iters++; r.iters == 1 {
 			s.enterLoop(i, maxInstrs)
 		}
 	default:
@@ -140,8 +140,9 @@ func (s *SoC) trackLoop(i int, pc uint32, maxInstrs uint64) {
 	r.prev = pc
 }
 
-// enterLoop starts replaying core i, which has just run the loop at r.pc
-// twice and sits at its head, if every step to the exit is private:
+// enterLoop starts replaying core i, which has just run one iteration of
+// the loop at r.pc and sits at its head, if every step to the exit is
+// private:
 //   - both words are the countdown encodings, translated by the TLB and
 //     present in the L1I, so each fetch is a hit that costs the same;
 //   - the two fetches just made left both lines most recently used in

@@ -13,6 +13,7 @@ import (
 	"l15cache/internal/kernel"
 	"l15cache/internal/l15"
 	"l15cache/internal/metrics"
+	"l15cache/internal/tlb"
 )
 
 // The tests in this file pin down countdown-loop replay (replay.go): a run
@@ -317,8 +318,8 @@ func TestReplaySetAliasedLoop(t *testing.T) {
 	}
 }
 
-// A loop entered with a cold L1I and TLB replays once two iterations have
-// warmed them, with every fetch latency: an L1I hit costing more than one
+// A loop entered with a cold L1I and TLB replays once its first iteration
+// has warmed them, with every fetch latency: an L1I hit costing more than one
 // cycle makes each replayed step pay a fetch stall.
 func TestReplayColdEntry(t *testing.T) {
 	for _, lat := range []int{1, 2, 3} {
@@ -342,9 +343,9 @@ func TestReplayColdEntry(t *testing.T) {
 func TestReplayOneIterationLeft(t *testing.T) {
 	s := twinRun{
 		cfg:   DefaultConfig(),
-		setup: func(t *testing.T, s *SoC) { loadAll(t, s, []string{countdownSrc(3)}) },
+		setup: func(t *testing.T, s *SoC) { loadAll(t, s, []string{countdownSrc(2)}) },
 		max:   1 << 40,
-	}.run(t, "n=3")
+	}.run(t, "n=2")
 	if s.replayed != 1 {
 		t.Fatalf("replayed %d steps, want 1", s.replayed)
 	}
@@ -441,4 +442,130 @@ func randomProgram(r *rand.Rand) string {
 	}
 	b.WriteString("ebreak\n")
 	return b.String()
+}
+
+// lineBufferConfig is one SoC the fetch line buffer is checked on.
+type lineBufferConfig struct {
+	name string
+	cfg  Config
+}
+
+// lineBufferConfigs are every L1 latency from 1 to 3 with 32-, 64- and
+// 128-byte L1 lines, under single and dual issue.
+func lineBufferConfigs() []lineBufferConfig {
+	var cfgs []lineBufferConfig
+	for _, lat := range []int{1, 2, 3} {
+		for _, line := range []int{32, 64, 128} {
+			for _, width := range []int{1, 2} {
+				cfg := DefaultConfig()
+				cfg.L1Lat, cfg.L1LineBytes = lat, line
+				if width == 2 {
+					cfg.IssueWidth, cfg.MemPorts = 2, 2
+				}
+				cfgs = append(cfgs, lineBufferConfig{fmt.Sprintf("L1Lat=%d line=%d width=%d", lat, line, width), cfg})
+			}
+		}
+	}
+	return cfgs
+}
+
+// A fetch served from the line buffer must leave the state the full
+// TLB → L1I → memory chain leaves: the cases below each try to make the
+// buffered line stale between two fetches from it.
+func TestLineBufferMatchesFetchChain(t *testing.T) {
+	// The inner loop (lw, add, addi, bnez) sits in one 16-byte-aligned
+	// block, so in one line of every size; its loads walk 17 data pages,
+	// so with the code page the TLB's 16 FIFO entries thrash and the code
+	// page's entry is evicted between fetches of the same line.
+	thrash := `
+		li s2, 20
+		li t3, 4096
+		nop
+		nop
+	outer:
+		li t1, 0x40000
+		li t2, 17
+	inner:
+		lw t0, 0(t1)
+		add t1, t1, t3
+		addi t2, t2, -1
+		bnez t2, inner
+		addi s2, s2, -1
+		bnez s2, outer
+		ebreak
+	`
+	// A store into the word after itself: the next fetch, from the same
+	// line, must see the new instruction, after a word store (addi a0,
+	// x0, 7) and after a byte store that retargets li a1, 5 to ra. (Dual
+	// issue fetches that word with the store, so it runs the old one.)
+	selfModify := fmt.Sprintf("li t1, %d\nli t2, %d\nsw t1, 0(t2)\nnop\nebreak\n",
+		int32(word(t, "addi a0, x0, 7")), base(0)+20)
+	selfModifyByte := fmt.Sprintf("li t1, 0\nli t2, %d\nsb t1, 0(t2)\nli a1, 5\nebreak\n", base(0)+17)
+	// Straight-line code from a line-unaligned start across several line
+	// boundaries.
+	straight := strings.Repeat("nop\n", 5) + strings.Repeat("addi a0, a0, 1\n", 70) + "ebreak\n"
+	// After the ecall the handler maps core 0's code page to a copy whose
+	// next word differs; the fetch after the ecall comes from the same
+	// virtual line as the ecall.
+	remapped := func(a1 int) string { return fmt.Sprintf("li a0, 1\necall\nli a1, %d\nebreak\n", a1) }
+
+	for _, lc := range lineBufferConfigs() {
+		name, cfg := lc.name, lc.cfg
+		s := twinRun{
+			cfg:   cfg,
+			setup: func(t *testing.T, s *SoC) { loadAll(t, s, []string{thrash, straight}) },
+			max:   1 << 40,
+		}.run(t, name+" thrash")
+		if got := s.Cores[0].Regs[18]; got != 0 {
+			t.Fatalf("%s thrash: outer counter %d", name, got)
+		}
+		if m := s.ports[0].tlb.Misses; m < 20*17 {
+			t.Fatalf("%s thrash: %d TLB misses, want the code page evicted every pass", name, m)
+		}
+		if got := s.Cores[1].Regs[10]; got != 70 {
+			t.Fatalf("%s straight: a0 = %d", name, got)
+		}
+
+		s = twinRun{
+			cfg:   cfg,
+			setup: func(t *testing.T, s *SoC) { loadAll(t, s, []string{selfModify}) },
+			max:   1 << 40,
+		}.run(t, name+" store")
+		if got := s.Cores[0].Regs[10]; cfg.IssueWidth <= 1 && got != 7 {
+			t.Fatalf("%s store: a0 = %d, want the stored instruction to run", name, got)
+		}
+		s = twinRun{
+			cfg:   cfg,
+			setup: func(t *testing.T, s *SoC) { loadAll(t, s, []string{selfModifyByte}) },
+			max:   1 << 40,
+		}.run(t, name+" byte store")
+		if got := s.Cores[0].Regs[1]; cfg.IssueWidth <= 1 && got != 5 {
+			t.Fatalf("%s byte store: ra = %d, want the retargeted li to run", name, got)
+		}
+
+		const copyBase = 0x5000
+		s = twinRun{
+			cfg: cfg,
+			setup: func(t *testing.T, s *SoC) {
+				loadAll(t, s, []string{remapped(2)})
+				if _, err := s.LoadProgram(copyBase, remapped(3)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			max: 1 << 40,
+			handler: func(s *SoC) func(*cpu.Core, cpu.Trap) bool {
+				return func(c *cpu.Core, _ cpu.Trap) bool {
+					pt := s.IdentityPageTable(2)
+					pt.Map(tlb.VirtAddr(base(0)), copyBase)
+					if err := s.SetPageTable(c.ID, pt); err != nil {
+						t.Fatal(err)
+					}
+					return true
+				}
+			},
+		}.run(t, name+" remap")
+		if got := s.Cores[0].Regs[11]; got != 3 {
+			t.Fatalf("%s remap: a1 = %d, want the remapped copy's word", name, got)
+		}
+	}
 }

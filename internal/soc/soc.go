@@ -250,6 +250,7 @@ func (s *SoC) SetPageTable(core int, pt *tlb.PageTable) error {
 	}
 	s.interruptLoop(core)
 	s.ports[core].tlb.SetPageTable(pt)
+	s.ports[core].lineOK = false
 	return s.ClusterOf(core).L15.SetTID(s.localIndex(core), pt.TID)
 }
 
@@ -357,6 +358,11 @@ func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu
 	}
 }
 
+// Replayed returns how many steps the runs so far replayed in closed form
+// instead of stepping (DESIGN.md §11); every other retired instruction was
+// a real step.
+func (s *SoC) Replayed() uint64 { return s.replayed }
+
 // advanceSDUs brings every cluster's Walloc to the global time target,
 // preserving the one-way-per-cycle constraint. Under the events kernel a
 // cluster whose SDU reports no wakeup (kernel.Never) jumps its counter
@@ -426,6 +432,18 @@ type port struct {
 	tlb *tlb.TLB
 	l1i *cache.Cache
 	l1d *cache.Cache
+
+	// Fetch line buffer (used under the events kernel): the VA and PA
+	// bases of the line the last fetch went to, and the TLB miss count
+	// then. While lineOK and no TLB miss or flush has happened since,
+	// that line is in the L1I, most recently used in its set, and its
+	// translation is in the TLB (DESIGN.md §11). lineMask clears the
+	// offset within min(L1 line, page).
+	lineOK     bool
+	lineVA     uint32
+	linePA     mem.PhysAddr
+	lineMisses uint64
+	lineMask   uint32
 }
 
 func (s *SoC) newPort(core int) (*port, error) {
@@ -442,7 +460,8 @@ func (s *SoC) newPort(core int) (*port, error) {
 	if err != nil {
 		return nil, fmt.Errorf("soc: L1D: %w", err)
 	}
-	return &port{soc: s, core: core, tlb: t, l1i: l1i, l1d: l1d}, nil
+	span := uint32(min(cfg.L1LineBytes, tlb.PageSize))
+	return &port{soc: s, core: core, tlb: t, l1i: l1i, l1d: l1d, lineMask: ^(span - 1)}, nil
 }
 
 // access runs the IPU-routed lookup chain for one reference and returns its
@@ -476,8 +495,23 @@ func (p *port) access(l1 *cache.Cache, va uint32, pa mem.PhysAddr, write bool) i
 	return lat + r.Latency
 }
 
-// FetchWord implements cpu.MemSystem.
+// FetchWord implements cpu.MemSystem. Under the events kernel a fetch
+// from the line the previous fetch went to skips the TLB scan and the set
+// lookup: it is a TLB hit and an L1I hit on the set's most recently used
+// way, which change nothing but the two hit counters. The word itself is
+// still read, so a store into the line is seen.
 func (p *port) FetchWord(core int, va uint32) (uint32, int, error) {
+	if p.lineOK && va&p.lineMask == p.lineVA && p.tlb.Misses == p.lineMisses &&
+		p.soc.Cfg.Kernel == kernel.Events {
+		p.tlb.Hits++
+		p.l1i.Stats.Hits++
+		w, err := p.soc.Mem.ReadWord(p.linePA | mem.PhysAddr(va&^p.lineMask))
+		if err != nil {
+			return 0, 0, err
+		}
+		return w, p.l1i.HitLatency(), nil
+	}
+	p.lineOK = false
 	pa, tlat, err := p.tlb.Translate(tlb.VirtAddr(va))
 	if err != nil {
 		return 0, 0, err
@@ -487,6 +521,7 @@ func (p *port) FetchWord(core int, va uint32) (uint32, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	p.lineOK, p.lineVA, p.linePA, p.lineMisses = true, va&p.lineMask, pa&mem.PhysAddr(p.lineMask), p.tlb.Misses
 	return w, lat, nil
 }
 
