@@ -18,6 +18,7 @@ package l15cache_test
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -312,9 +313,13 @@ func BenchmarkFlightRecorderOn(b *testing.B) { benchFlightTrial(b, true) }
 func benchTelemetryTrial(b *testing.B, sampled bool) {
 	b.Helper()
 	if sampled {
-		s := telemetry.NewSampler(nil, time.Millisecond, 1024)
+		s := telemetry.NewSampler(nil, time.Millisecond, io.Discard)
 		s.Start()
-		defer s.Stop()
+		defer func() {
+			if err := s.Stop(); err != nil {
+				b.Error(err)
+			}
+		}()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,36 +8,25 @@
 //
 //	l15sim [-program file.s]... [-max N] [-stats] [-metrics out.json]
 //	       [-trace out.json] [-flight out.jsonl] [-telemetry out.jsonl]
-//	       [-http addr] [-pprof addr]
 //	       [-cpuprofile out.pb.gz] [-memprofile out.pb.gz] [-version]
 //
 // -metrics serialises the metrics registry (L1/L1.5/L2/TLB counters, SDU
 // latency histograms) as JSON; -trace writes a Chrome trace_event file for
 // chrome://tracing; -flight writes a flight recording of every Walloc way
 // reassignment and gv_set (dissect it with cmd/explain); -telemetry
-// writes the wall-clock sampler's time series as JSONL. -http serves the
-// live-inspection endpoint (/metrics Prometheus exposition or JSON,
-// /metrics/history, /metrics/stream, /events SSE stream of flight events,
-// /dashboard, /healthz) during and after the run — the process then stays
-// up until interrupted. An interrupt (Ctrl-C) at any point still flushes
-// the requested artifact files and drains live SSE clients through a
-// graceful server shutdown before exiting. -pprof serves net/http/pprof
-// on the given address for live profiling, and -cpuprofile/-memprofile
-// write offline profiles.
+// streams the wall-clock sampler's time series to a JSONL file. An
+// interrupt (Ctrl-C) at any point still flushes the requested artifact
+// files before exiting. -cpuprofile/-memprofile write offline profiles.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"l15cache/internal/cli"
 	"l15cache/internal/flight"
@@ -67,8 +56,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
 	flightOut := flag.String("flight", "", "write a flight recording (.jsonl or .bin) to this file")
-	httpAddr := flag.String("http", "", "serve /metrics, /events (SSE) and /healthz on this address")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	showVersion := cli.VersionFlag()
@@ -78,12 +65,8 @@ func main() {
 	flushTelemetry := startTelemetry()
 
 	var rec *flight.Recorder
-	if *flightOut != "" || *httpAddr != "" {
+	if *flightOut != "" {
 		rec = flight.New()
-	}
-	var srv *flight.Server
-	if *httpAddr != "" {
-		srv = &flight.Server{Recorder: rec}
 	}
 	// flush writes every requested artifact; it runs on the normal exit
 	// path and again from the interrupt handler, so a Ctrl-C mid-run
@@ -108,36 +91,9 @@ func main() {
 		if err := flush(); err != nil {
 			log.Print(err)
 		}
-		if srv != nil {
-			// Drain SSE clients and finish in-flight requests before the
-			// process goes away.
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			if err := srv.Shutdown(ctx); err != nil {
-				log.Print(err)
-			}
-			cancel()
-		}
 		os.Exit(130)
 	}()
-	if srv != nil {
-		go func() {
-			err := srv.ListenAndServe(*httpAddr, func(addr string) {
-				log.Printf("live inspection on http://%s/ (/metrics, /dashboard, /events, /healthz)", addr)
-			})
-			if err != nil {
-				log.Printf("http server: %v", err)
-			}
-		}()
-	}
 
-	if *pprofAddr != "" {
-		go func() {
-			log.Printf("pprof listening on http://%s/debug/pprof/", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -255,11 +211,5 @@ func main() {
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-	}
-	if *httpAddr != "" {
-		log.Print("run finished; still serving -http (Ctrl-C to exit)")
-		// Either receiver of sig may win; all artifacts are already
-		// flushed, so both paths are clean exits.
-		<-sig
 	}
 }

@@ -2,14 +2,13 @@
 // VCS revision/commit time/dirty flag and the Go toolchain — read once from
 // runtime/debug.ReadBuildInfo. Every archived artifact the tools produce is
 // attributable through it: the metrics snapshot carries the same block as a
-// `build` header, the flight server reports it from /healthz, and every
-// cmd/ tool prints it under -version.
+// `build` header, and every cmd/ tool prints it under -version.
 //
 // The block is a pure function of the binary, so embedding it in the
 // -metrics snapshot keeps the determinism contract intact: two runs of one
-// binary serialise identical headers, and the CI byte-compare jobs
-// (memo warm-run identity, telemetry on/off) both compare artifacts
-// produced by a single build.
+// binary serialise identical headers, and the byte-compare checks (the
+// memo warm-run identity job, the telemetry on/off test) both compare
+// artifacts produced by a single build.
 package buildinfo
 
 import (
@@ -19,8 +18,8 @@ import (
 	"sync"
 )
 
-// Info is the attribution block stamped into metrics snapshots, /healthz
-// responses and the cmd tools' -version output.
+// Info is the attribution block stamped into metrics snapshots and the
+// cmd tools' -version output.
 type Info struct {
 	// GoVersion is the toolchain that built the binary (runtime.Version).
 	GoVersion string
@@ -97,7 +96,7 @@ func (i Info) String() string {
 func String() string { return Get().String() }
 
 // Map flattens the identity into fixed string keys for JSON embedding
-// (the metrics snapshot's `build` header and /healthz). The key set is
+// (the metrics snapshot's `build` header). The key set is
 // constant, so the serialised form is deterministic per binary.
 func Map() map[string]string {
 	i := Get()

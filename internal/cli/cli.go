@@ -40,9 +40,9 @@ func versionFlag(fs *flag.FlagSet) func() {
 
 // TelemetryFlag registers -telemetry on the default flag set. Call the
 // returned activator after flag.Parse: when a path was given it starts
-// the wall-clock sampler over the merged metrics registries and returns
-// the flush writing the sampled ring there as JSONL; with no path both
-// steps are no-ops. Tools flush wherever they write their -metrics
+// the wall-clock sampler over the merged metrics registries, streaming
+// its series there as JSONL, and returns the flush that stops it and
+// closes the file; with no path both steps are no-ops. Tools flush wherever they write their -metrics
 // artifacts (normal exit and the interrupt path) — the flush is safe to
 // call more than once. Sampling observes the run and never feeds a value
 // back, so the flag can never change a result.

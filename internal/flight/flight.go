@@ -215,17 +215,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// EventsSince returns the retained events with Seq >= seq, oldest first —
-// the polling primitive behind the /events SSE stream.
-func (r *Recorder) EventsSince(seq uint64) []Event {
-	evs := r.Events()
-	lo := 0
-	for lo < len(evs) && evs[lo].Seq < seq {
-		lo++
-	}
-	return evs[lo:]
-}
-
 // Dropped returns how many events the ring overwrote.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {

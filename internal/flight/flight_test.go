@@ -2,10 +2,8 @@ package flight_test
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"l15cache/internal/flight"
@@ -50,20 +48,6 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 	if got := r.Snapshot(); got.Dropped != 6 || len(got.Events) != 4 {
 		t.Fatalf("snapshot = %d events, %d dropped", len(got.Events), got.Dropped)
-	}
-}
-
-func TestEventsSince(t *testing.T) {
-	r := flight.NewCap(8)
-	for i := 0; i < 5; i++ {
-		r.Emit(ev(i))
-	}
-	since := r.EventsSince(3)
-	if len(since) != 2 || since[0].Seq != 3 || since[1].Seq != 4 {
-		t.Fatalf("EventsSince(3) = %+v", since)
-	}
-	if got := r.EventsSince(99); len(got) != 0 {
-		t.Fatalf("EventsSince(99) returned %d events", len(got))
 	}
 }
 
@@ -134,43 +118,5 @@ func TestMergeRenumbers(t *testing.T) {
 		if e.Seq != uint64(i) {
 			t.Fatalf("event %d: seq = %d", i, e.Seq)
 		}
-	}
-}
-
-func TestServerEndpoints(t *testing.T) {
-	r := flight.NewCap(8)
-	r.Emit(ev(0))
-	srv := httptest.NewServer((&flight.Server{Recorder: r}).Handler())
-	defer srv.Close()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		return sb.String()
-	}
-	if got := get("/healthz"); !strings.Contains(got, "ok") {
-		t.Errorf("/healthz = %q", got)
-	}
-	if got := get("/metrics?format=json"); !strings.Contains(got, "counters") {
-		t.Errorf("/metrics?format=json = %q", got)
-	}
-	if got := get("/metrics"); !strings.Contains(got, "# TYPE") {
-		t.Errorf("/metrics (exposition) = %q", got)
 	}
 }

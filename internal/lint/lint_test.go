@@ -20,9 +20,9 @@ func TestWallTimeClean(t *testing.T)   { runAnalyzerTest(t, WallTime, "walltime/
 // global math/rand generator.
 func TestWallTimeHarness(t *testing.T) { runAnalyzerTest(t, WallTime, "walltime/harness") }
 
-// TestWallTimeFlightRecorder pins the flight-recorder exemption: recorded
-// events are cycle-stamped sim-time, so package flight may read the wall
-// clock to pace its live /events stream, while the global-rand ban holds.
+// TestWallTimeFlightRecorder pins that package flight has no clock
+// carve-out: its events are cycle-stamped sim-time, so a wall-clock read
+// there is flagged, as is a global-rand draw.
 func TestWallTimeFlightRecorder(t *testing.T) { runAnalyzerTest(t, WallTime, "walltime/flightrec") }
 
 // TestWallTimeTelemetry pins the telemetry exemption: the sampler layer
@@ -66,9 +66,9 @@ func TestExhaustiveClean(t *testing.T)   { runAnalyzerTest(t, Exhaustive, "exhau
 func TestPurityCheckFlagged(t *testing.T) { runAnalyzerTest(t, PurityCheck, "puritycheck/flagged") }
 func TestPurityCheckClean(t *testing.T)   { runAnalyzerTest(t, PurityCheck, "puritycheck/clean") }
 
-// TestPurityCheckFlightRecorder pins the interprocedural half of the
-// flight carve-out: wall-clock facts are not seeded in package flight, but
-// global-rand and fs-read hazards on the same paths still report.
+// TestPurityCheckFlightRecorder pins the interprocedural half: package
+// flight's Run-family roots report wall-clock, global-rand and fs-read
+// hazards alike — it has no carve-out.
 func TestPurityCheckFlightRecorder(t *testing.T) {
 	runAnalyzerTest(t, PurityCheck, "puritycheck/flightrec")
 }

@@ -25,10 +25,7 @@ import (
 //     (operator-facing progress/ETA gauges only) and filesystem reads (the
 //     -checkpoint resume path) are not seeded there, while the global-rand
 //     and map-order rules still apply;
-//   - package flight keeps the matching wall-clock carve-out only: its
-//     recorded events are cycle-stamped sim-time, and the clock merely
-//     paces the live /events SSE polling loop;
-//   - package telemetry keeps the same wall-clock-only carve-out: its
+//   - package telemetry keeps a wall-clock-only carve-out: its
 //     sampler and runtime collector timestamp operator-facing observations
 //     of the simulation, and nothing in the deterministic artifact path
 //     ever reads a telemetry value back;
@@ -59,8 +56,7 @@ var purityRootPkgs = map[string]bool{
 	"etm":      true,
 	"monitor":  true,
 	// flight is observability, not simulation, but its Emit path runs
-	// inside the simulator loops, so its Run-family roots are checked too
-	// (with the wall-clock carve-out below).
+	// inside the simulator loops, so its Run-family roots are checked too.
 	"flight": true,
 }
 
@@ -130,7 +126,6 @@ func runPurityCheck(mp *ModulePass) error {
 			continue
 		}
 		runnerExempt := node.Pkg.Types.Name() == "runner"
-		flightExempt := node.Pkg.Types.Name() == "flight"
 		memoExempt := node.Pkg.Types.Name() == "memo"
 		telemetryExempt := node.Pkg.Types.Name() == "telemetry"
 		for _, edge := range node.Calls {
@@ -141,9 +136,6 @@ func runPurityCheck(mp *ModulePass) error {
 			}
 			if runnerExempt && (kind == "wall-clock" || kind == "fs-read") {
 				continue // progress gauges and checkpoint resume (see doc)
-			}
-			if flightExempt && kind == "wall-clock" {
-				continue // SSE poll pacing; events are cycle-stamped (see doc)
 			}
 			if telemetryExempt && kind == "wall-clock" {
 				continue // sampler timestamps observations only (see doc)

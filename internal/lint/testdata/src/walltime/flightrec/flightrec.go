@@ -1,7 +1,7 @@
-// Package flight (testdata): the flight-recorder exemption. Recorded
-// events are cycle-stamped sim-time, so the wall clock is legal here only
-// to pace the live /events SSE polling loop — but the global math/rand
-// generator stays banned even here.
+// Package flight (testdata): the flight recorder has no clock carve-out.
+// Its events are cycle-stamped sim-time and nothing in it paces or
+// timestamps anything, so a wall-clock read here is a finding like in any
+// simulator package, and the global math/rand generator stays banned.
 package flight
 
 import (
@@ -9,10 +9,9 @@ import (
 	"time"
 )
 
-// pollEvents paces the SSE stream off a wall-clock ticker: the sanctioned
-// use. The tick never reaches a recorded event's Time field.
+// pollEvents paces a loop off a wall-clock ticker: flagged.
 func pollEvents(interval time.Duration, send func()) *time.Ticker {
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(interval) // want "time.NewTicker reads the wall clock"
 	go func() {
 		for range tick.C {
 			send()
@@ -21,14 +20,13 @@ func pollEvents(interval time.Duration, send func()) *time.Ticker {
 	return tick
 }
 
-// waited measures how long a client connection has been open, for the
-// operator-facing stream log.
+// waited measures host time: flagged.
 func waited(since time.Time) time.Duration {
-	return time.Since(since)
+	return time.Since(since) // want "time.Since reads the wall clock"
 }
 
-// badSampleJitter still may not draw from the global generator; any
-// randomness in the recorder must come from an injected seed.
+// badSampleJitter may not draw from the global generator; any randomness
+// in the recorder must come from an injected seed.
 func badSampleJitter() int {
 	return rand.Intn(8) // want "rand.Intn uses the global generator"
 }

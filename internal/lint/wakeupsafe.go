@@ -132,7 +132,7 @@ func seedReceiverWriteFacts(fs *FactSet, node *CallNode) {
 }
 
 // seedWakeupSinkFacts seeds the puritycheck determinism sinks without
-// the runner/flight carve-outs: a wakeup probe may not consult the wall
+// the runner/telemetry carve-outs: a wakeup probe may not consult the wall
 // clock even in an exempted package.
 func seedWakeupSinkFacts(fs *FactSet, node *CallNode) {
 	g := fs.graph

@@ -10,17 +10,15 @@ import (
 // cycle counter and randomness is an injected seed, so non-test code must
 // not read the wall clock or the global math/rand generator. A wall-clock
 // read smuggles host timing into results; the global generator's state is
-// shared and unseeded, so two runs (or two goroutines) diverge. Three
+// shared and unseeded, so two runs (or two goroutines) diverge. Two
 // packages are exempted from the clock ban (never the global-rand ban):
 // runner, whose wall-clock reads feed only the operator-facing
-// progress/ETA gauges and trace spans; flight, whose recorded events are
-// cycle-stamped sim-time while its live /events stream paces its polling
-// off a wall-clock ticker; and telemetry, whose sampler timestamps
-// observations of the simulation for operators and never feeds a value
-// back into one.
+// progress/ETA gauges and trace spans; and telemetry, whose sampler
+// timestamps observations of the simulation for operators and never feeds
+// a value back into one.
 var WallTime = &Analyzer{
 	Name: "walltime",
-	Doc:  "forbids wall-clock reads (time.Now etc.) and global math/rand use in non-test simulator code; clocks are cycle counters, randomness is injected via *rand.Rand (packages runner, flight and telemetry may read the clock for operator-facing pacing only)",
+	Doc:  "forbids wall-clock reads (time.Now etc.) and global math/rand use in non-test simulator code; clocks are cycle counters, randomness is injected via *rand.Rand (packages runner and telemetry may read the clock for operator-facing pacing only)",
 	Run:  runWallTime,
 }
 
@@ -43,16 +41,13 @@ var seededRandFuncs = map[string]bool{
 }
 
 func runWallTime(pass *Pass) error {
-	// Three sanctioned wall-clock readers: the internal/runner harness
+	// Two sanctioned wall-clock readers: the internal/runner harness
 	// (elapsed time feeds only the operator-facing progress/ETA gauges and
-	// trace spans), the internal/flight recorder (its events are
-	// cycle-stamped sim-time; the wall clock only paces the live /events
-	// SSE polling) and internal/telemetry (its sampler timestamps
+	// trace spans) and internal/telemetry (its sampler timestamps
 	// operator-facing observations; archived deterministic artifacts never
 	// read it). No reading ever reaches a simulated value, and the
-	// global-rand ban is not lifted for any of them.
-	timeExempt := pass.Pkg.Name() == "runner" || pass.Pkg.Name() == "flight" ||
-		pass.Pkg.Name() == "telemetry"
+	// global-rand ban is not lifted for either.
+	timeExempt := pass.Pkg.Name() == "runner" || pass.Pkg.Name() == "telemetry"
 	for _, file := range pass.Files {
 		if isTestFile(pass, file) {
 			continue

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"io"
 	"regexp"
 	"testing"
 	"time"
@@ -118,9 +119,13 @@ func TestTelemetryDoesNotPerturbSweep(t *testing.T) {
 		reg := metrics.NewRegistry()
 		var sam *telemetry.Sampler
 		if withSampler {
-			sam = telemetry.NewSampler(nil, time.Millisecond, 64)
+			sam = telemetry.NewSampler(nil, time.Millisecond, io.Discard)
 			sam.Start()
-			defer sam.Stop()
+			defer func() {
+				if err := sam.Stop(); err != nil {
+					t.Error(err)
+				}
+			}()
 		}
 		res, err := Map(context.Background(),
 			Config{Name: name, RootSeed: 99, Registry: reg, Options: Options{Workers: 4}},

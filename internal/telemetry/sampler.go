@@ -1,18 +1,18 @@
 // The time-series sampler: a wall-clock loop capturing periodic snapshot
-// deltas of the merged registries into a bounded ring, exported as JSONL
-// (`/metrics/history`, the `-telemetry` flag) and streamed over SSE to the
-// dashboard. Wall-clock reads live behind the same carve-out discipline as
-// internal/flight's SSE pacing: a sample timestamps *observations of* the
-// simulation, never anything the simulation reads back, so sampling cannot
-// perturb results (DESIGN.md §13).
+// deltas of the merged registries and appending each one as a JSONL line
+// to a writer (the `-telemetry` file). Nothing is retained in memory, so
+// a sweep of any length writes its whole series in constant space. The
+// wall-clock reads are an operator-facing carve-out: a sample timestamps
+// *observations of* the simulation, never anything the simulation reads
+// back, so sampling cannot perturb results (DESIGN.md §13).
 
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -24,18 +24,13 @@ import (
 // non-positive interval.
 const DefaultInterval = 250 * time.Millisecond
 
-// DefaultRingCap is the sample-ring capacity used when NewSampler gets a
-// non-positive capacity: at DefaultInterval it retains ~8.5 minutes.
-const DefaultRingCap = 2048
-
-// Sample is one captured point of the sampled time series. Counter values
-// are cumulative; Deltas carries the increment since the previous sample
-// (the rate numerator the dashboard plots). Histograms are folded into
-// scalar series: `<name>.count` (counter), `<name>.sum`, `<name>.p50` and
-// `<name>.p95` (gauges).
+// Sample is one captured point of the sampled time series, written as one
+// JSONL line. Counter values are cumulative; Deltas carries the increment
+// since the previous sample. Histograms are folded into scalar series:
+// `<name>.count` (counter), `<name>.sum`, `<name>.p50` and `<name>.p95`
+// (gauges).
 type Sample struct {
-	// Seq is the dense sample index since the sampler was created; the
-	// SSE stream resumes from it.
+	// Seq is the dense sample index since the sampler was created.
 	Seq uint64 `json:"seq"`
 	// UnixMillis is the wall-clock capture time.
 	UnixMillis int64 `json:"unix_ms"`
@@ -51,50 +46,45 @@ type Sample struct {
 	Gauges map[string]float64 `json:"gauges"`
 }
 
-// Sampler periodically captures a snapshot function into a bounded ring.
-// Construct with NewSampler; Start/Stop bound the sampling goroutine. All
-// methods are safe for concurrent use.
+// Sampler periodically captures a snapshot function and appends each
+// sample to a writer as one JSONL line. Construct with NewSampler;
+// Start/Stop bound the sampling goroutine. All methods are safe for
+// concurrent use.
 type Sampler struct {
 	snap     func() metrics.Snapshot
 	interval time.Duration
 
-	mu      sync.Mutex
-	ring    []Sample
-	next    int
-	wrapped bool
-	seq     uint64
-	prev    map[string]uint64
-	start   time.Time
-	stop    chan struct{}
-	done    chan struct{}
+	mu    sync.Mutex
+	w     *bufio.Writer
+	err   error // first write or encode error; later samples are dropped
+	seq   uint64
+	prev  map[string]uint64
+	start time.Time
+	stop  chan struct{}
+	done  chan struct{}
 }
 
 // NewSampler returns a sampler over snap (nil means MergedSnapshot) with
-// the given period and ring capacity (non-positive values take the
-// defaults). The sampler is idle until Start.
-func NewSampler(snap func() metrics.Snapshot, interval time.Duration, capacity int) *Sampler {
+// the given period (non-positive means DefaultInterval), writing its
+// series to w through a buffer that Stop flushes. The sampler is idle
+// until Start.
+func NewSampler(snap func() metrics.Snapshot, interval time.Duration, w io.Writer) *Sampler {
 	if snap == nil {
 		snap = MergedSnapshot
 	}
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	if capacity < 1 {
-		capacity = DefaultRingCap
-	}
 	return &Sampler{
 		snap:     snap,
 		interval: interval,
-		ring:     make([]Sample, 0, capacity),
+		w:        bufio.NewWriter(w),
 		start:    time.Now(),
 	}
 }
 
-// Interval returns the sampling period.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 // Start launches the sampling loop; a second Start while running is a
-// no-op. Each tick captures one sample into the ring.
+// no-op. Each tick appends one sample.
 func (s *Sampler) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,23 +110,32 @@ func (s *Sampler) Start() {
 	}()
 }
 
-// Stop halts the sampling loop and waits for it to exit; safe to call on
-// a never-started or already-stopped sampler. The ring is retained.
-func (s *Sampler) Stop() {
+// Stop halts the sampling loop (if running) and waits for it to exit,
+// then captures one final sample — so a short run never writes an empty
+// series — flushes the buffer, and returns the first write error. The
+// sampler may be started again afterwards.
+func (s *Sampler) Stop() error {
 	s.mu.Lock()
 	stop, done := s.stop, s.done
 	s.stop, s.done = nil, nil
 	s.mu.Unlock()
-	if stop == nil {
-		return
+	if stop != nil {
+		close(stop)
+		<-done
 	}
-	close(stop)
-	<-done
+	s.SampleNow()
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.w.Flush(); err != nil && s.err == nil {
+		s.err = fmt.Errorf("telemetry: %w", err)
+	}
+	return s.err
 }
 
-// SampleNow synchronously captures one sample into the ring and returns
-// it. The snapshot runs outside the sampler lock, so a slow collector
-// never blocks readers.
+// SampleNow synchronously captures one sample, appends it to the writer
+// and returns it. The snapshot runs outside the sampler lock, so a slow
+// collector never blocks Stop.
 func (s *Sampler) SampleNow() Sample {
 	snap := s.snap()
 	now := time.Now()
@@ -173,95 +172,44 @@ func (s *Sampler) SampleNow() Sample {
 	}
 	s.prev = sample.Counters
 
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, sample)
-	} else {
-		s.ring[s.next] = sample
-		s.next = (s.next + 1) % cap(s.ring)
-		s.wrapped = true
+	if s.err == nil {
+		// encoding/json sorts map keys, so a sample's line is a pure
+		// function of its values.
+		line, err := json.Marshal(sample)
+		if err != nil {
+			s.err = fmt.Errorf("telemetry: sample %d: %w", sample.Seq, err)
+		} else if _, err := s.w.Write(append(line, '\n')); err != nil {
+			s.err = fmt.Errorf("telemetry: %w", err)
+		}
 	}
 	return sample
 }
 
-// Samples returns a copy of the retained ring, oldest first.
-func (s *Sampler) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Sample, 0, len(s.ring))
-	if s.wrapped {
-		out = append(out, s.ring[s.next:]...)
-		out = append(out, s.ring[:s.next]...)
-	} else {
-		out = append(out, s.ring...)
-	}
-	return out
-}
-
-// SamplesSince returns the retained samples with Seq >= seq, oldest first
-// — the polling primitive behind the dashboard's SSE stream.
-func (s *Sampler) SamplesSince(seq uint64) []Sample {
-	all := s.Samples()
-	lo := 0
-	for lo < len(all) && all[lo].Seq < seq {
-		lo++
-	}
-	return all[lo:]
-}
-
-// WriteJSONL writes the retained ring as JSON Lines, one sample per line.
-// encoding/json sorts map keys, so the serialisation of given samples is
-// deterministic (the sampled values are wall-clock-coupled, of course).
-func (s *Sampler) WriteJSONL(w io.Writer) error {
-	for _, sample := range s.Samples() {
-		line, err := json.Marshal(sample)
-		if err != nil {
-			return fmt.Errorf("telemetry: sample %d: %w", sample.Seq, err)
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return fmt.Errorf("telemetry: %w", err)
-		}
-	}
-	return nil
-}
-
-// WriteFile captures one final sample (so short runs never flush an empty
-// ring) and writes the ring as JSONL to path.
-func (s *Sampler) WriteFile(path string) error {
-	s.SampleNow()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	if err := s.WriteJSONL(f); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	return nil
-}
-
-// HandleHistory is the /metrics/history endpoint: the retained ring as
-// application/jsonl, one sample per line.
-func (s *Sampler) HandleHistory(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-	if err := s.WriteJSONL(w); err != nil {
-		// The response is committed; surface the truncation in the logs.
-		logf("telemetry: history response write: %v", err)
-	}
-}
-
 // StartFlag implements the cmd tools' -telemetry flag: for a non-empty
-// path it starts a sampler over the merged default registries and returns
-// it with a flush function writing the ring (plus one final sample) to
-// path; for "" it returns a nil sampler and a no-op flush. The flush is
+// path it creates the file, starts a sampler over the merged default
+// registries streaming into it, and returns the sampler with a flush that
+// stops it (one final sample), closes the file and reports the first
+// error; for "" it returns a nil sampler and a no-op flush. The flush is
 // idempotent — the interrupt and normal exit paths may both call it.
 func StartFlag(path string) (*Sampler, func() error) {
 	if path == "" {
 		return nil, func() error { return nil }
 	}
-	s := NewSampler(nil, 0, 0)
+	f, err := os.Create(path)
+	if err != nil {
+		err = fmt.Errorf("telemetry: %w", err)
+		return nil, func() error { return err }
+	}
+	s := NewSampler(nil, 0, f)
 	s.Start()
-	return s, func() error { return s.WriteFile(path) }
+	var once sync.Once
+	return s, func() error {
+		once.Do(func() {
+			err = s.Stop()
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("telemetry: %w", cerr)
+			}
+		})
+		return err
+	}
 }

@@ -1,11 +1,8 @@
-// Package telemetry is the service-grade observability layer on top of
-// internal/metrics: a stdlib-only Prometheus text-exposition encoder (and
-// strict parser) for registry snapshots, a wall-clock time-series sampler
-// feeding a bounded ring, a runtime/metrics collector for the Go runtime's
-// own health, and the zero-dependency live dashboard the flight server
-// mounts at /dashboard. It is the substrate the future simulation service
-// (`cmd/l15d`, ROADMAP) will expose; today the cmd tools surface it through
-// `-telemetry` and `l15sim -http` (DESIGN.md §13).
+// Package telemetry is the host-time observability layer on top of
+// internal/metrics: the operational Runtime registry, a runtime/metrics
+// collector for the Go runtime's own health, and the wall-clock sampler
+// behind the cmd tools' -telemetry flag, which streams snapshot deltas of
+// the merged registries to a JSONL file (DESIGN.md §13).
 //
 // The layer's one invariant is that it must never perturb determinism:
 //
@@ -13,17 +10,15 @@
 //     the archived -metrics artifacts, and telemetry only *reads* it
 //     (Snapshot is a pure read; collectors store derived values);
 //   - every wall-clock-coupled series — trial latency, worker occupancy,
-//     heap, GC pauses, SSE client churn — lives in the separate Runtime
-//     registry below, which is merged into the *live* views (/metrics
-//     exposition, sampler ring, dashboard) but never written into an
-//     archived artifact;
-//   - the sampler's clock reads are an operator-facing carve-out exactly
-//     like internal/flight's SSE pacing, and the walltime/puritycheck
-//     analyzers encode the boundary.
+//     heap, GC pauses — lives in the separate Runtime registry below,
+//     which the sampler merges into its series but which is never written
+//     into an archived artifact;
+//   - the sampler's clock reads are an operator-facing carve-out, and the
+//     walltime/puritycheck analyzers encode the boundary.
 //
 // A sweep therefore produces byte-identical experiment artifacts with
-// telemetry on or off — the property the telemetry-determinism CI job
-// compares end to end.
+// telemetry on or off — the property internal/cli's
+// TestTelemetryDoesNotChangeArtifacts checks end to end.
 package telemetry
 
 import (
@@ -33,8 +28,7 @@ import (
 // Runtime is the operational registry: the home of every series that is a
 // function of the host rather than the simulation — Go runtime health
 // (RegisterRuntimeCollector), the runner's trial-latency and occupancy
-// summaries, the flight server's SSE client counters. It is merged into
-// the live /metrics exposition and the sampler ring, and deliberately
+// summaries. It is merged into the -telemetry series, and deliberately
 // excluded from metrics.WriteFiles so archived artifacts stay
 // deterministic.
 var Runtime = metrics.NewRegistry()
@@ -68,8 +62,7 @@ func Merge(a, b metrics.Snapshot) metrics.Snapshot {
 }
 
 // MergedSnapshot captures metrics.Default overlaid with Runtime — the
-// merged live view behind the /metrics endpoint, the sampler and the
-// dashboard.
+// view the -telemetry sampler records.
 func MergedSnapshot() metrics.Snapshot {
 	return Merge(metrics.Default.Snapshot(), Runtime.Snapshot())
 }
