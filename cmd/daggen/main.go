@@ -132,7 +132,7 @@ func main() {
 	for _, id := range res.PriorityOrder() {
 		n := task.Node(id)
 		fmt.Printf("%6d%10.3f%8.1f%8d%10d\n",
-			id, n.WCET, float64(n.Data)/1024, res.LocalWays[id], n.Priority)
+			id, n.WCET, float64(n.Data)/1024, res.Model.Ways[id], n.Priority)
 	}
 	raw := task.CriticalPathLength(dag.RawCost)
 	eff := task.CriticalPathLength(res.Model.Weight())

@@ -75,7 +75,7 @@ func main() {
 	fmt.Println("\nper-stage configuration (ways hold the stage's output for its consumers):")
 	for _, n := range task.Nodes {
 		fmt.Printf("  %-12s C=%4.0f ms  δ=%5.1f KB  ways=%d  priority=%d\n",
-			n.Name, n.WCET, float64(n.Data)/1024, alloc.LocalWays[n.ID], n.Priority)
+			n.Name, n.WCET, float64(n.Data)/1024, alloc.Model.Ways[n.ID], n.Priority)
 	}
 
 	// Makespan on the 4-core cluster, proposed vs conventional.

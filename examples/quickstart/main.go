@@ -28,7 +28,7 @@ func main() {
 	for _, id := range alloc.PriorityOrder() {
 		n := task.Node(id)
 		fmt.Printf("  %-3s C=%.0f δ=%4.1fKB priority=%d ways=%d\n",
-			n.Name, n.WCET, float64(n.Data)/1024, n.Priority, alloc.LocalWays[id])
+			n.Name, n.WCET, float64(n.Data)/1024, n.Priority, alloc.Model.Ways[id])
 	}
 
 	// Simulate 4 instances on 4 cores for each system. The proposed

@@ -64,18 +64,19 @@ func (ct *CondTask) AddConditional(branch, merge NodeID, arms [][]NodeID) error 
 		}
 	}
 	// Structural containment.
+	l := ct.layOut()
 	for ai, arm := range arms {
 		inArm := map[NodeID]bool{}
 		for _, v := range arm {
 			inArm[v] = true
 		}
 		for _, v := range arm {
-			for _, p := range ct.Pred(v) {
+			for _, p := range l.pred.row(v) {
 				if !inArm[p] && p != branch {
 					return fmt.Errorf("dag: arm %d node %d has predecessor %d outside the arm", ai, v, p)
 				}
 			}
-			for _, s := range ct.Succ(v) {
+			for _, s := range l.succ.row(v) {
 				if !inArm[s] && s != merge {
 					return fmt.Errorf("dag: arm %d node %d has successor %d outside the arm", ai, v, s)
 				}

@@ -8,6 +8,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -49,12 +50,17 @@ type Edge struct {
 
 // Task is a recurrent DAG task τ_i.
 //
-// The adjacency is kept flat, struct-of-arrays style: per-node
-// predecessor/successor ID lists plus parallel edge-index lists into
-// Edges, so the simulator hot paths (longest-path dynamic programs, the
-// dispatch loops) walk dense slices instead of chasing maps or scanning
-// the edge list. The topological order is computed once and cached; the
-// mutating entry points (AddNode, AddEdge) invalidate it.
+// AddNode and AddEdge append to one node store (nodes are carved out of
+// chunked blocks, so *Node pointers stay valid) and one edge list. The
+// adjacency is laid out from the edge list once, by Validate or the
+// first topological-order query, as CSR rows: predecessor and successor
+// IDs plus parallel edge indices into Edges, each row in edge-insertion
+// order, together with the topological order. The simulator hot paths
+// (longest-path dynamic programs, the dispatch loops) then walk dense
+// slices instead of chasing maps or scanning the edge list. A structural
+// change (AddNode, AddEdge) makes the layout stale; the next Validate lays
+// the rows out again into fresh buffers, so a layout is never written
+// after it is built and clones share it.
 type Task struct {
 	Name     string
 	Period   float64 // T_i
@@ -63,15 +69,76 @@ type Task struct {
 	Nodes []*Node
 	Edges []Edge
 
-	preds [][]NodeID // indexed by NodeID
-	succs [][]NodeID
+	block []Node // the chunk AddNode carves its next node from
 
-	// predEdge[v][k] is the index into Edges of the edge preds[v][k]->v;
-	// succEdge[v][k] of v->succs[v][k]. Kept aligned by AddEdge.
-	predEdge [][]int32
-	succEdge [][]int32
+	// outHead[v] is the index into Edges of v's latest out-edge (-1:
+	// none) and outNext[e] the previous out-edge of Edges[e].From: the
+	// chains AddEdge walks for its duplicate check. A clone starts
+	// without them; AddEdge rebuilds them from Edges.
+	outHead, outNext []int32
 
-	topo []NodeID // cached topological order; nil until topoOrder
+	lay *layout // frozen adjacency; stale once Nodes or Edges grow
+}
+
+// layout is a task's adjacency frozen into CSR rows, one set per
+// direction, plus the topological order. It is immutable once built.
+type layout struct {
+	nodes, edges int // len(Nodes), len(Edges) it was laid out from
+	pred, succ   csr
+	topo         []NodeID // Kahn order, lowest ID first
+	cyclic       bool     // topo is nil: the edges close a cycle
+}
+
+// csr holds one direction of the adjacency: the neighbours of v are
+// ids[off[v]:off[v+1]], and edge holds the indices into Edges of the
+// connecting edges over the same range.
+type csr struct {
+	off  []int32
+	ids  []NodeID
+	edge []int32
+}
+
+// row returns v's neighbours, nil for an unknown node.
+func (r *csr) row(v NodeID) []NodeID {
+	if v < 0 || int(v)+1 >= len(r.off) {
+		return nil
+	}
+	lo, hi := r.off[v], r.off[v+1]
+	return r.ids[lo:hi:hi]
+}
+
+// edges returns the edge indices aligned with row(v).
+func (r *csr) edges(v NodeID) []int32 {
+	if v < 0 || int(v)+1 >= len(r.off) {
+		return nil
+	}
+	lo, hi := r.off[v], r.off[v+1]
+	return r.edge[lo:hi:hi]
+}
+
+// fill lays es out by a counting sort on each edge's To (in) or From
+// (out) endpoint, which keeps every row in edge order. cur is scratch of
+// one int32 per node.
+func (r *csr) fill(es []Edge, in bool, cur []int32) {
+	ends := func(e Edge) (NodeID, NodeID) {
+		if in {
+			return e.To, e.From
+		}
+		return e.From, e.To
+	}
+	for _, e := range es {
+		v, _ := ends(e)
+		r.off[v+1]++
+	}
+	for v := 1; v < len(r.off); v++ {
+		r.off[v] += r.off[v-1]
+	}
+	copy(cur, r.off)
+	for i, e := range es {
+		v, w := ends(e)
+		r.ids[cur[v]], r.edge[cur[v]] = w, int32(i)
+		cur[v]++
+	}
 }
 
 // New returns an empty task with the given name, period and deadline.
@@ -82,12 +149,11 @@ func New(name string, period, deadline float64) *Task {
 // AddNode appends a node and returns its ID.
 func (t *Task) AddNode(name string, wcet float64, data int64) NodeID {
 	id := NodeID(len(t.Nodes))
-	t.Nodes = append(t.Nodes, &Node{ID: id, Name: name, WCET: wcet, Data: data})
-	t.preds = append(t.preds, nil)
-	t.succs = append(t.succs, nil)
-	t.predEdge = append(t.predEdge, nil)
-	t.succEdge = append(t.succEdge, nil)
-	t.topo = nil
+	if len(t.block) == cap(t.block) {
+		t.block = make([]Node, 0, max(8, len(t.Nodes)))
+	}
+	t.block = append(t.block, Node{ID: id, Name: name, WCET: wcet, Data: data})
+	t.Nodes = append(t.Nodes, &t.block[len(t.block)-1])
 	return id
 }
 
@@ -100,19 +166,34 @@ func (t *Task) AddEdge(from, to NodeID, cost, alpha float64) error {
 	if from == to {
 		return fmt.Errorf("dag: self-loop on node %d", from)
 	}
-	for _, s := range t.succs[from] {
-		if s == to {
+	t.outChains()
+	for e := t.outHead[from]; e >= 0; e = t.outNext[e] {
+		if t.Edges[e].To == to {
 			return fmt.Errorf("dag: duplicate edge %d->%d", from, to)
 		}
 	}
 	ei := int32(len(t.Edges))
 	t.Edges = append(t.Edges, Edge{From: from, To: to, Cost: cost, Alpha: alpha})
-	t.succs[from] = append(t.succs[from], to)
-	t.succEdge[from] = append(t.succEdge[from], ei)
-	t.preds[to] = append(t.preds[to], from)
-	t.predEdge[to] = append(t.predEdge[to], ei)
-	t.topo = nil
+	t.outNext = append(t.outNext, t.outHead[from])
+	t.outHead[from] = ei
 	return nil
+}
+
+// outChains brings the out-edge chains up to date with Nodes and Edges.
+func (t *Task) outChains() {
+	if len(t.outNext) != len(t.Edges) {
+		t.outHead, t.outNext = t.outHead[:0], t.outNext[:0]
+		for range t.Nodes {
+			t.outHead = append(t.outHead, -1)
+		}
+		for i, e := range t.Edges {
+			t.outNext = append(t.outNext, t.outHead[e.From])
+			t.outHead[e.From] = int32(i)
+		}
+	}
+	for len(t.outHead) < len(t.Nodes) {
+		t.outHead = append(t.outHead, -1)
+	}
 }
 
 // MustAddEdge is AddEdge for statically-known graphs; it panics on error.
@@ -127,83 +208,76 @@ func (t *Task) valid(id NodeID) bool { return id >= 0 && int(id) < len(t.Nodes) 
 // Node returns the node with the given ID.
 func (t *Task) Node(id NodeID) *Node { return t.Nodes[id] }
 
-// Pred returns pre(v): the predecessors of id, in edge-insertion order.
-func (t *Task) Pred(id NodeID) []NodeID {
-	if !t.valid(id) {
-		return nil
+// rows returns the laid-out adjacency. The readers below never lay the
+// rows out themselves (they run inside allocation-free dispatch loops):
+// reading a task whose structure changed since its last Validate is a
+// programming error.
+func (t *Task) rows() *layout {
+	if l := t.fresh(); l != nil {
+		return l
 	}
-	return t.preds[id]
+	panic("dag: adjacency read before Validate or after a structural change")
 }
 
-// Succ returns suc(v): the successors of id, in edge-insertion order.
-func (t *Task) Succ(id NodeID) []NodeID {
-	if !t.valid(id) {
-		return nil
+// fresh returns the layout if it was laid out from the current Nodes and
+// Edges, else nil.
+func (t *Task) fresh() *layout {
+	if l := t.lay; l != nil && l.nodes == len(t.Nodes) && l.edges == len(t.Edges) {
+		return l
 	}
-	return t.succs[id]
+	return nil
 }
+
+// Pred returns pre(v): the predecessors of id, in edge-insertion order.
+// The slice is owned by the task; callers must not mutate it.
+func (t *Task) Pred(id NodeID) []NodeID { return t.rows().pred.row(id) }
+
+// Succ returns suc(v): the successors of id, in edge-insertion order.
+// The slice is owned by the task; callers must not mutate it.
+func (t *Task) Succ(id NodeID) []NodeID { return t.rows().succ.row(id) }
+
+// PredEdges returns the indices into Edges of id's incoming edges,
+// aligned with Pred(id). The slice is owned by the task; callers must
+// not mutate it.
+func (t *Task) PredEdges(id NodeID) []int32 { return t.rows().pred.edges(id) }
+
+// SuccEdges returns the indices into Edges of id's outgoing edges,
+// aligned with Succ(id). The slice is owned by the task; callers must
+// not mutate it.
+func (t *Task) SuccEdges(id NodeID) []int32 { return t.rows().succ.edges(id) }
 
 // Edge returns the edge from->to and whether it exists. The lookup scans
 // only from's out-edges, so it is O(out-degree), not O(|E|).
 func (t *Task) Edge(from, to NodeID) (Edge, bool) {
-	if !t.valid(from) {
-		return Edge{}, false
-	}
-	for k, s := range t.succs[from] {
+	out := &t.rows().succ
+	for k, s := range out.row(from) {
 		if s == to {
-			return t.Edges[t.succEdge[from][k]], true
+			return t.Edges[out.edges(from)[k]], true
 		}
 	}
 	return Edge{}, false
 }
 
-// PredEdges returns the indices into Edges of id's incoming edges,
-// aligned with Pred(id). The slice is owned by the task; callers must
-// not mutate it.
-func (t *Task) PredEdges(id NodeID) []int32 {
-	if !t.valid(id) {
-		return nil
-	}
-	return t.predEdge[id]
-}
-
-// SuccEdges returns the indices into Edges of id's outgoing edges,
-// aligned with Succ(id). The slice is owned by the task; callers must
-// not mutate it.
-func (t *Task) SuccEdges(id NodeID) []int32 {
-	if !t.valid(id) {
-		return nil
-	}
-	return t.succEdge[id]
-}
-
 // Source returns the unique source node's ID. Call Validate first; Source
 // returns -1 if there is not exactly one node without predecessors.
-func (t *Task) Source() NodeID {
-	src := NodeID(-1)
-	for _, n := range t.Nodes {
-		if len(t.preds[n.ID]) == 0 {
-			if src >= 0 {
-				return -1
-			}
-			src = n.ID
-		}
-	}
-	return src
-}
+func (t *Task) Source() NodeID { return only(t.rows().pred.off) }
 
 // Sink returns the unique sink node's ID, or -1 (see Source).
-func (t *Task) Sink() NodeID {
-	sink := NodeID(-1)
-	for _, n := range t.Nodes {
-		if len(t.succs[n.ID]) == 0 {
-			if sink >= 0 {
+func (t *Task) Sink() NodeID { return only(t.rows().succ.off) }
+
+// only returns the one node whose row in off is empty, or -1 if there is
+// none or more than one.
+func only(off []int32) NodeID {
+	id := NodeID(-1)
+	for v := 0; v+1 < len(off); v++ {
+		if off[v] == off[v+1] {
+			if id >= 0 {
 				return -1
 			}
-			sink = n.ID
+			id = NodeID(v)
 		}
 	}
-	return sink
+	return id
 }
 
 // Volume returns W_i = Σ C_j, the total workload of the task.
@@ -225,7 +299,8 @@ func (t *Task) Utilization() float64 {
 
 // Validate checks the structural invariants of the task model: at least one
 // node, a single source, a single sink, acyclicity, non-negative WCETs and
-// costs, α in [0,1), and D_i <= T_i.
+// costs, α in [0,1), and D_i <= T_i. It lays the adjacency out first, so a
+// task that passes can be read by Pred, Succ and the other row readers.
 func (t *Task) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("dag %q: no nodes", t.Name)
@@ -233,6 +308,7 @@ func (t *Task) Validate() error {
 	if t.Deadline > t.Period {
 		return fmt.Errorf("dag %q: deadline %g exceeds period %g", t.Name, t.Deadline, t.Period)
 	}
+	l := t.layOut()
 	if t.Source() < 0 {
 		return fmt.Errorf("dag %q: must have exactly one source node", t.Name)
 	}
@@ -255,16 +331,18 @@ func (t *Task) Validate() error {
 			return fmt.Errorf("dag %q: edge %d->%d has alpha %g outside [0,1)", t.Name, e.From, e.To, e.Alpha)
 		}
 	}
-	if _, err := t.TopoOrder(); err != nil {
-		return err
+	if l.cyclic {
+		return t.errCycle()
 	}
 	return nil
 }
 
+func (t *Task) errCycle() error { return fmt.Errorf("dag %q: cycle detected", t.Name) }
+
 // TopoOrder returns a topological order of the node IDs (Kahn's algorithm,
 // lowest-ID-first for determinism) or an error if the graph has a cycle.
-// The order is computed once and cached until the task's structure changes;
-// the returned slice is a copy the caller may keep.
+// The order is computed once per layout; the returned slice is a copy the
+// caller may keep.
 func (t *Task) TopoOrder() ([]NodeID, error) {
 	order, err := t.topoOrder()
 	if err != nil {
@@ -273,39 +351,60 @@ func (t *Task) TopoOrder() ([]NodeID, error) {
 	return append([]NodeID(nil), order...), nil
 }
 
-// topoOrder returns the cached topological order, computing it on first
-// use. The returned slice is owned by the task.
+// topoOrder returns the topological order of the current layout, laying
+// the rows out first if they are stale. The slice is owned by the layout.
 func (t *Task) topoOrder() ([]NodeID, error) {
-	if t.topo != nil {
-		return t.topo, nil
+	l := t.layOut()
+	if l.cyclic {
+		return nil, t.errCycle()
 	}
-	indeg := make([]int, len(t.Nodes))
-	for id := range t.Nodes {
-		indeg[id] = len(t.preds[id])
+	return l.topo, nil
+}
+
+// layOut returns the task's layout, building a fresh one if Nodes or
+// Edges grew since the last.
+func (t *Task) layOut() *layout {
+	if l := t.fresh(); l != nil {
+		return l
 	}
-	// ready is a min-heap of node IDs (lowest-ID-first determinism).
-	var ready idHeap
-	for id := range t.Nodes {
-		if indeg[id] == 0 {
-			ready.push(NodeID(id))
+	n, m := len(t.Nodes), len(t.Edges)
+	// One int32 buffer holds both offset arrays, both edge-index arrays
+	// and one int32 of scratch per node; one NodeID buffer holds both ID
+	// arrays, the topological order and Kahn's ready heap.
+	ints := make([]int32, 2*(n+1)+2*m+n)
+	ids := make([]NodeID, 2*m+2*n)
+	l := &layout{nodes: n, edges: m,
+		pred: csr{off: ints[:n+1], edge: ints[n+1 : n+1+m], ids: ids[:m]},
+		succ: csr{off: ints[n+1+m : 2*n+2+m], edge: ints[2*n+2+m : 2*n+2+2*m], ids: ids[m : 2*m]},
+		topo: ids[2*m : 2*m : 2*m+n]}
+	cur := ints[2*n+2+2*m:]
+	l.pred.fill(t.Edges, true, cur)
+	l.succ.fill(t.Edges, false, cur)
+
+	// Kahn's algorithm; cur becomes the in-degree countdown.
+	indeg := cur
+	ready := idHeap(ids[2*m+n : 2*m+n : 2*m+2*n])
+	for v := 0; v < n; v++ {
+		indeg[v] = l.pred.off[v+1] - l.pred.off[v]
+		if indeg[v] == 0 {
+			ready.push(NodeID(v))
 		}
 	}
-	order := make([]NodeID, 0, len(t.Nodes))
 	for len(ready) > 0 {
 		id := ready.pop()
-		order = append(order, id)
-		for _, s := range t.succs[id] {
+		l.topo = append(l.topo, id)
+		for _, s := range l.succ.row(id) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready.push(s)
 			}
 		}
 	}
-	if len(order) != len(t.Nodes) {
-		return nil, fmt.Errorf("dag %q: cycle detected", t.Name)
+	if len(l.topo) != n {
+		l.topo, l.cyclic = nil, true
 	}
-	t.topo = order
-	return order, nil
+	t.lay = l
+	return l
 }
 
 // idHeap is a binary min-heap of node IDs: the ready set of Kahn's
@@ -352,7 +451,7 @@ func (h *idHeap) pop() NodeID {
 
 // EdgeWeight maps an edge to the communication cost used for path-length
 // computations. The plain task model uses Edge.Cost; the co-design scheduler
-// substitutes the ETM-reduced cost.
+// substitutes the ETM-reduced cost. Weights are non-negative.
 type EdgeWeight func(e Edge) float64
 
 // RawCost is the EdgeWeight of the unassisted system: the full μ_{j,k}.
@@ -363,174 +462,156 @@ func RawCost(e Edge) float64 { return e.Cost }
 // paper defines over computation workload.
 func ZeroCost(Edge) float64 { return 0 }
 
-// LongestThrough computes λ_j for every node: the length of the longest
-// source-to-sink path that passes through v_j, with node WCETs and the given
-// edge weights. It is the dynamic program Alg. 1 re-runs after each wave.
-// The task must be acyclic (Validate).
-func (t *Task) LongestThrough(w EdgeWeight) []float64 {
-	return t.LongestThroughInto(w, &PathBuf{})
-}
-
 // PathBuf holds the scratch arrays of the longest-path dynamic program so
-// callers that re-run it (Alg. 1 recomputes λ after every wave) can reuse
-// one allocation across runs.
+// callers that re-run it (the generator's cpr steering runs it once per
+// iteration) can reuse one allocation across runs.
 type PathBuf struct {
-	head, tail, lambda []float64
+	weight, head, tail []float64
+	from, path         []NodeID
 }
 
-func growFloats(s []float64, n int) []float64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// LongestThroughInto is LongestThrough with caller-owned scratch. The
-// returned slice aliases buf and is overwritten by the next call.
-func (t *Task) LongestThroughInto(w EdgeWeight, buf *PathBuf) []float64 {
+// HeadTail runs the longest-path dynamic program with node WCETs and the
+// given edge weights: head[j] is the length of the longest path from the
+// source up to and including v_j, tail[j] that of the longest path from
+// v_j (exclusive) to the sink. The forward pass also records, per node,
+// the first predecessor its head came through (buf's path links). Both
+// slices alias buf and are overwritten by the next call. The task must be
+// acyclic (Validate).
+func (t *Task) HeadTail(w EdgeWeight, buf *PathBuf) (head, tail []float64) {
+	weight := grow(buf.weight, len(t.Edges))
+	for i, e := range t.Edges {
+		weight[i] = w(e)
+	}
+	buf.weight = weight
+	return t.HeadTailOf(weight, buf)
+}
+
+// HeadTailOf is HeadTail with the edge weights given per edge: weight[i]
+// is the weight of Edges[i].
+func (t *Task) HeadTailOf(weight []float64, buf *PathBuf) (head, tail []float64) {
 	order, err := t.topoOrder()
 	if err != nil {
 		panic(err) // callers validate first; a cycle is a programming error
 	}
+	l := t.lay
 	n := len(t.Nodes)
-	// head[j]: longest path length from the source up to and including v_j.
-	head := growFloats(buf.head, n)
+	head, from := grow(buf.head, n), grow(buf.from, n)
 	for _, id := range order {
-		best := 0.0
-		pe := t.predEdge[id]
-		for k, p := range t.preds[id] {
-			if l := head[p] + w(t.Edges[pe[k]]); l > best {
-				best = l
+		// The link is the first predecessor with the longest head plus
+		// edge weight.
+		best, bestFrom := 0.0, NodeID(-1)
+		pe := l.pred.edges(id)
+		for k, p := range l.pred.row(id) {
+			if c := head[p] + weight[pe[k]]; c > best || bestFrom < 0 {
+				best, bestFrom = c, p
 			}
 		}
 		head[id] = best + t.Nodes[id].WCET
+		from[id] = bestFrom
 	}
-	// tail[j]: longest path length from v_j (exclusive) to the sink.
-	tail := growFloats(buf.tail, n)
+	tail = grow(buf.tail, n)
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		best := 0.0
-		se := t.succEdge[id]
-		for k, s := range t.succs[id] {
-			if l := w(t.Edges[se[k]]) + t.Nodes[s].WCET + tail[s]; l > best {
-				best = l
+		se := l.succ.edges(id)
+		for k, s := range l.succ.row(id) {
+			if c := weight[se[k]] + t.Nodes[s].WCET + tail[s]; c > best {
+				best = c
 			}
 		}
 		tail[id] = best
 	}
-	lambda := growFloats(buf.lambda, n)
-	for id := 0; id < n; id++ {
+	buf.head, buf.tail, buf.from = head, tail, from
+	return head, tail
+}
+
+// LongestThrough computes λ_j for every node: the length of the longest
+// source-to-sink path that passes through v_j, with node WCETs and the given
+// edge weights. The task must be acyclic (Validate).
+func (t *Task) LongestThrough(w EdgeWeight) []float64 {
+	head, tail := t.HeadTail(w, &PathBuf{})
+	lambda := make([]float64, len(head))
+	for id := range lambda {
 		lambda[id] = head[id] + tail[id]
 	}
-	buf.head, buf.tail, buf.lambda = head, tail, lambda
 	return lambda
+}
+
+// CriticalPathInto returns, from one run of HeadTail, the length of the
+// longest source-to-sink path (the largest λ_j) and one such path in
+// execution order. The path aliases buf and is overwritten by the next
+// call.
+func (t *Task) CriticalPathInto(w EdgeWeight, buf *PathBuf) (float64, []NodeID) {
+	head, tail := t.HeadTail(w, buf)
+	var length float64
+	for id := range head {
+		if l := head[id] + tail[id]; l > length {
+			length = l
+		}
+	}
+	// The path ends at the sink with the longest head (the sink itself
+	// for a single-sink task, but tolerate multi-sink graphs too).
+	l := t.lay
+	n := len(head)
+	sink := func(id int) bool { return l.succ.off[id] == l.succ.off[id+1] }
+	end := 0
+	for id := 1; id < n; id++ {
+		if sink(id) && head[id] > head[end] {
+			end = id
+		}
+	}
+	if !sink(end) { // no sink found (shouldn't happen post-Validate)
+		for id := 0; id < n; id++ {
+			if head[id] > head[end] {
+				end = id
+			}
+		}
+	}
+	path := buf.path[:0]
+	for id := NodeID(end); id >= 0; id = buf.from[id] {
+		path = append(path, id)
+	}
+	slices.Reverse(path)
+	buf.path = path
+	return length, path
 }
 
 // CriticalPathLength returns the length of the longest source-to-sink path
 // under the given edge weights (the makespan lower bound on infinitely many
 // cores).
 func (t *Task) CriticalPathLength(w EdgeWeight) float64 {
-	lambda := t.LongestThrough(w)
-	var m float64
-	for _, l := range lambda {
-		if l > m {
-			m = l
-		}
-	}
-	return m
+	length, _ := t.CriticalPathInto(w, &PathBuf{})
+	return length
 }
 
 // CriticalPath returns one longest source-to-sink path (node IDs in
 // execution order) under the given edge weights.
 func (t *Task) CriticalPath(w EdgeWeight) []NodeID {
-	order, err := t.topoOrder()
-	if err != nil {
-		panic(err)
-	}
-	n := len(t.Nodes)
-	head := make([]float64, n)
-	from := make([]NodeID, n)
-	for i := range from {
-		from[i] = -1
-	}
-	for _, id := range order {
-		best, bestFrom := 0.0, NodeID(-1)
-		pe := t.predEdge[id]
-		for k, p := range t.preds[id] {
-			if l := head[p] + w(t.Edges[pe[k]]); l > best || bestFrom < 0 {
-				best, bestFrom = l, p
-			}
-		}
-		head[id] = best + t.Nodes[id].WCET
-		from[id] = bestFrom
-	}
-	// Find the sink-side endpoint with the longest head (the sink itself
-	// for a single-sink task, but tolerate multi-sink graphs too).
-	end := NodeID(0)
-	for id := 1; id < n; id++ {
-		if len(t.succs[NodeID(id)]) == 0 && head[id] > head[end] {
-			end = NodeID(id)
-		}
-	}
-	if len(t.succs[end]) != 0 { // no sink found (shouldn't happen post-Validate)
-		for id := 0; id < n; id++ {
-			if head[id] > head[end] {
-				end = NodeID(id)
-			}
-		}
-	}
-	var path []NodeID
-	for id := end; id >= 0; id = from[id] {
-		path = append(path, id)
-	}
-	// Reverse into execution order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	_, path := t.CriticalPathInto(w, &PathBuf{})
 	return path
 }
 
-// Clone returns a deep copy of the task (nodes, edges and adjacency). The
-// nodes share one backing block and the adjacency rows are carved out of
-// four flat buffers, so a clone costs a fixed handful of allocations. Each
-// row is capped at its length, so AddEdge on the clone reallocates the row
-// instead of appending into the next row's storage.
+// Clone returns a deep copy of the task's nodes and edges. The nodes share
+// one backing block. The clone shares the original's laid-out rows and
+// topological order: a layout is never written after it is built, and a
+// structural change on either side lays that side out anew.
 func (t *Task) Clone() *Task {
 	c := New(t.Name, t.Period, t.Deadline)
-	block := make([]Node, len(t.Nodes))
+	c.block = make([]Node, len(t.Nodes))
 	c.Nodes = make([]*Node, len(t.Nodes))
 	for i, n := range t.Nodes {
-		block[i] = *n
-		c.Nodes[i] = &block[i]
+		c.block[i] = *n
+		c.Nodes[i] = &c.block[i]
 	}
 	c.Edges = append([]Edge(nil), t.Edges...)
-	c.preds = cloneRows(t.preds)
-	c.succs = cloneRows(t.succs)
-	c.predEdge = cloneRows(t.predEdge)
-	c.succEdge = cloneRows(t.succEdge)
-	if t.topo != nil {
-		c.topo = append([]NodeID(nil), t.topo...)
-	}
-	return c
-}
-
-// cloneRows copies rows into one flat buffer. Empty rows stay nil, as
-// AddNode leaves them.
-func cloneRows[T NodeID | int32](rows [][]T) [][]T {
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	flat := make([]T, 0, total)
-	c := make([][]T, len(rows))
-	for i, r := range rows {
-		if len(r) == 0 {
-			continue
-		}
-		k := len(flat)
-		flat = append(flat, r...)
-		c[i] = flat[k:len(flat):len(flat)]
-	}
+	c.lay = t.lay
 	return c
 }
 

@@ -3,6 +3,7 @@ package dag
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,14 +55,123 @@ func TestAddEdgeErrors(t *testing.T) {
 	if err := task.AddEdge(a, b, 1, 0.5); err != nil {
 		t.Fatalf("AddEdge: %v", err)
 	}
-	if err := task.AddEdge(a, b, 1, 0.5); err == nil {
-		t.Error("duplicate edge not rejected")
+	c := task.AddNode("c", 1, 0)
+	check := func(from, to NodeID, want string) {
+		t.Helper()
+		err := task.AddEdge(from, to, 1, 0.5)
+		if err == nil || err.Error() != want {
+			t.Errorf("AddEdge(%d, %d) = %v, want %q", from, to, err, want)
+		}
 	}
-	if err := task.AddEdge(a, a, 1, 0.5); err == nil {
-		t.Error("self-loop not rejected")
+	check(a, b, "dag: duplicate edge 0->1")
+	check(a, a, "dag: self-loop on node 0")
+	check(a, 99, "dag: edge 0->99 references unknown node")
+	check(-1, b, "dag: edge -1->1 references unknown node")
+	// Duplicates are caught against the laid-out rows, against edges
+	// added since the layout, and on a clone.
+	if err := task.AddEdge(b, c, 1, 0.5); err != nil {
+		t.Fatalf("AddEdge: %v", err)
 	}
-	if err := task.AddEdge(a, 99, 1, 0.5); err == nil {
-		t.Error("unknown node not rejected")
+	if _, err := task.TopoOrder(); err != nil {
+		t.Fatal(err)
+	}
+	if err := task.AddEdge(a, c, 1, 0.5); err != nil {
+		t.Fatalf("AddEdge after layout: %v", err)
+	}
+	check(b, c, "dag: duplicate edge 1->2")
+	check(a, c, "dag: duplicate edge 0->2")
+	cl := task.Clone()
+	if err := cl.AddEdge(a, c, 1, 0.5); err == nil || err.Error() != "dag: duplicate edge 0->2" {
+		t.Errorf("clone AddEdge(0, 2) = %v, want the duplicate error", err)
+	}
+	if len(task.Edges) != 3 || len(cl.Edges) != 3 {
+		t.Errorf("rejected edges were added: %d, %d edges, want 3", len(task.Edges), len(cl.Edges))
+	}
+}
+
+// TestRowsFollowInsertionOrder checks that every laid-out row lists its
+// neighbours, and the aligned edge indices, in edge-insertion order, even
+// when edges are added out of node order.
+func TestRowsFollowInsertionOrder(t *testing.T) {
+	task := New("rows", 10, 10)
+	for i := 0; i < 6; i++ {
+		task.AddNode(nodeName(i), 1, 0)
+	}
+	edges := [][2]NodeID{{0, 3}, {0, 1}, {2, 5}, {1, 5}, {0, 2}, {3, 5}, {1, 4}, {4, 5}, {3, 4}}
+	for _, e := range edges {
+		task.MustAddEdge(e[0], e[1], 1, 0.5)
+	}
+	if err := task.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for v := NodeID(0); v < 6; v++ {
+		var wantPred, wantSucc []NodeID
+		var wantPE, wantSE []int32
+		for i, e := range edges {
+			if e[1] == v {
+				wantPred, wantPE = append(wantPred, e[0]), append(wantPE, int32(i))
+			}
+			if e[0] == v {
+				wantSucc, wantSE = append(wantSucc, e[1]), append(wantSE, int32(i))
+			}
+		}
+		if got := task.Pred(v); !slices.Equal(got, wantPred) {
+			t.Errorf("Pred(%d) = %v, want %v", v, got, wantPred)
+		}
+		if got := task.PredEdges(v); !slices.Equal(got, wantPE) {
+			t.Errorf("PredEdges(%d) = %v, want %v", v, got, wantPE)
+		}
+		if got := task.Succ(v); !slices.Equal(got, wantSucc) {
+			t.Errorf("Succ(%d) = %v, want %v", v, got, wantSucc)
+		}
+		if got := task.SuccEdges(v); !slices.Equal(got, wantSE) {
+			t.Errorf("SuccEdges(%d) = %v, want %v", v, got, wantSE)
+		}
+	}
+}
+
+// TestMutationRelaysRows checks that a structural change after a read
+// makes the rows stale (a read panics until the next Validate) and that
+// the next layout goes into fresh buffers, leaving rows read earlier as
+// they were.
+func TestMutationRelaysRows(t *testing.T) {
+	task := Fig1Example()
+	if err := task.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	before := task.Succ(1)
+	beforeTopo, _ := task.TopoOrder()
+	task.MustAddEdge(1, 5, 1, 0.5)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Succ on a stale layout did not panic")
+			}
+		}()
+		task.Succ(1)
+	}()
+	if err := task.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := task.Succ(1); !slices.Equal(got, []NodeID{4, 5}) {
+		t.Errorf("Succ(1) after re-layout = %v, want [4 5]", got)
+	}
+	if got := task.Pred(5); !slices.Equal(got, []NodeID{2, 3, 1}) {
+		t.Errorf("Pred(5) after re-layout = %v, want [2 3 1]", got)
+	}
+	if !slices.Equal(before, []NodeID{4}) {
+		t.Errorf("row read before the mutation changed to %v", before)
+	}
+	v := task.AddNode("extra", 1, 0)
+	task.MustAddEdge(6, v, 1, 0.5)
+	if err := task.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := task.Sink(); got != v {
+		t.Errorf("Sink after re-layout = %d, want %d", got, v)
+	}
+	if order, _ := task.TopoOrder(); len(order) != 8 || len(beforeTopo) != 7 {
+		t.Errorf("topological orders: %v after, %v before", order, beforeTopo)
 	}
 }
 
@@ -142,10 +252,9 @@ func TestCycleDetection(t *testing.T) {
 	c := task.AddNode("c", 1, 0)
 	task.MustAddEdge(a, b, 1, 0.5)
 	task.MustAddEdge(b, c, 1, 0.5)
-	// Bypass AddEdge's adjacency to build a cycle the cheap way.
+	// Bypass AddEdge to build a cycle the cheap way: the rows are laid
+	// out from the edge list.
 	task.Edges = append(task.Edges, Edge{From: c, To: a})
-	task.preds[a] = append(task.preds[a], c)
-	task.succs[c] = append(task.succs[c], a)
 	if _, err := task.TopoOrder(); err == nil {
 		t.Error("cycle not detected")
 	}
@@ -222,11 +331,10 @@ func TestClone(t *testing.T) {
 		t.Error("clone WCET edit should change volume")
 	}
 
-	// AddEdge on either side of a clone pair must leave the other side's
-	// adjacency as it was, and give the mutated side the adjacency of an
-	// unshared task with the same edges. v2->v6 and v4->v5 grow interior
-	// rows of every adjacency buffer, where an uncapped row of a
-	// flat-buffer clone would append into its neighbour's storage.
+	// A clone shares the original's frozen rows. AddEdge on either side
+	// of a clone pair must leave the other side's adjacency as it was,
+	// and give the mutated side, once validated, the adjacency of an
+	// unshared task with the same edges.
 	for _, mutateClone := range []bool{true, false} {
 		orig := Fig1Example()
 		cl := orig.Clone()
@@ -239,6 +347,9 @@ func TestClone(t *testing.T) {
 		for _, tk := range []*Task{mutated, ref} {
 			tk.MustAddEdge(1, 5, 1, 0.5)
 			tk.MustAddEdge(3, 4, 1, 0.5)
+			if err := tk.Validate(); err != nil {
+				t.Fatalf("mutating clone: %v: %v", mutateClone, err)
+			}
 		}
 		if got := adjacency(kept); !reflect.DeepEqual(got, want) {
 			t.Errorf("AddEdge (mutating clone: %v) changed the other task's adjacency:\ngot  %v\nwant %v",
@@ -254,8 +365,16 @@ func TestClone(t *testing.T) {
 		if _, ok := mutated.Edge(1, 5); !ok {
 			t.Errorf("mutating clone: %v: mutated task lost edge 1->5", mutateClone)
 		}
+		if _, ok := kept.Edge(1, 5); ok {
+			t.Errorf("mutating clone: %v: other task gained edge 1->5", mutateClone)
+		}
 		if err := kept.Validate(); err != nil {
 			t.Errorf("mutating clone: %v: other task invalid: %v", mutateClone, err)
+		}
+		for _, e := range [][2]NodeID{{0, 1}, {3, 4}} {
+			if err := mutated.AddEdge(e[0], e[1], 1, 0.5); err == nil {
+				t.Errorf("mutating clone: %v: duplicate %d->%d accepted", mutateClone, e[0], e[1])
+			}
 		}
 	}
 }
@@ -312,6 +431,15 @@ func TestForkJoinShape(t *testing.T) {
 // and sink, the same family the workload generator produces.
 func randomLayeredTask(r *rand.Rand) *Task {
 	t := New("rand", 1000, 1000)
+	// The rows are laid out only once the task is built, so construction
+	// tracks edges and out-degrees itself.
+	edges := map[[2]NodeID]bool{}
+	outdeg := map[NodeID]int{}
+	add := func(from, to NodeID, cost, alpha float64) {
+		t.MustAddEdge(from, to, cost, alpha)
+		edges[[2]NodeID{from, to}] = true
+		outdeg[from]++
+	}
 	src := t.AddNode("src", 1+r.Float64()*5, 1024)
 	prev := []NodeID{src}
 	layers := 2 + r.Intn(4)
@@ -321,13 +449,13 @@ func randomLayeredTask(r *rand.Rand) *Task {
 		for i := range cur {
 			cur[i] = t.AddNode("n", 1+r.Float64()*5, 1024)
 			// Guarantee at least one predecessor.
-			t.MustAddEdge(prev[r.Intn(len(prev))], cur[i], 1+r.Float64()*3, r.Float64()*0.7)
+			add(prev[r.Intn(len(prev))], cur[i], 1+r.Float64()*3, r.Float64()*0.7)
 		}
 		// Random extra edges.
 		for _, p := range prev {
 			for _, c := range cur {
-				if _, ok := t.Edge(p, c); !ok && r.Float64() < 0.2 {
-					t.MustAddEdge(p, c, 1+r.Float64()*3, r.Float64()*0.7)
+				if !edges[[2]NodeID{p, c}] && r.Float64() < 0.2 {
+					add(p, c, 1+r.Float64()*3, r.Float64()*0.7)
 				}
 			}
 		}
@@ -336,8 +464,8 @@ func randomLayeredTask(r *rand.Rand) *Task {
 	sink := t.AddNode("sink", 1, 0)
 	// Connect every current sink-like node to the single sink.
 	for _, n := range t.Nodes {
-		if n.ID != sink && len(t.Succ(n.ID)) == 0 {
-			t.MustAddEdge(n.ID, sink, 1, 0.5)
+		if n.ID != sink && outdeg[n.ID] == 0 {
+			add(n.ID, sink, 1, 0.5)
 		}
 	}
 	return t

@@ -6,7 +6,8 @@ import "strconv"
 // a source v1 fanning out to v2, v3, v4 (communication cost 2 each), a middle
 // join layer v5, v6, and a sink v7. Computation times and costs follow the
 // figure's annotations; α defaults to 0.5 on every edge. The example is used
-// by tests, documentation and the quickstart.
+// by tests, documentation and the quickstart. Like Chain and ForkJoin, it
+// returns the task with its rows laid out, ready for Pred and Succ.
 func Fig1Example() *Task {
 	t := New("fig1", 100, 100)
 	const alpha = 0.5
@@ -26,6 +27,7 @@ func Fig1Example() *Task {
 	t.MustAddEdge(v4, v6, 3, alpha)
 	t.MustAddEdge(v5, v7, 2, alpha)
 	t.MustAddEdge(v6, v7, 1, alpha)
+	t.layOut()
 	return t
 }
 
@@ -43,6 +45,7 @@ func Chain(name string, n int, wcet, cost, alpha float64, data int64) *Task {
 	}
 	w := t.Volume() + float64(n-1)*cost
 	t.Period, t.Deadline = w*2, w*2
+	t.layOut()
 	return t
 }
 
@@ -62,6 +65,7 @@ func ForkJoin(name string, width int, wcet, cost, alpha float64, data int64) *Ta
 	}
 	w := t.Volume() + 2*cost
 	t.Period, t.Deadline = w*2, w*2
+	t.layOut()
 	return t
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"l15cache/internal/dag"
 	"l15cache/internal/etm"
 	"l15cache/internal/kernel"
 	"l15cache/internal/rtsim"
@@ -190,10 +189,9 @@ func AblatePriorities(ctx context.Context, cfg MakespanConfig) (PriorityAblation
 			return tr, err
 		}
 		empty := &sched.Result{
-			Task:      prioAlloc.Task,
-			WayBytes:  cfg.WayBytes,
-			LocalWays: map[dag.NodeID]int{},
-			Model:     etm.NewModel(prioAlloc.Task, cfg.WayBytes),
+			Task:     prioAlloc.Task,
+			WayBytes: cfg.WayBytes,
+			Model:    etm.NewModel(prioAlloc.Task, cfg.WayBytes),
 		}
 		if tr.PrioOnly, err = oneNormMakespan(empty, &schedsim.Proposed{Alloc: empty}, cfg); err != nil {
 			return tr, err

@@ -525,7 +525,7 @@ func readyLess(a, b readyNode) bool {
 func (k *Kernel) reconfigure(c int, j *jobState, v dag.NodeID) {
 	cl := k.soc.ClusterOf(c).L15
 	local := c % k.cfg.SoC.ClusterSize
-	plan := j.task.alloc.LocalWays[v]
+	plan := j.task.alloc.Model.Ways[v]
 	k.planned[c] = plan
 	target := k.pinnedBM[c].Count() + plan
 	if max := cl.Config().Ways; target > max {

@@ -917,8 +917,6 @@ func (s *sim) place(rn readyNode, idle []int) {
 	switch s.kind {
 	case KindProp:
 		grant := 0
-		// Model.Ways is the dense mirror of LocalWays (same values,
-		// array load instead of map lookup).
 		if plan := j.alloc.Model.Ways[v]; plan > 0 && s.cfg.Zeta > 0 {
 			// The Walloc serves a demand from unowned slots first,
 			// then by reclaiming released (but still assigned)

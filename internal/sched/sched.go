@@ -6,9 +6,9 @@
 // each wave the local way groups allocated to the previous wave turn global
 // (their dependent data becomes readable by every successor) and the way
 // groups that were already global are freed. Within a wave, nodes are
-// examined in decreasing λ_j (length of the longest path through the node,
-// recomputed by dynamic programming with ETM-reduced edge costs after every
-// wave) and receive
+// examined in decreasing λ_j (length of the longest path through the node
+// under the ETM-reduced edge costs of the ways granted so far, refreshed
+// after every wave) and receive
 //
 //	F(v_j, Ω, ζ) = min(⌈δ_j/κ⌉, ζ − Σ_{ω∈Ω} ω.size)
 //
@@ -17,7 +17,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"l15cache/internal/dag"
@@ -51,16 +53,14 @@ type Result struct {
 	Zeta     int   // ζ: total L1.5 ways available to the task
 	WayBytes int64 // κ: capacity of one way
 
-	// LocalWays[v] is the number of local L1.5 ways Alg. 1 granted v to
-	// hold its dependent data. Nodes absent from the map received none.
-	LocalWays map[dag.NodeID]int
-
 	// Waves records the examination fronts, source first. Wave k+1 holds
 	// nodes whose predecessors were all examined by wave k.
 	Waves [][]dag.NodeID
 
-	// Model is the ETM view of the task under LocalWays; its Weight() is
-	// the edge-cost function the simulator uses for the proposed system.
+	// Model is the ETM view of the task: Model.Ways[v] is the number of
+	// local L1.5 ways Alg. 1 granted v to hold its dependent data (0 for
+	// none), and Model.Weight() is the edge-cost function the simulator
+	// uses for the proposed system.
 	Model *etm.Model
 }
 
@@ -120,16 +120,20 @@ func LongestPathFirstRec(t *dag.Task, rec *flight.Recorder, task int) (*Result, 
 // longest-path-first priority assignment. A non-nil rec receives the
 // planning-time flight events (Wave = wave index, Time = wave index in
 // planning steps), stamped with task.
+//
+// Line 20's refresh of λ_j is maintained rather than recomputed (DESIGN.md
+// §11, "Alg. 1 λ maintenance"): λ_j = head_j + tail_j, where tail_j keeps
+// its value from the initial raw-cost pass and head_j is computed once,
+// when v_j enters Q.
 func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *flight.Recorder, task int32) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Task:      t,
-		Zeta:      zeta,
-		WayBytes:  wayBytes,
-		LocalWays: make(map[dag.NodeID]int),
-		Model:     etm.NewModel(t, wayBytes),
+		Task:     t,
+		Zeta:     zeta,
+		WayBytes: wayBytes,
+		Model:    etm.NewModel(t, wayBytes),
 	}
 
 	mSchedules.Inc()
@@ -140,21 +144,51 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 	rec.Emit(flight.Event{Kind: flight.KindSchedStart, Task: task,
 		Job: -1, Node: -1, Core: -1, Cluster: -1, Wave: -1,
 		A: float64(zeta), B: float64(wayBytes), C: allocFlag})
-	examined := make([]bool, len(t.Nodes))
-	remaining := make([]int, len(t.Nodes)) // unexamined predecessors per node
+	n := len(t.Nodes)
+	remaining := make([]int, n) // unexamined predecessors per node
 	for id := range t.Nodes {
 		remaining[id] = len(t.Pred(dag.NodeID(id)))
 	}
 	var omega []WayGroup // Ω
 	used := 0            // ΣΩ, maintained incrementally
-	pri := len(t.Nodes)  // pri = |V_i|
-	var pbuf dag.PathBuf // scratch reused by every λ recomputation
-	lambda := t.LongestThroughInto(dag.RawCost, &pbuf)
-	weight := res.Model.Weight()
+	pri := n             // pri = |V_i|
+	// weight[e] is edge e's ETM cost under the ways granted so far. It
+	// starts at the raw μ and changes once, when its producer is granted
+	// ways.
+	weight := make([]float64, len(t.Edges))
+	for i, e := range t.Edges {
+		weight[i] = e.Cost
+	}
+	// An unexamined node's out-edges all carry zero ways, so its tail
+	// keeps the raw-cost value. head is overwritten node by node as each
+	// enters Q.
+	var pbuf dag.PathBuf
+	head, tail := t.HeadTailOf(weight, &pbuf)
+	lambda := make([]float64, n)
+	enter := func(v dag.NodeID) {
+		best := 0.0
+		pe := t.PredEdges(v)
+		for k, p := range t.Pred(v) {
+			if l := head[p] + weight[pe[k]]; l > best {
+				best = l
+			}
+		}
+		head[v] = best + t.Node(v).WCET
+		lambda[v] = head[v] + tail[v]
+	}
+	// The recorder's largest λ, from a full pass redone only after a
+	// wave that changed a weight.
+	var rbuf dag.PathBuf
+	maxLambda, weightsChanged := 0.0, true
 
+	// order holds the waves back to back; every wave is a capped window
+	// of it, so the whole traversal allocates it once.
+	order := make([]dag.NodeID, 0, n)
+	order = append(order, t.Source()) // Q = {v_src}
+	enter(t.Source())
 	waveIdx := int32(0)
-	q := []dag.NodeID{t.Source()} // Q = {v_src}
-	for len(q) > 0 {
+	for lo := 0; lo < len(order); waveIdx++ {
+		hi := len(order)
 		if allocate {
 			// Lines 3-10: previous wave's local groups become
 			// global (handing the data to the successors); stale
@@ -179,12 +213,12 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 		}
 
 		// Lines 11-19: examine the wave, longest path first.
-		wave := append([]dag.NodeID(nil), q...)
-		sort.SliceStable(wave, func(a, b int) bool {
-			if lambda[wave[a]] != lambda[wave[b]] {
-				return lambda[wave[a]] > lambda[wave[b]]
+		wave := order[lo:hi:hi]
+		slices.SortStableFunc(wave, func(a, b dag.NodeID) int {
+			if c := cmp.Compare(lambda[b], lambda[a]); c != 0 {
+				return c
 			}
-			return wave[a] < wave[b] // deterministic tie-break
+			return cmp.Compare(a, b) // deterministic tie-break
 		})
 		rec.Emit(flight.Event{Kind: flight.KindWave,
 			Time: float64(waveIdx), Task: task, Job: -1, Node: -1,
@@ -199,8 +233,11 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 				if size > 0 {
 					omega = append(omega, WayGroup{Size: size, Owner: vj})
 					used += size
-					res.LocalWays[vj] = size
 					res.Model.Ways[vj] = size
+					for _, e := range t.SuccEdges(vj) {
+						weight[e] = res.Model.EdgeCost(t.Edges[e])
+					}
+					weightsChanged = true
 					mWayGrants.Add(uint64(size))
 					rec.Emit(flight.Event{Kind: flight.KindPlanWays,
 						Time: float64(waveIdx), Task: task, Job: -1,
@@ -211,38 +248,42 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 			}
 			t.Node(vj).Priority = pri
 			pri--
-			examined[vj] = true
+			// Line 21: Q gains every node whose predecessors are now
+			// all examined.
 			for _, s := range t.Succ(vj) {
 				remaining[s]--
+				if remaining[s] == 0 {
+					order = append(order, s)
+				}
 			}
 		}
 		res.Waves = append(res.Waves, wave)
 		mWaves.Inc()
 		mNodes.Add(uint64(len(wave)))
 
-		// Line 20: refresh λ_j under the new allocation.
-		lambda = t.LongestThroughInto(weight, &pbuf)
+		// Line 20: refresh λ_j under the new allocation. Every ancestor
+		// of the next Q is examined, so its heads are final. Q's order
+		// does not matter: the wave sort is a total order.
+		for _, v := range order[hi:] {
+			enter(v)
+		}
 		mLambda.Inc()
-		maxLambda := 0.0
-		for _, l := range lambda {
-			if l > maxLambda {
-				maxLambda = l
+		if rec != nil {
+			// Only the recording needs every λ_j.
+			if weightsChanged {
+				h, tl := t.HeadTailOf(weight, &rbuf)
+				maxLambda, weightsChanged = 0, false
+				for v := range h {
+					if l := h[v] + tl[v]; l > maxLambda {
+						maxLambda = l
+					}
+				}
 			}
+			rec.Emit(flight.Event{Kind: flight.KindLambda,
+				Time: float64(waveIdx), Task: task, Job: -1, Node: -1,
+				Core: -1, Cluster: -1, Wave: waveIdx, A: maxLambda})
 		}
-		rec.Emit(flight.Event{Kind: flight.KindLambda,
-			Time: float64(waveIdx), Task: task, Job: -1, Node: -1,
-			Core: -1, Cluster: -1, Wave: waveIdx, A: maxLambda})
-		waveIdx++
-
-		// Line 21: Q := unexamined nodes whose predecessors are all
-		// examined (remaining counter at zero).
-		q = q[:0]
-		for id := range t.Nodes {
-			v := dag.NodeID(id)
-			if !examined[v] && remaining[v] == 0 {
-				q = append(q, v)
-			}
-		}
+		lo = hi
 	}
 	return res, nil
 }
@@ -274,9 +315,8 @@ func TopologicalPriority(t *dag.Task) (*Result, error) {
 		pri--
 	}
 	return &Result{
-		Task:      t,
-		WayBytes:  etm.DefaultWayBytes,
-		LocalWays: map[dag.NodeID]int{},
-		Model:     etm.NewModel(t, etm.DefaultWayBytes),
+		Task:     t,
+		WayBytes: etm.DefaultWayBytes,
+		Model:    etm.NewModel(t, etm.DefaultWayBytes),
 	}, nil
 }

@@ -50,12 +50,12 @@ func TestL15ScheduleFig1(t *testing.T) {
 	}
 
 	// v1 produces 4096 B => needs 2 ways, ζ=16 is plenty.
-	if res.LocalWays[0] != 2 {
-		t.Errorf("v1 local ways = %d, want 2", res.LocalWays[0])
+	if res.Model.Ways[0] != 2 {
+		t.Errorf("v1 local ways = %d, want 2", res.Model.Ways[0])
 	}
 	// The sink (v7, no successors) must receive no local ways.
-	if res.LocalWays[6] != 0 {
-		t.Errorf("sink local ways = %d, want 0", res.LocalWays[6])
+	if res.Model.Ways[6] != 0 {
+		t.Errorf("sink local ways = %d, want 0", res.Model.Ways[6])
 	}
 
 	// Within wave 2, v4 lies on the longest raw path (λ=20) so it is
@@ -86,14 +86,14 @@ func TestL15ScheduleCapacity(t *testing.T) {
 	// Wave 0: src takes min(4, 6) = 4 ways. Wave 1: src's group is now
 	// global (still occupying 4), so only 2 ways remain for node a; b and
 	// c get nothing (Ω full).
-	if res.LocalWays[src] != 4 {
-		t.Errorf("src ways = %d, want 4", res.LocalWays[src])
+	if res.Model.Ways[src] != 4 {
+		t.Errorf("src ways = %d, want 4", res.Model.Ways[src])
 	}
-	if res.LocalWays[a] != 2 {
-		t.Errorf("a (longest path) ways = %d, want 2", res.LocalWays[a])
+	if res.Model.Ways[a] != 2 {
+		t.Errorf("a (longest path) ways = %d, want 2", res.Model.Ways[a])
 	}
-	if res.LocalWays[b] != 0 || res.LocalWays[c] != 0 {
-		t.Errorf("b,c ways = %d,%d, want 0,0", res.LocalWays[b], res.LocalWays[c])
+	if res.Model.Ways[b] != 0 || res.Model.Ways[c] != 0 {
+		t.Errorf("b,c ways = %d,%d, want 0,0", res.Model.Ways[b], res.Model.Ways[c])
 	}
 }
 
@@ -106,9 +106,9 @@ func TestL15ScheduleFreesGlobals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 9; i++ { // all but the sink
-		if res.LocalWays[dag.NodeID(i)] != 2 {
+		if res.Model.Ways[dag.NodeID(i)] != 2 {
 			t.Errorf("node %d ways = %d, want 2 (globals must be freed)",
-				i, res.LocalWays[dag.NodeID(i)])
+				i, res.Model.Ways[dag.NodeID(i)])
 		}
 	}
 }
@@ -119,8 +119,8 @@ func TestL15ScheduleZeroZeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LocalWays) != 0 {
-		t.Errorf("ζ=0 allocated ways: %v", res.LocalWays)
+	if n := grantedWays(res); n != 0 {
+		t.Errorf("ζ=0 allocated %d ways: %v", n, res.Model.Ways)
 	}
 	// Degenerates to longest-path-first: edge costs stay raw.
 	for _, e := range task.Edges {
@@ -150,7 +150,7 @@ func TestLongestPathFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LocalWays) != 0 {
+	if grantedWays(res) != 0 {
 		t.Error("baseline allocated L1.5 ways")
 	}
 	// Critical path v1,v4,v6,v7 must be prioritised over off-path peers
@@ -179,10 +179,16 @@ func randomTask(r *rand.Rand) *dag.Task {
 		}
 		prev = cur
 	}
+	// The rows are laid out only once the task is built, so the
+	// out-degrees come from the edge list.
+	hasSucc := make([]bool, len(t.Nodes))
+	for _, e := range t.Edges {
+		hasSucc[e.From] = true
+	}
 	sink := t.AddNode("sink", 1, 0)
-	for _, n := range t.Nodes {
-		if n.ID != sink && len(t.Succ(n.ID)) == 0 {
-			t.MustAddEdge(n.ID, sink, 1, 0.5)
+	for id, ok := range hasSucc {
+		if !ok {
+			t.MustAddEdge(dag.NodeID(id), sink, 1, 0.5)
 		}
 	}
 	return t
@@ -208,8 +214,8 @@ func TestQuickL15Invariants(t *testing.T) {
 			seen[n.Priority] = true
 		}
 		total := 0
-		for v, w := range res.LocalWays {
-			if w < 0 || w > etm.WaysNeeded(task.Node(v).Data, 2048) {
+		for v, w := range res.Model.Ways {
+			if w < 0 || w > etm.WaysNeeded(task.Node(dag.NodeID(v)).Data, 2048) {
 				return false
 			}
 			total += w
@@ -218,10 +224,10 @@ func TestQuickL15Invariants(t *testing.T) {
 		for i := 0; i+1 < len(res.Waves); i++ {
 			live := 0
 			for _, id := range res.Waves[i] {
-				live += res.LocalWays[id]
+				live += res.Model.Ways[id]
 			}
 			for _, id := range res.Waves[i+1] {
-				live += res.LocalWays[id]
+				live += res.Model.Ways[id]
 			}
 			if live > zeta {
 				return false
@@ -297,7 +303,7 @@ func TestTopologicalPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LocalWays) != 0 {
+	if grantedWays(res) != 0 {
 		t.Error("topological baseline allocated ways")
 	}
 	// Priorities follow topological order: every edge goes from higher to
@@ -401,4 +407,13 @@ func simulateSerialComparable(res *Result) float64 {
 		}
 	}
 	return ms
+}
+
+// grantedWays sums the local ways a result granted over all nodes.
+func grantedWays(r *Result) int {
+	n := 0
+	for _, w := range r.Model.Ways {
+		n += w
+	}
+	return n
 }

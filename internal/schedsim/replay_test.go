@@ -201,17 +201,14 @@ func TestReplayRecorderStats(t *testing.T) {
 // resultState is everything of a *sched.Result that Run reads.
 type resultState struct {
 	Nodes     []dag.Node
-	LocalWays map[dag.NodeID]int
+	Ways      []int
 	EdgeCosts []float64
 }
 
 func stateOf(r *sched.Result) resultState {
-	st := resultState{LocalWays: map[dag.NodeID]int{}}
+	st := resultState{Ways: append([]int(nil), r.Model.Ways...)}
 	for _, v := range r.Task.Nodes {
 		st.Nodes = append(st.Nodes, *v)
-	}
-	for v, w := range r.LocalWays {
-		st.LocalWays[v] = w
 	}
 	for _, e := range r.Task.Edges {
 		st.EdgeCosts = append(st.EdgeCosts, r.EdgeCost(e))
@@ -220,7 +217,7 @@ func stateOf(r *sched.Result) resultState {
 }
 
 // TestRunDoesNotMutateResult pins the property that lets the CMP systems
-// share one schedule: Run leaves node priorities, LocalWays and the ETM
+// share one schedule: Run leaves node priorities, Model.Ways and the ETM
 // edge costs of its *sched.Result untouched, on every platform and kernel.
 func TestRunDoesNotMutateResult(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {

@@ -241,7 +241,7 @@ func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore 
 			rec.Emit(flight.Event{Kind: flight.KindDispatch, Time: now,
 				Task: task, Job: job, Node: int32(v), Core: int32(c),
 				Cluster: -1, Wave: -1,
-				A: fetch, B: exec, C: float64(alloc.LocalWays[v])})
+				A: fetch, B: exec, C: float64(alloc.Model.Ways[v])})
 			stats.Comm += fetch
 			stats.Exec += exec
 			heap.Push(&events, completion{at: finish, node: v})
@@ -460,7 +460,7 @@ func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, pre
 			rec.Emit(flight.Event{Kind: flight.KindDispatch, Time: now,
 				Task: task, Job: job, Node: int32(v), Core: int32(c),
 				Cluster: -1, Wave: -1,
-				A: fetch, B: exec, C: float64(alloc.LocalWays[v])})
+				A: fetch, B: exec, C: float64(alloc.Model.Ways[v])})
 			stats.Comm += fetch
 			stats.Exec += exec
 			pushCompletion(&events, completion{at: finish, node: v})

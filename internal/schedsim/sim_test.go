@@ -190,10 +190,16 @@ func randomTask(r *rand.Rand) *dag.Task {
 		}
 		prev = cur
 	}
+	// The rows are laid out only once the task is built, so the
+	// out-degrees come from the edge list.
+	hasSucc := make([]bool, len(t.Nodes))
+	for _, e := range t.Edges {
+		hasSucc[e.From] = true
+	}
 	sink := t.AddNode("sink", 1, 0)
-	for _, n := range t.Nodes {
-		if n.ID != sink && len(t.Succ(n.ID)) == 0 {
-			t.MustAddEdge(n.ID, sink, 1, 0.5)
+	for id, ok := range hasSucc {
+		if !ok {
+			t.MustAddEdge(dag.NodeID(id), sink, 1, 0.5)
 		}
 	}
 	return t

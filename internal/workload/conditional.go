@@ -60,7 +60,8 @@ func SyntheticConditional(r *rand.Rand, p CondParams) (*dag.CondTask, error) {
 
 	// Hosts: random non-sink nodes of the *original* graph (later
 	// iterations must not pick another region's arm or merge nodes),
-	// with successors, distinct per region.
+	// distinct per region. The sink, the only node of the validated base
+	// without successors, starts out used.
 	originalNodes := len(base.Nodes)
 	used := map[dag.NodeID]bool{sink: true}
 	meanWCET := base.Volume() / float64(len(base.Nodes))
@@ -68,7 +69,7 @@ func SyntheticConditional(r *rand.Rand, p CondParams) (*dag.CondTask, error) {
 		var host dag.NodeID = -1
 		for try := 0; try < 50; try++ {
 			cand := dag.NodeID(r.Intn(originalNodes))
-			if !used[cand] && len(base.Succ(cand)) > 0 {
+			if !used[cand] {
 				host = cand
 				break
 			}

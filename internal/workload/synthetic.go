@@ -147,11 +147,16 @@ func Synthetic(r *rand.Rand, p SynthParams) (*dag.Task, error) {
 		}
 	}
 	// Close the graph into a single sink; any node left without a
-	// successor feeds it.
+	// successor feeds it. The rows are laid out only once the task is
+	// built, so the out-degrees come from the edge list.
+	hasSucc := make([]bool, len(t.Nodes))
+	for _, e := range t.Edges {
+		hasSucc[e.From] = true
+	}
 	sink := t.AddNode("sink", 1, 0)
-	for _, n := range t.Nodes {
-		if n.ID != sink && len(t.Succ(n.ID)) == 0 {
-			t.MustAddEdge(n.ID, sink, 1, alpha(r, p.AlphaMax))
+	for id, ok := range hasSucc {
+		if !ok {
+			t.MustAddEdge(dag.NodeID(id), sink, 1, alpha(r, p.AlphaMax))
 		}
 	}
 
@@ -182,17 +187,18 @@ func assignWCETs(r *rand.Rand, t *dag.Task, p SynthParams) {
 	rescaleTotal(t, w)
 
 	target := p.CPR * w
+	var buf dag.PathBuf
+	onPath := make([]bool, len(t.Nodes))
 	for iter := 0; iter < 200; iter++ {
-		cp := t.CriticalPathLength(dag.ZeroCost)
+		cp, path := t.CriticalPathInto(dag.ZeroCost, &buf)
 		if diff := cp - target; diff < 0.01*w && diff > -0.01*w {
 			break
 		}
-		path := t.CriticalPath(dag.ZeroCost)
 		factor := target / cp
 		// Damp the adjustment to avoid oscillation between competing
 		// near-critical paths.
 		factor = 0.5 + 0.5*factor
-		onPath := make(map[dag.NodeID]bool, len(path))
+		clear(onPath)
 		for _, id := range path {
 			onPath[id] = true
 			t.Node(id).WCET *= factor

@@ -17,7 +17,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.LocalWays[0] == 0 {
+	if alloc.Model.Ways[0] == 0 {
 		t.Error("source received no ways")
 	}
 
