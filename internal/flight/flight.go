@@ -179,11 +179,17 @@ func NewCap(capacity int) *Recorder {
 }
 
 // Emit records one event, assigning its sequence number. Safe for
-// concurrent use and on a nil recorder; allocates nothing.
+// concurrent use and on a nil recorder; allocates nothing. Emit is only
+// the nil test, small enough to inline, so a simulator running without a
+// recorder pays no call per event.
 func (r *Recorder) Emit(e Event) {
-	if r == nil {
-		return
+	if r != nil {
+		r.emit(e)
 	}
+}
+
+// emit is Emit's locked body, kept out of line so Emit inlines.
+func (r *Recorder) emit(e Event) {
 	r.mu.Lock()
 	e.Seq = r.seq
 	r.seq++

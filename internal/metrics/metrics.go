@@ -95,20 +95,33 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v and leaves the histogram exactly
+// as n calls to Observe(v) would: the sum adds v n times instead of
+// adding n·v, so it rounds the same way. Callers that tally a run's
+// samples locally flush each distinct value once with it. n = 0 records
+// nothing.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
+		sum := math.Float64frombits(old)
+		for k := uint64(0); k < n; k++ {
+			sum += v
+		}
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(sum)) {
 			break
 		}
 	}
 	for {
 		old := h.maxBits.Load()
-		if v <= math.Float64frombits(old) && h.count.Load() > 1 {
+		if v <= math.Float64frombits(old) && h.count.Load() > n {
 			break
 		}
 		if h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {

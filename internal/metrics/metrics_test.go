@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -233,5 +234,40 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 	}
 	if q := s.Quantile(0.75); q != 15 {
 		t.Errorf("q3 = %g, want 15 (midpoint of second bucket)", q)
+	}
+}
+
+// TestObserveNMatchesRepeatedObserve requires ObserveN(v, n) to leave a
+// histogram exactly as n calls to Observe(v) do — bucket counts, count,
+// sum, mean and max — on a fresh histogram (where Observe takes the first
+// sample as the max whatever its sign), after earlier samples, for
+// negative and fractional values, and for n = 0.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	type step struct {
+		v float64
+		n uint64
+	}
+	cases := map[string][]step{
+		"first":          {{3, 5}},
+		"first negative": {{-2, 3}},
+		"zero n":         {{1, 0}},
+		"zero n first":   {{1, 0}, {-4, 2}},
+		"after samples":  {{1, 2}, {7, 1}, {0, 4}, {7, 3}},
+		"negative later": {{0.5, 1}, {-3, 6}},
+		"fractional sum": {{0.1, 10}, {0.2, 7}},
+		"overflow":       {{100, 3}, {2, 1}},
+	}
+	bounds := []float64{0, 1, 2, 4, 8, 16, 32}
+	for name, steps := range cases {
+		batched, single := NewHistogram(bounds), NewHistogram(bounds)
+		for _, st := range steps {
+			batched.ObserveN(st.v, st.n)
+			for range st.n {
+				single.Observe(st.v)
+			}
+		}
+		if got, want := batched.snapshot(), single.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ObserveN snapshot\n%+v\nwant\n%+v", name, got, want)
+		}
 	}
 }

@@ -44,16 +44,21 @@ func FormatSpanID(span uint64) string { return fmt.Sprintf("%016x", span) }
 // DefaultTraceCap is the ring capacity of the Default tracer.
 const DefaultTraceCap = 1 << 16
 
+// traceChunk is the size a Tracer's storage chunk grows to before the
+// next chunk starts.
+const traceChunk = 1024
+
 // Tracer is a fixed-capacity ring buffer of events. The buffer grows on
-// demand up to its capacity; when full, the oldest events are overwritten
-// and counted as dropped. A nil *Tracer is a valid no-op sink, so
-// components can hold one unconditionally.
+// demand up to its capacity, in chunks: only the last chunk grows, so
+// growing never copies the older events or holds them twice. When full,
+// the oldest events are overwritten and counted as dropped. A nil *Tracer
+// is a valid no-op sink, so components can hold one unconditionally.
 type Tracer struct {
 	mu       sync.Mutex
-	buf      []Event
+	chunks   [][]Event // the ring, in order, once full
+	n        int       // retained events
 	capacity int
-	next     int
-	wrapped  bool
+	ci, off  int // once full: the oldest event is chunks[ci][off]
 	dropped  uint64
 }
 
@@ -118,12 +123,18 @@ func (t *Tracer) emit(ev Event) {
 		return
 	}
 	t.mu.Lock()
-	if len(t.buf) < t.capacity {
-		t.buf = append(t.buf, ev)
+	if t.n < t.capacity {
+		if k := len(t.chunks); k == 0 || len(t.chunks[k-1]) == cap(t.chunks[k-1]) && cap(t.chunks[k-1]) >= traceChunk {
+			t.chunks = append(t.chunks, nil)
+		}
+		last := &t.chunks[len(t.chunks)-1]
+		*last = append(*last, ev)
+		t.n++
 	} else {
-		t.buf[t.next] = ev
-		t.next = (t.next + 1) % t.capacity
-		t.wrapped = true
+		t.chunks[t.ci][t.off] = ev
+		if t.off++; t.off == len(t.chunks[t.ci]) {
+			t.ci, t.off = (t.ci+1)%len(t.chunks), 0
+		}
 		t.dropped++
 	}
 	t.mu.Unlock()
@@ -136,14 +147,18 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.buf))
-	if t.wrapped {
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = append(out, t.buf...)
+	out := make([]Event, 0, t.n)
+	if len(t.chunks) == 0 {
+		return out
 	}
-	return out
+	out = append(out, t.chunks[t.ci][t.off:]...)
+	for _, c := range t.chunks[t.ci+1:] {
+		out = append(out, c...)
+	}
+	for _, c := range t.chunks[:t.ci] {
+		out = append(out, c...)
+	}
+	return append(out, t.chunks[t.ci][:t.off]...)
 }
 
 // Dropped returns how many events were overwritten.
@@ -163,7 +178,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return t.n
 }
 
 // chromeEvent is one record of the Chrome trace_event format ("JSON array

@@ -204,8 +204,8 @@ func TestEmitTrialSpan(t *testing.T) {
 // and still holds exactly its capacity once full.
 func TestTracerGrowsOnDemand(t *testing.T) {
 	tr := NewTracer(100)
-	if cap(tr.buf) != 0 {
-		t.Fatalf("new tracer reserved %d events", cap(tr.buf))
+	if len(tr.chunks) != 0 {
+		t.Fatalf("new tracer reserved %d chunks", len(tr.chunks))
 	}
 	for i := 0; i < 250; i++ {
 		tr.Emit(uint64(i), "c", "e", nil)
@@ -217,6 +217,36 @@ func TestTracerGrowsOnDemand(t *testing.T) {
 	for i, ev := range events {
 		if ev.Cycle != uint64(150+i) {
 			t.Fatalf("event %d has cycle %d, want %d", i, ev.Cycle, 150+i)
+		}
+	}
+}
+
+// TestTracerChunkedRing fills a ring that spans several storage chunks,
+// requires growth to leave the filled chunks where they are, and checks
+// the retained suffix and its order after wrapping more than once.
+func TestTracerChunkedRing(t *testing.T) {
+	const capacity = 2*traceChunk + 500
+	tr := NewTracer(capacity)
+	for i := 0; i < 2*traceChunk; i++ {
+		tr.Emit(uint64(i), "c", "e", nil)
+	}
+	first := &tr.chunks[0][0]
+	for i := 2 * traceChunk; i < 3*capacity+7; i++ {
+		tr.Emit(uint64(i), "c", "e", nil)
+	}
+	if len(tr.chunks) < 3 {
+		t.Fatalf("ring of %d events is %d chunk(s); want several", capacity, len(tr.chunks))
+	}
+	if &tr.chunks[0][0] != first {
+		t.Error("growing the ring moved a filled chunk")
+	}
+	events := tr.Events()
+	if tr.Len() != capacity || len(events) != capacity || tr.Dropped() != 2*capacity+7 {
+		t.Fatalf("retained %d (Len %d), dropped %d; want %d, %d", len(events), tr.Len(), tr.Dropped(), capacity, 2*capacity+7)
+	}
+	for i, ev := range events {
+		if want := uint64(2*capacity + 7 + i); ev.Cycle != want {
+			t.Fatalf("event %d has cycle %d, want %d", i, ev.Cycle, want)
 		}
 	}
 }

@@ -16,8 +16,11 @@
 package rtsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"l15cache/internal/dag"
@@ -32,7 +35,8 @@ import (
 // Real-time simulator counters on the default registry (atomic; the case
 // study fans trials out over goroutines). The granted-ways histogram
 // records how many L1.5 ways the Walloc actually handed each dispatched
-// node of the proposed system.
+// node of the proposed system. A run tallies its dispatches and grants
+// locally and runSystem flushes them once.
 var (
 	mTrials      = metrics.Default.Counter("rtsim.trials")
 	mJobs        = metrics.Default.Counter("rtsim.jobs_released")
@@ -109,9 +113,11 @@ type Config struct {
 	Partitioned bool
 
 	// Kernel selects the dispatch kernel. The zero value, kernel.Events,
-	// reuses per-trial scratch buffers in the dispatch loop; kernel.Ticked
-	// keeps the legacy allocating dispatcher. Both share one event heap
-	// and emit byte-identical flight recordings (DESIGN.md §11).
+	// keeps its dispatch state incrementally: the idle cores as a set
+	// updated at placements and completions, ready nodes ordered by
+	// integer keys. kernel.Ticked rescans every core and compares ready
+	// nodes field by field on every pass. Both share one event heap and
+	// emit byte-identical flight recordings (DESIGN.md §11).
 	Kernel kernel.Mode
 }
 
@@ -188,7 +194,8 @@ type job struct {
 	taskIdx  int
 	jobIdx   int // release index of the task (0, 1, ...)
 	task     *dag.Task
-	alloc    *sched.Result
+	base     int    // the task's first entry in the plan's node tables
+	key      uint64 // ready-key bits above the node rank (trial.jobShift)
 	release  float64
 	deadline float64
 
@@ -203,10 +210,13 @@ type job struct {
 	missed   bool
 }
 
-// readyNode identifies a dispatchable node.
+// readyNode identifies a dispatchable node. key orders ready nodes for
+// the events kernel: a smaller key dispatches first, exactly as readyLess
+// orders them.
 type readyNode struct {
-	j *job
-	v dag.NodeID
+	j   *job
+	v   dag.NodeID
+	key uint64
 }
 
 // event is a node completion.
@@ -279,17 +289,17 @@ func popEvent(h *eventHeap) event {
 // sim is the mutable state of one system's run.
 type sim struct {
 	*trial
+	*plan
 	rec      *flight.Recorder
 	kind     Kind
 	kernel   kernel.Mode
 	plat     *schedsim.CMP // nil for Prop
-	tasks    []*dag.Task
-	allocs   []*sched.Result
-	relIdx   []int // task index -> next release index
-	prevCore [][]int
+	relIdx   []int         // task index -> next release index
+	prevCore []int         // node table entry -> core of its last dispatch, -1 none
 
 	now    float64
 	freeAt []float64
+	idle   coreSet // events kernel: the cores c with freeAt[c] <= now
 	ready  []readyNode
 	events eventHeap
 
@@ -302,11 +312,16 @@ type sim struct {
 	reclaimable []int
 	sduFreeAt   []float64 // per cluster: SDU busy-until
 
-	// events-kernel scratch, reused across dispatch rounds so the
-	// steady-state loop allocates nothing.
-	idleBuf        []int
-	clusterIdleBuf []int
-	skipBuf        []bool
+	// Dispatch scratch, reused across rounds so the steady-state loop
+	// allocates nothing: the ticked kernel's idle set rescanned on every
+	// pass, and the partitioned events dispatcher's skip mask.
+	scan    coreSet
+	skipBuf []bool
+
+	// Counter tallies, flushed to the registry once per run: nodes
+	// dispatched, and grants[g] dispatches granted g ways (Prop).
+	nodes  uint64
+	grants []uint64
 
 	// accounting
 	wayIntegral  float64 // ∫ used ways dt over busy clusters
@@ -331,6 +346,10 @@ type trial struct {
 	partition []int     // task index -> cluster (Partitioned mode), else nil
 	releases  []release // every release inside the horizon, in dispatch order
 	free      [][]*job  // task index -> finished jobs
+
+	// A ready key is rmRank<<rankShift | jobIdx<<jobShift | node rank,
+	// each field exactly as wide as its largest value needs.
+	rankShift, jobShift uint
 }
 
 // release is one job release of a task.
@@ -340,10 +359,24 @@ type release struct {
 }
 
 // plan is one planning family's per-task result: clones of the task set
-// carrying the family's node priorities, and the scheduler's results.
+// carrying the family's node priorities, and the planned tasks' node
+// tables laid out flat for the dispatch loop. Node v of task ti is entry
+// base[ti]+v of the tables. Entry i's in-edges are
+// predEdge[predOff[i]:predOff[i+1]] in Task.Pred order; its successors are
+// succ[succOff[i]:succOff[i+1]] in Task.Succ order. ways is Alg. 1's way
+// plan (Model.Ways, proposed system only) and nodeRank the node's place in
+// its task by Priority desc, then ID.
 type plan struct {
-	tasks  []*dag.Task
-	allocs []*sched.Result
+	tasks            []*dag.Task
+	base             []int
+	source           []dag.NodeID // task index -> source node
+	predOff, succOff []int
+	predEdge         []dag.Edge
+	succ             []dag.NodeID
+	wcet             []float64
+	data             []int64
+	ways             []int
+	nodeRank         []uint64
 }
 
 // family indexes the planning a system needs. The proposed system plans
@@ -408,7 +441,10 @@ func simulate(tasks []*dag.Task, kinds []Kind, cfg Config, stop bool) ([]Metrics
 		}
 		uses[family(k)]++
 	}
-	tr := newTrial(tasks, cfg)
+	tr, err := newTrial(tasks, cfg)
+	if err != nil {
+		return nil, err
+	}
 	var plans [2]*plan
 	out := make([]Metrics, len(kinds))
 	for i, k := range kinds {
@@ -428,29 +464,71 @@ func simulate(tasks []*dag.Task, kinds []Kind, cfg Config, stop bool) ([]Metrics
 	return out, nil
 }
 
-// newPlan clones every task and schedules the clone: Alg. 1 when prop is
-// set (the way plan and priorities), longest-path-first otherwise.
+// newPlan clones every task, schedules the clone (Alg. 1 when prop is set:
+// the way plan and priorities; longest-path-first otherwise) and copies
+// the planned tasks into the plan's node tables.
 func newPlan(tasks []*dag.Task, prop bool, cfg Config) (*plan, error) {
-	p := &plan{tasks: make([]*dag.Task, len(tasks)), allocs: make([]*sched.Result, len(tasks))}
+	n, m := len(tasks), 0
+	p := &plan{tasks: make([]*dag.Task, n), base: make([]int, n+1), source: make([]dag.NodeID, n)}
+	for ti, t := range tasks {
+		p.base[ti+1] = p.base[ti] + len(t.Nodes)
+		m += len(t.Edges)
+	}
+	nodes := p.base[n]
+	p.predOff, p.succOff = make([]int, nodes+1), make([]int, nodes+1)
+	p.predEdge, p.succ = make([]dag.Edge, 0, m), make([]dag.NodeID, 0, m)
+	p.wcet, p.data = make([]float64, nodes), make([]int64, nodes)
+	p.nodeRank = make([]uint64, nodes)
+	if prop {
+		p.ways = make([]int, nodes)
+	}
+	var order []dag.NodeID
 	for ti, t := range tasks {
 		c := t.Clone()
+		var res *sched.Result
 		var err error
 		if prop {
-			p.allocs[ti], err = sched.L15ScheduleRec(c, cfg.Zeta, cfg.WayBytes, cfg.Recorder, ti)
+			res, err = sched.L15ScheduleRec(c, cfg.Zeta, cfg.WayBytes, cfg.Recorder, ti)
 		} else {
-			p.allocs[ti], err = sched.LongestPathFirstRec(c, cfg.Recorder, ti)
+			res, err = sched.LongestPathFirstRec(c, cfg.Recorder, ti)
 		}
 		if err != nil {
 			return nil, err
 		}
 		p.tasks[ti] = c
+		p.source[ti] = c.Source()
+		b := p.base[ti]
+		order = order[:0]
+		for v, node := range c.Nodes {
+			id, i := dag.NodeID(v), b+v
+			for _, e := range c.PredEdges(id) {
+				p.predEdge = append(p.predEdge, c.Edges[e])
+			}
+			p.succ = append(p.succ, c.Succ(id)...)
+			p.predOff[i+1], p.succOff[i+1] = len(p.predEdge), len(p.succ)
+			p.wcet[i], p.data[i] = node.WCET, node.Data
+			if prop {
+				p.ways[i] = res.Model.Ways[v]
+			}
+			order = append(order, id)
+		}
+		slices.SortFunc(order, func(a, b dag.NodeID) int {
+			if pa, pb := c.Nodes[a].Priority, c.Nodes[b].Priority; pa != pb {
+				return cmp.Compare(pb, pa)
+			}
+			return cmp.Compare(a, b)
+		})
+		for r, v := range order {
+			p.nodeRank[b+int(v)] = uint64(r)
+		}
 	}
 	return p, nil
 }
 
 // newTrial derives the horizon, the rate-monotonic ranks, the cluster
-// partition and the release sequence of the task set.
-func newTrial(tasks []*dag.Task, cfg Config) *trial {
+// partition, the release sequence and the ready-key layout of the task
+// set.
+func newTrial(tasks []*dag.Task, cfg Config) (*trial, error) {
 	tr := &trial{
 		cfg:      cfg,
 		clusters: (cfg.Cores + cfg.ClusterSize - 1) / cfg.ClusterSize,
@@ -482,14 +560,24 @@ func newTrial(tasks []*dag.Task, cfg Config) *trial {
 	}
 
 	// Every release inside the horizon, by time, then rate-monotonic rank.
+	var maxJobs, maxNodes int
 	for i, t := range tasks {
-		for k := 0; ; k++ {
+		k := 0
+		for ; ; k++ {
 			at := float64(k) * t.Period
 			if at+t.Deadline > tr.horizon {
 				break
 			}
 			tr.releases = append(tr.releases, release{at: at, taskIdx: i})
 		}
+		maxJobs, maxNodes = max(maxJobs, k), max(maxNodes, len(t.Nodes))
+	}
+	width := func(n int) uint { return uint(bits.Len(uint(max(n-1, 0)))) }
+	tr.jobShift = width(maxNodes)
+	tr.rankShift = tr.jobShift + width(maxJobs)
+	if tr.rankShift+width(len(tasks)) > 64 {
+		return nil, fmt.Errorf("rtsim: %d tasks, %d jobs of a task and %d nodes of a task overflow a 64-bit ready key",
+			len(tasks), maxJobs, maxNodes)
 	}
 	sort.SliceStable(tr.releases, func(a, b int) bool {
 		ra, rb := tr.releases[a], tr.releases[b]
@@ -498,16 +586,35 @@ func newTrial(tasks []*dag.Task, cfg Config) *trial {
 		}
 		return tr.rmRank[ra.taskIdx] < tr.rmRank[rb.taskIdx]
 	})
-	return tr
+	return tr, nil
 }
 
-// runSystem simulates the trial on one system with its family's plan.
+// runSystem simulates the trial on one system with its family's plan and
+// flushes the run's counters.
 func (tr *trial) runSystem(kind Kind, p *plan, stop bool) Metrics {
+	s := tr.newSim(kind, p)
+	s.run(stop)
+	s.metrics.System = kind
+	mTrials.Inc()
+	mJobs.Add(uint64(s.metrics.Jobs))
+	mMisses.Add(uint64(s.metrics.Misses))
+	mNodes.Add(s.nodes)
+	for g, n := range s.grants {
+		mGrantedWays.ObserveN(float64(g), n)
+	}
+	return s.metrics
+}
+
+// newSim builds the idle state of one system's run: every core idle, no
+// job released.
+func (tr *trial) newSim(kind Kind, p *plan) *sim {
 	cfg := tr.cfg
-	s := &sim{trial: tr, rec: cfg.Recorder, kind: kind, kernel: cfg.Kernel,
-		tasks: p.tasks, allocs: p.allocs}
+	s := &sim{trial: tr, plan: p, rec: cfg.Recorder, kind: kind, kernel: cfg.Kernel}
 	switch kind {
 	case KindProp:
+		// A grant never exceeds ζ: a cluster's assigned ways minus its
+		// reclaimable ones are the ways its nodes hold.
+		s.grants = make([]uint64, cfg.Zeta+1)
 	case KindCMPL1:
 		s.plat = schedsim.CMPL1()
 	case KindCMPL2:
@@ -516,24 +623,19 @@ func (tr *trial) runSystem(kind Kind, p *plan, stop bool) Metrics {
 		s.plat = schedsim.SharedL1()
 	}
 	s.freeAt = make([]float64, cfg.Cores)
-	s.relIdx = make([]int, len(s.tasks))
-	s.prevCore = make([][]int, len(s.tasks))
-	for i, t := range s.tasks {
-		s.prevCore[i] = make([]int, len(t.Nodes))
-		for j := range s.prevCore[i] {
-			s.prevCore[i][j] = -1
-		}
+	s.idle, s.scan = newCoreSet(cfg.Cores), newCoreSet(cfg.Cores)
+	for c := range cfg.Cores {
+		s.idle.add(c)
+	}
+	s.relIdx = make([]int, len(p.tasks))
+	s.prevCore = make([]int, len(p.wcet))
+	for i := range s.prevCore {
+		s.prevCore[i] = -1
 	}
 	s.assigned = make([]int, s.clusters)
 	s.reclaimable = make([]int, s.clusters)
 	s.sduFreeAt = make([]float64, s.clusters)
-
-	s.run(stop)
-	s.metrics.System = kind
-	mTrials.Inc()
-	mJobs.Add(uint64(s.metrics.Jobs))
-	mMisses.Add(uint64(s.metrics.Misses))
-	return s.metrics
+	return s
 }
 
 // jobRef names one release's incarnation of a recycled job record.
@@ -561,9 +663,14 @@ func (s *sim) run(stop bool) {
 		s.now = next
 
 		// Process completions at this instant first (frees cores and
-		// ways before new dispatches).
+		// ways before new dispatches). The node's core is idle again,
+		// unless the node had zero length and the core took another
+		// node at the same instant.
 		for s.events.Len() > 0 && s.events[0].at <= s.now {
 			ev := popEvent(&s.events)
+			if c := ev.j.coreOf[ev.v]; s.freeAt[c] <= s.now {
+				s.idle.add(c)
+			}
 			s.complete(ev.j, ev.v)
 		}
 		if stop && s.metrics.Misses > 0 {
@@ -577,7 +684,7 @@ func (s *sim) run(stop bool) {
 			j := s.newJob(rel.taskIdx, rel.at)
 			jobs = append(jobs, jobRef{j: j, jobIdx: j.jobIdx})
 			s.metrics.Jobs++
-			s.ready = append(s.ready, readyNode{j: j, v: j.task.Source()})
+			s.ready = append(s.ready, s.readyOf(j, s.source[rel.taskIdx]))
 		}
 		s.dispatch()
 	}
@@ -616,6 +723,7 @@ func (s *sim) run(stop bool) {
 func (s *sim) newJob(taskIdx int, at float64) *job {
 	t := s.tasks[taskIdx]
 	n := len(t.Nodes)
+	b := s.base[taskIdx]
 	var j *job
 	if free := s.free[taskIdx]; len(free) > 0 {
 		j = free[len(free)-1]
@@ -637,7 +745,8 @@ func (s *sim) newJob(taskIdx int, at float64) *job {
 	j.taskIdx = taskIdx
 	j.jobIdx = s.relIdx[taskIdx]
 	j.task = t
-	j.alloc = s.allocs[taskIdx]
+	j.base = b
+	j.key = uint64(s.rmRank[taskIdx])<<s.rankShift | uint64(j.jobIdx)<<s.jobShift
 	j.release = at
 	j.deadline = at + t.Deadline
 	j.left = n
@@ -646,10 +755,10 @@ func (s *sim) newJob(taskIdx int, at float64) *job {
 	s.rec.Emit(flight.Event{Kind: flight.KindRelease, Time: at,
 		Task: int32(taskIdx), Job: int32(j.jobIdx), Node: -1, Core: -1,
 		Cluster: -1, Wave: -1, A: j.deadline})
-	for id := range t.Nodes {
-		v := dag.NodeID(id)
-		j.indeg[id] = len(t.Pred(v))
-		j.succLeft[id] = len(t.Succ(v))
+	for id := range n {
+		i := b + id
+		j.indeg[id] = s.predOff[i+1] - s.predOff[i]
+		j.succLeft[id] = s.succOff[i+1] - s.succOff[i]
 		j.coreOf[id] = -1
 		j.cluster[id] = -1
 		j.granted[id] = 0
@@ -661,7 +770,7 @@ func (s *sim) newJob(taskIdx int, at float64) *job {
 
 // recycle returns a job record to its task's free list.
 func (s *sim) recycle(j *job) {
-	j.task, j.alloc = nil, nil
+	j.task = nil
 	s.free[j.taskIdx] = append(s.free[j.taskIdx], j)
 }
 
@@ -676,13 +785,20 @@ func (s *sim) integrate(t float64) {
 	// Way utilisation is accounted per cluster, over the time the
 	// cluster has work: an idle cluster's ways are unassigned by design,
 	// not wasted (§5.3 measures the cache "in busy periods").
+	// Since the last event nothing has changed, so lastT is the instant
+	// the events kernel's idle set describes.
 	for cl := 0; cl < s.clusters; cl++ {
+		lo, hi := s.clusterCores(cl)
 		clBusy := false
-		for c := cl * s.cfg.ClusterSize; c < (cl+1)*s.cfg.ClusterSize && c < s.cfg.Cores; c++ {
-			if s.freeAt[c] > s.lastT {
-				clBusy = true
-				break
+		if s.kernel == kernel.Ticked {
+			for c := lo; c < hi; c++ {
+				if s.freeAt[c] > s.lastT {
+					clBusy = true
+					break
+				}
 			}
+		} else {
+			clBusy = !s.idle.full(lo, hi)
 		}
 		if clBusy {
 			busy = true
@@ -735,29 +851,17 @@ func partitionTasks(tasks []*dag.Task, clusters int) []int {
 
 // dispatch places ready nodes on idle cores, highest priority first. In
 // partitioned mode a node may only use its task's cluster. The events
-// kernel reuses the sim's scratch buffers; the ticked kernel keeps the
-// legacy allocating loop. Both visit nodes and cores in the same order.
+// kernel reads the idle set and the ready keys it keeps; the ticked kernel
+// rebuilds both from scratch on every pass. Both visit nodes and cores in
+// the same order.
 func (s *sim) dispatch() {
 	if s.kernel == kernel.Ticked {
 		s.dispatchTicked()
 		return
 	}
-	for {
-		idle := s.idleBuf[:0]
-		for c, f := range s.freeAt {
-			if f <= s.now {
-				idle = append(idle, c)
-			}
-		}
-		s.idleBuf = idle
-		if len(idle) == 0 || len(s.ready) == 0 {
-			return
-		}
+	for s.idle.n > 0 && len(s.ready) > 0 {
 		if s.partition == nil {
-			ri := s.pickReady()
-			rn := s.ready[ri]
-			s.ready = append(s.ready[:ri], s.ready[ri+1:]...)
-			s.place(rn, idle)
+			s.place(s.takeReady(s.pickReady()), &s.idle, 0, s.cfg.Cores)
 			continue
 		}
 		// Partitioned: serve the highest-priority ready node whose
@@ -767,50 +871,42 @@ func (s *sim) dispatch() {
 			skip = append(skip, false)
 		}
 		s.skipBuf = skip
-		placed := false
-		for !placed {
+		for {
 			ri := s.pickReadySkipping(skip)
 			if ri < 0 {
 				return
 			}
-			rn := s.ready[ri]
-			cl := s.partition[rn.j.taskIdx]
-			clusterIdle := s.clusterIdleBuf[:0]
-			for _, c := range idle {
-				if c/s.cfg.ClusterSize == cl {
-					clusterIdle = append(clusterIdle, c)
-				}
+			lo, hi := s.clusterCores(s.partition[s.ready[ri].j.taskIdx])
+			if s.idle.next(lo, hi) >= 0 {
+				s.place(s.takeReady(ri), &s.idle, lo, hi)
+				break
 			}
-			s.clusterIdleBuf = clusterIdle
-			if len(clusterIdle) == 0 {
-				skip[ri] = true
-				continue
-			}
-			s.ready = append(s.ready[:ri], s.ready[ri+1:]...)
-			s.place(rn, clusterIdle)
-			placed = true
+			skip[ri] = true
 		}
 	}
 }
 
 // dispatchTicked is the ticked kernel's dispatcher, the oracle the
-// kernel-equivalence tests diff the events dispatcher against.
+// kernel-equivalence tests diff the events dispatcher against: it rescans
+// freeAt for the idle cores on every pass and orders ready nodes with
+// readyLess instead of their keys.
 func (s *sim) dispatchTicked() {
 	for {
-		var idle []int
+		idle := &s.scan
+		idle.clear()
 		for c, f := range s.freeAt {
 			if f <= s.now {
-				idle = append(idle, c)
+				idle.add(c)
 			}
 		}
-		if len(idle) == 0 || len(s.ready) == 0 {
+		if idle.n == 0 || len(s.ready) == 0 {
 			return
 		}
 		if s.partition == nil {
-			ri := s.pickReady()
+			ri := s.pickReadyExcluding(nil)
 			rn := s.ready[ri]
 			s.ready = append(s.ready[:ri], s.ready[ri+1:]...)
-			s.place(rn, idle)
+			s.place(rn, idle, 0, s.cfg.Cores)
 			continue
 		}
 		placed := false
@@ -821,25 +917,26 @@ func (s *sim) dispatchTicked() {
 				return
 			}
 			rn := s.ready[ri]
-			cl := s.partition[rn.j.taskIdx]
-			var clusterIdle []int
-			for _, c := range idle {
-				if c/s.cfg.ClusterSize == cl {
-					clusterIdle = append(clusterIdle, c)
-				}
-			}
-			if len(clusterIdle) == 0 {
+			lo, hi := s.clusterCores(s.partition[rn.j.taskIdx])
+			if idle.next(lo, hi) < 0 {
 				taken[ri] = true
 				continue
 			}
 			s.ready = append(s.ready[:ri], s.ready[ri+1:]...)
-			s.place(rn, clusterIdle)
+			s.place(rn, idle, lo, hi)
 			placed = true
 		}
 	}
 }
 
-// pickReadyExcluding returns the best ready index not in skip, or -1.
+// clusterCores returns the cores [lo, hi) of cluster cl.
+func (s *sim) clusterCores(cl int) (lo, hi int) {
+	lo = cl * s.cfg.ClusterSize
+	return lo, min(lo+s.cfg.ClusterSize, s.cfg.Cores)
+}
+
+// pickReadyExcluding returns the best ready index not in skip, or -1,
+// comparing with readyLess.
 func (s *sim) pickReadyExcluding(skip map[int]bool) int {
 	best := -1
 	for i := range s.ready {
@@ -853,30 +950,43 @@ func (s *sim) pickReadyExcluding(skip map[int]bool) int {
 	return best
 }
 
-// pickReadySkipping is pickReadyExcluding over a dense scratch mask.
+// pickReadySkipping is pickReady over the ready nodes not masked in skip;
+// -1 when every one is.
 func (s *sim) pickReadySkipping(skip []bool) int {
 	best := -1
 	for i := range s.ready {
-		if skip[i] {
-			continue
-		}
-		if best < 0 || s.readyLess(s.ready[i], s.ready[best]) {
+		if !skip[i] && (best < 0 || s.ready[i].key < s.ready[best].key) {
 			best = i
 		}
 	}
 	return best
 }
 
-// pickReady returns the index of the highest-priority ready node:
+// pickReady returns the index of the ready node with the smallest key:
 // rate-monotonic task rank, then job release, then Alg. 1 node priority.
 func (s *sim) pickReady() int {
 	best := 0
 	for i := 1; i < len(s.ready); i++ {
-		if s.readyLess(s.ready[i], s.ready[best]) {
+		if s.ready[i].key < s.ready[best].key {
 			best = i
 		}
 	}
 	return best
+}
+
+// takeReady removes and returns ready node ri. Keys are distinct, so the
+// ready list's order is free and the last node fills the gap.
+func (s *sim) takeReady(ri int) readyNode {
+	rn := s.ready[ri]
+	last := len(s.ready) - 1
+	s.ready[ri] = s.ready[last]
+	s.ready = s.ready[:last]
+	return rn
+}
+
+// readyOf returns node v of job j as a ready node with its key.
+func (s *sim) readyOf(j *job, v dag.NodeID) readyNode {
+	return readyNode{j: j, v: v, key: j.key | s.nodeRank[j.base+int(v)]}
 }
 
 func (s *sim) readyLess(a, b readyNode) bool {
@@ -894,20 +1004,18 @@ func (s *sim) readyLess(a, b readyNode) bool {
 	return a.v < b.v
 }
 
-// place assigns the node to a core and schedules its completion.
-func (s *sim) place(rn readyNode, idle []int) {
+// place assigns the node to an idle core in [lo, hi) and schedules its
+// completion, taking the core out of idle unless the node has zero
+// length.
+func (s *sim) place(rn readyNode, idle *coreSet, lo, hi int) {
 	j, v := rn.j, rn.v
-	node := j.task.Node(v)
+	i := j.base + int(v)
 
-	c := s.chooseCore(rn, idle)
+	c := s.chooseCore(j, v, idle, lo, hi)
 	cl := c / s.cfg.ClusterSize
 
-	busy := 0
-	for c2, f := range s.freeAt {
-		if c2 != c && f > s.now {
-			busy++
-		}
-	}
+	// c is idle, so every busy core is another core.
+	busy := s.cfg.Cores - idle.n
 	busyFrac := 0.0
 	if s.cfg.Cores > 1 {
 		busyFrac = float64(busy) / float64(s.cfg.Cores-1)
@@ -917,7 +1025,7 @@ func (s *sim) place(rn readyNode, idle []int) {
 	switch s.kind {
 	case KindProp:
 		grant := 0
-		if plan := j.alloc.Model.Ways[v]; plan > 0 && s.cfg.Zeta > 0 {
+		if plan := s.ways[i]; plan > 0 && s.cfg.Zeta > 0 {
 			// The Walloc serves a demand from unowned slots first,
 			// then by reclaiming released (but still assigned)
 			// ways, one way at a time.
@@ -938,11 +1046,11 @@ func (s *sim) place(rn readyNode, idle []int) {
 		}
 		j.granted[v] = grant
 		j.cluster[v] = cl
-		mGrantedWays.Observe(float64(grant))
+		s.grants[grant]++
 		s.rec.Emit(flight.Event{Kind: flight.KindGrant, Time: s.now,
 			Task: int32(j.taskIdx), Job: int32(j.jobIdx), Node: int32(v),
 			Core: int32(c), Cluster: int32(cl), Wave: -1,
-			A: float64(j.alloc.Model.Ways[v]), B: float64(grant),
+			A: float64(s.ways[i]), B: float64(grant),
 			C: float64(s.assigned[cl])})
 
 		// SDU: one way at a time, FIFO per cluster. The node starts
@@ -960,9 +1068,8 @@ func (s *sim) place(rn readyNode, idle []int) {
 				Wave: -1, A: float64(grant), B: finish, C: misconf})
 		}
 
-		pe := j.task.PredEdges(v)
-		for k, p := range j.task.Pred(v) {
-			e := j.task.Edges[pe[k]]
+		for _, e := range s.predEdge[s.predOff[i]:s.predOff[i+1]] {
+			p := e.From
 			n := j.granted[p]
 			if j.cluster[p] != cl {
 				// Cross-cluster: the producer's L1.5 ways are
@@ -970,33 +1077,32 @@ func (s *sim) place(rn readyNode, idle []int) {
 				// the (uncontended) L2.
 				n = 0
 			}
-			cost := etm.Cost(e.Cost, e.Alpha, j.task.Node(p).Data, s.cfg.WayBytes, n)
+			cost := etm.Cost(e.Cost, e.Alpha, s.data[j.base+int(p)], s.cfg.WayBytes, n)
 			fetch += cost
 			s.rec.Emit(flight.Event{Kind: flight.KindEdge, Time: s.now,
 				Task: int32(j.taskIdx), Job: int32(j.jobIdx),
 				Node: int32(v), Core: int32(c), Cluster: int32(cl),
 				Wave: -1, A: float64(p), B: e.Cost, C: cost})
 		}
-		exec = node.WCET
+		exec = s.wcet[i]
 	default:
-		warm := s.prevCore[j.taskIdx][v] == c
-		pe := j.task.PredEdges(v)
-		for k, p := range j.task.Pred(v) {
-			e := j.task.Edges[pe[k]]
-			cost := s.plat.CommCost(e, j.task.Node(p), j.coreOf[p] == c, busyFrac)
+		warm := s.prevCore[i] == c
+		for _, e := range s.predEdge[s.predOff[i]:s.predOff[i+1]] {
+			p := e.From
+			cost := s.plat.CommCost(e, j.task.Nodes[p], j.coreOf[p] == c, busyFrac)
 			fetch += cost
 			s.rec.Emit(flight.Event{Kind: flight.KindEdge, Time: s.now,
 				Task: int32(j.taskIdx), Job: int32(j.jobIdx),
 				Node: int32(v), Core: int32(c), Cluster: -1,
 				Wave: -1, A: float64(p), B: e.Cost, C: cost})
 		}
-		exec = s.plat.ExecTime(node, warm, busyFrac)
+		exec = s.plat.ExecTime(j.task.Nodes[v], warm, busyFrac)
 	}
 
 	j.coreOf[v] = c
 	j.startAt[v] = s.now
-	s.prevCore[j.taskIdx][v] = c
-	mNodes.Inc()
+	s.prevCore[i] = c
+	s.nodes++
 	dur := fetch + exec
 	if misconf > dur {
 		misconf = dur
@@ -1008,34 +1114,37 @@ func (s *sim) place(rn readyNode, idle []int) {
 		Core: int32(c), Cluster: int32(cl), Wave: -1,
 		A: fetch, B: exec, C: float64(j.granted[v])})
 	s.freeAt[c] = s.now + dur
+	if s.freeAt[c] > s.now {
+		idle.remove(c)
+	}
 	pushEvent(&s.events, event{at: s.now + dur, j: j, v: v})
 }
 
-// chooseCore picks among idle cores: baselines with affinity prefer the
-// previous instance's core; the proposed system prefers an idle core in the
-// cluster already holding the heaviest predecessor's ways.
-func (s *sim) chooseCore(rn readyNode, idle []int) int {
-	j, v := rn.j, rn.v
+// chooseCore picks among the idle cores in [lo, hi), which hold at least
+// one: baselines with affinity prefer the previous instance's core; the
+// proposed system prefers an idle core in the cluster already holding the
+// heaviest predecessor's ways. Ties go to the lowest core.
+func (s *sim) chooseCore(j *job, v dag.NodeID, idle *coreSet, lo, hi int) int {
+	i := j.base + int(v)
 	if s.kind == KindProp {
 		bestCl, bestData := -1, int64(-1)
-		for _, p := range j.task.Pred(v) {
-			if j.granted[p] > 0 && j.task.Node(p).Data > bestData {
-				bestData = j.task.Node(p).Data
-				bestCl = j.cluster[p]
+		for _, e := range s.predEdge[s.predOff[i]:s.predOff[i+1]] {
+			p := e.From
+			if d := s.data[j.base+int(p)]; j.granted[p] > 0 && d > bestData {
+				bestData, bestCl = d, j.cluster[p]
 			}
 		}
 		if bestCl >= 0 {
-			for _, c := range idle {
-				if c/s.cfg.ClusterSize == bestCl {
-					return c
-				}
+			clLo, clHi := s.clusterCores(bestCl)
+			if c := idle.next(max(lo, clLo), min(hi, clHi)); c >= 0 {
+				return c
 			}
 		}
 		// No affinity: pick the idle core whose cluster can satisfy
 		// the largest demand (unowned plus reclaimable ways), keeping
 		// the clusters balanced.
-		best, bestFree := idle[0], -1
-		for _, c := range idle {
+		best, bestFree := idle.next(lo, hi), -1
+		for c := best; c >= 0; c = idle.next(c+1, hi) {
 			cl := c / s.cfg.ClusterSize
 			if free := (s.cfg.Zeta - s.assigned[cl]) + s.reclaimable[cl]; free > bestFree {
 				best, bestFree = c, free
@@ -1044,20 +1153,17 @@ func (s *sim) chooseCore(rn readyNode, idle []int) int {
 		return best
 	}
 	if s.plat.Affinity() {
-		if pc := s.prevCore[j.taskIdx][v]; pc >= 0 {
-			for _, c := range idle {
-				if c == pc {
-					return pc
-				}
-			}
+		if pc := s.prevCore[i]; pc >= lo && pc < hi && idle.has(pc) {
+			return pc
 		}
 	}
-	return idle[0]
+	return idle.next(lo, hi)
 }
 
 // complete finishes a node: releases ways whose consumers are all done,
 // marks new ready nodes, and checks the job deadline at the sink.
 func (s *sim) complete(j *job, v dag.NodeID) {
+	i := j.base + int(v)
 	j.done[v] = true
 	j.left--
 	s.rec.Emit(flight.Event{Kind: flight.KindFinish, Time: s.now,
@@ -1072,7 +1178,8 @@ func (s *sim) complete(j *job, v dag.NodeID) {
 		if j.succLeft[v] == 0 {
 			s.releaseWays(j, v)
 		}
-		for _, p := range j.task.Pred(v) {
+		for _, e := range s.predEdge[s.predOff[i]:s.predOff[i+1]] {
+			p := e.From
 			j.succLeft[p]--
 			if j.succLeft[p] == 0 && j.done[p] {
 				s.releaseWays(j, p)
@@ -1080,10 +1187,10 @@ func (s *sim) complete(j *job, v dag.NodeID) {
 		}
 	}
 
-	for _, nxt := range j.task.Succ(v) {
+	for _, nxt := range s.succ[s.succOff[i]:s.succOff[i+1]] {
 		j.indeg[nxt]--
 		if j.indeg[nxt] == 0 {
-			s.ready = append(s.ready, readyNode{j: j, v: nxt})
+			s.ready = append(s.ready, s.readyOf(j, nxt))
 		}
 	}
 
@@ -1148,4 +1255,62 @@ func (s *sim) releaseWays(j *job, v dag.NodeID) {
 			Core: -1, Cluster: int32(j.cluster[v]), Wave: -1,
 			A: float64(g), B: float64(s.reclaimable[j.cluster[v]])})
 	}
+}
+
+// coreSet is a set of core indices, one bit per core in as many 64-bit
+// words as the core count needs; n is its size.
+type coreSet struct {
+	w []uint64
+	n int
+}
+
+func newCoreSet(cores int) coreSet { return coreSet{w: make([]uint64, (cores+63)/64)} }
+
+func (cs *coreSet) has(c int) bool { return cs.w[c>>6]&(1<<uint(c&63)) != 0 }
+
+func (cs *coreSet) add(c int) {
+	if !cs.has(c) {
+		cs.w[c>>6] |= 1 << uint(c&63)
+		cs.n++
+	}
+}
+
+func (cs *coreSet) remove(c int) {
+	if cs.has(c) {
+		cs.w[c>>6] &^= 1 << uint(c&63)
+		cs.n--
+	}
+}
+
+func (cs *coreSet) clear() {
+	clear(cs.w)
+	cs.n = 0
+}
+
+// next returns the lowest member in [lo, hi), or -1.
+func (cs *coreSet) next(lo, hi int) int {
+	for wi := lo >> 6; lo < hi; wi++ {
+		if w := cs.w[wi] >> uint(lo&63); w != 0 {
+			if c := lo + bits.TrailingZeros64(w); c < hi {
+				return c
+			}
+			return -1
+		}
+		lo = (wi + 1) << 6
+	}
+	return -1
+}
+
+// full reports whether every core in [lo, hi) is a member.
+func (cs *coreSet) full(lo, hi int) bool {
+	for lo < hi {
+		wi := lo >> 6
+		end := min(hi, (wi+1)<<6)
+		mask := (^uint64(0) >> uint(64-(end-lo))) << uint(lo&63)
+		if cs.w[wi]&mask != mask {
+			return false
+		}
+		lo = end
+	}
+	return true
 }

@@ -116,12 +116,18 @@ func TestRecycledJobIsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := newTrial(tasks, cfg)
+	used, err := newTrial(tasks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m := used.runSystem(KindProp, p, true); m.Success() {
 		t.Fatal("run met every deadline; nothing was stopped mid-flight")
 	}
-	recycled := &sim{trial: used, tasks: p.tasks, allocs: p.allocs, relIdx: make([]int, len(tasks))}
-	fresh := &sim{trial: newTrial(tasks, cfg), tasks: p.tasks, allocs: p.allocs, relIdx: make([]int, len(tasks))}
+	unused, err := newTrial(tasks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recycled, fresh := used.newSim(KindProp, p), unused.newSim(KindProp, p)
 	pooled := 0
 	for ti := range tasks {
 		pooled += len(used.free[ti])
