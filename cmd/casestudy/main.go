@@ -14,9 +14,9 @@
 // (internal/memo): a -memo-dir shared between runs serves every
 // previously computed trial from disk, byte-identically. -flight
 // additionally records one representative trial (the configured core
-// count, 60% utilisation, proposed system) into a flight recording that
-// cmd/explain can dissect. An interrupt still flushes the partial
-// -metrics/-trace/-flight files before exiting.
+// count and scheduling, 60% utilisation, proposed system) into a flight
+// recording that cmd/explain can dissect. An interrupt still flushes the
+// partial -metrics/-trace/-flight files before exiting.
 package main
 
 import (
@@ -43,7 +43,7 @@ func main() {
 		cfg.Run = sw.Run
 
 		if rec := sw.Flight(*flightOut); rec != nil {
-			if err := experiments.RecordCaseTrial(sw.Seed, *cores, rec); err != nil {
+			if err := experiments.RecordCaseTrial(sw.Seed, cfg.RT, rec); err != nil {
 				return err
 			}
 		}

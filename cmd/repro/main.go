@@ -194,7 +194,7 @@ func reproduce(ctx context.Context, sw *cli.Sweep) error {
 	// real-time trial whose flight recording cmd/explain can dissect.
 	if rec != nil {
 		step("flight-recorded case-study trial")
-		if err := experiments.RecordCaseTrial(sw.Seed, 8, rec); err != nil {
+		if err := experiments.RecordCaseTrial(sw.Seed, experiments.DefaultCaseStudyConfig(8).RT, rec); err != nil {
 			return err
 		}
 	}

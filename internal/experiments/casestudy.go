@@ -118,21 +118,19 @@ func runCaseTrial(rt rtsim.Config, set workload.TaskSetParams, seed int64) (map[
 }
 
 // RecordCaseTrial runs one representative case-study trial (60% target
-// utilisation on the given core count, proposed system) with rec
-// attached, for cmd/explain to dissect. The recording is a pure function
-// of seed and cores.
-func RecordCaseTrial(seed int64, cores int, rec *flight.Recorder) error {
+// utilisation on rt.Cores cores, proposed system, globally scheduled or
+// partitioned as rt says) with rec attached, for cmd/explain to dissect.
+// The recording is a pure function of seed and rt.
+func RecordCaseTrial(seed int64, rt rtsim.Config, rec *flight.Recorder) error {
 	r := rand.New(rand.NewSource(seed))
 	set := workload.DefaultTaskSetParams()
-	set.TargetUtilization = 0.6 * float64(cores)
+	set.TargetUtilization = 0.6 * float64(rt.Cores)
 	tasks, err := workload.TaskSet(r, set)
 	if err != nil {
 		return err
 	}
-	cfg := rtsim.DefaultConfig()
-	cfg.Cores = cores
-	cfg.Recorder = rec
-	_, err = rtsim.Run(tasks, rtsim.KindProp, cfg)
+	rt.Recorder = rec
+	_, err = rtsim.Run(tasks, rtsim.KindProp, rt)
 	return err
 }
 

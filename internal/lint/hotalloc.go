@@ -64,13 +64,15 @@ var hotRootNames = map[string]bool{
 }
 
 // hotRootExtra adds the per-package roots: the flight recorder's
-// zero-alloc Emit, the SoC's SDU advance and countdown-loop replay (entry
-// and settle points), and the event dispatchers of the two DES simulators.
+// zero-alloc Emit, the SoC's SDU advance and loop replay (countdown and
+// park-cycle entry, measurement and settle points), and the event
+// dispatchers of the two DES simulators.
 var hotRootExtra = map[string]map[string]bool{
 	"flight": {"Emit": true},
 	"soc": {"advanceSDUs": true, "globalTime": true, "trackLoop": true,
 		"holdLoops": true, "replayedBetween": true, "settleLoop": true,
-		"settleLoops": true, "interruptLoop": true, "storeLoops": true},
+		"settleLoops": true, "interruptLoop": true, "storeLoops": true,
+		"callHandler": true, "skipPoll": true, "before": true, "step": true},
 	"schedsim": {"runInstance": true, "runInstanceEvents": true},
 	"rtsim":    {"dispatch": true, "dispatchTicked": true},
 }

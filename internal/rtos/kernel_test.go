@@ -17,7 +17,8 @@ import (
 // The full-stack kernel oracle: the hwcasestudy pipelines run through the
 // RTOS on the SoC under the ticked kernel, which steps every instruction,
 // and under the events kernel, which skips idle SDU cycles and replays
-// countdown loops in closed form. Both must leave identical state.
+// countdown loops and quiet park cycles in closed form. Both must leave
+// identical state.
 
 // pipeline is the 6-node sensing pipeline of examples/hwcasestudy with
 // each stage's WCET drawn within ±3% of scale × its nominal cycles.
@@ -39,6 +40,16 @@ func pipeline(name string, scale float64, r *rand.Rand) *dag.Task {
 	return t
 }
 
+// pipelineSpecs is the examples/hwcasestudy task set drawn for seed: two
+// pipelines with 250k- and 180k-cycle periods.
+func pipelineSpecs(seed int64) []TaskSpec {
+	r := rand.New(rand.NewSource(seed))
+	return []TaskSpec{
+		{Task: pipeline("pipeline-A", 1.0, r), PeriodCycles: 250_000, DeadlineCycles: 250_000},
+		{Task: pipeline("pipeline-B", 0.6, r), PeriodCycles: 180_000, DeadlineCycles: 180_000},
+	}
+}
+
 // runState is everything a kernel run leaves observable.
 type runState struct {
 	Records []JobRecord
@@ -54,17 +65,14 @@ type runState struct {
 	Metrics metrics.Snapshot
 }
 
-func runPipelines(t *testing.T, mode kernel.Mode, clusters int, useL15 bool, jobs int, seed int64) runState {
+// runPipelines runs the pipelines and returns the state they leave and
+// the handler calls the run made.
+func runPipelines(t *testing.T, mode kernel.Mode, clusters int, useL15 bool, jobs int, seed int64) (runState, int) {
 	t.Helper()
-	r := rand.New(rand.NewSource(seed))
-	specs := []TaskSpec{
-		{Task: pipeline("pipeline-A", 1.0, r), PeriodCycles: 250_000, DeadlineCycles: 250_000},
-		{Task: pipeline("pipeline-B", 0.6, r), PeriodCycles: 180_000, DeadlineCycles: 180_000},
-	}
 	cfg := Config{SoC: soc.DefaultConfig(), UseL15: useL15, JobsPerTask: jobs}
 	cfg.SoC.Clusters = clusters
 	cfg.SoC.Kernel = mode
-	k, err := New(cfg, specs)
+	k, err := New(cfg, pipelineSpecs(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +97,14 @@ func runPipelines(t *testing.T, mode kernel.Mode, clusters int, useL15 bool, job
 	reg := metrics.NewRegistry()
 	s.Instrument(reg, nil)
 	st.Metrics = reg.Snapshot()
-	return st
+	return st, k.calls
 }
 
-// Every SoC size, protocol and job count runs on its own seed.
+// Every SoC size, protocol and job count runs on its own seed. The events
+// kernel must also replay the parked cores' quiet polls: it makes under
+// 1,000 handler calls per run, and under a tenth of the ticked run's
+// (which calls the handler for every poll, ~31,000 times on 2 clusters
+// with 3 jobs).
 func TestPipelinesTickedMatchesEvents(t *testing.T) {
 	maxJobs := 3
 	if testing.Short() {
@@ -104,8 +116,11 @@ func TestPipelinesTickedMatchesEvents(t *testing.T) {
 			for jobs := 1; jobs <= maxJobs; jobs++ {
 				seed++
 				name := fmt.Sprintf("clusters=%d/l15=%t/jobs=%d/seed=%d", clusters, useL15, jobs, seed)
-				tk := runPipelines(t, kernel.Ticked, clusters, useL15, jobs, seed)
-				ev := runPipelines(t, kernel.Events, clusters, useL15, jobs, seed)
+				tk, tkCalls := runPipelines(t, kernel.Ticked, clusters, useL15, jobs, seed)
+				ev, evCalls := runPipelines(t, kernel.Events, clusters, useL15, jobs, seed)
+				if evCalls >= 1000 || evCalls*10 > tkCalls {
+					t.Errorf("%s: %d handler calls ticked, %d events", name, tkCalls, evCalls)
+				}
 				a, b := reflect.ValueOf(tk), reflect.ValueOf(ev)
 				for i := 0; i < a.NumField(); i++ {
 					if !reflect.DeepEqual(a.Field(i).Interface(), b.Field(i).Interface()) {
@@ -116,6 +131,25 @@ func TestPipelinesTickedMatchesEvents(t *testing.T) {
 				if len(tk.Records) != 2*jobs {
 					t.Errorf("%s: %d job records, want %d", name, len(tk.Records), 2*jobs)
 				}
+			}
+		}
+	}
+}
+
+// BenchmarkPipelines is the rtos layer of the soc-pipeline workload: the
+// hwcasestudy pipelines (seed 1, three jobs per task) through New and Run
+// on the 8-core SoC, once with the L1.5 protocol and once with the
+// conventional kernel.
+func BenchmarkPipelines(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		for _, useL15 := range []bool{true, false} {
+			k, err := New(Config{SoC: soc.DefaultConfig(), UseL15: useL15, JobsPerTask: 3}, pipelineSpecs(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := k.Run(); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"l15cache/internal/bitmap"
 	"l15cache/internal/cpu"
 	"l15cache/internal/dag"
+	"l15cache/internal/kernel"
 	"l15cache/internal/sched"
 	"l15cache/internal/soc"
 	"l15cache/internal/tlb"
@@ -91,6 +92,8 @@ type Kernel struct {
 	pinned   []map[nodeKey]bitmap.Bitmap
 	pinnedBM []bitmap.Bitmap // union per core
 	planned  []int           // current node's planned local ways per core
+
+	calls int // handler calls made by Run
 }
 
 type nodeKey struct {
@@ -105,9 +108,9 @@ type taskState struct {
 	pt     *tlb.PageTable
 	rmRank int
 	// bufBase[v] is the physical/virtual address of node v's output
-	// buffer.
-	bufBase map[dag.NodeID]uint32
-	bufLen  map[dag.NodeID]uint32
+	// buffer, bufLen[v] its length.
+	bufBase []uint32
+	bufLen  []uint32
 }
 
 type jobState struct {
@@ -158,13 +161,13 @@ func New(cfg Config, specs []TaskSpec) (*Kernel, error) {
 		if spec.PeriodCycles == 0 || spec.DeadlineCycles == 0 {
 			return nil, fmt.Errorf("rtos: task %d: zero period/deadline", i)
 		}
+		task := spec.Task.Clone()
 		ts := &taskState{
 			idx:     i,
 			spec:    spec,
-			bufBase: map[dag.NodeID]uint32{},
-			bufLen:  map[dag.NodeID]uint32{},
+			bufBase: make([]uint32, len(task.Nodes)),
+			bufLen:  make([]uint32, len(task.Nodes)),
 		}
-		task := spec.Task.Clone()
 		if cfg.UseL15 {
 			ts.alloc, err = sched.L15Schedule(task, zeta, wayBytes)
 		} else {
@@ -319,9 +322,12 @@ func (k *Kernel) Run() ([]JobRecord, error) {
 	}
 
 	handler := func(core *cpu.Core, trap cpu.Trap) bool {
+		k.calls++
 		t := now(core)
+		admitted := ri
 		admit(t)
-		switch core.Regs[17] {
+		svc := core.Regs[17]
+		switch svc {
 		case svcNodeDone:
 			k.completeNode(core, t, &ready)
 		case svcIdlePoll:
@@ -336,6 +342,17 @@ func (k *Kernel) Run() ([]JobRecord, error) {
 			return false
 		}
 		core.PC = k.parkEntry
+		if svc == svcIdlePoll && ri == admitted && len(ready) == 0 {
+			// A quiet poll: the core's next polls admit nothing
+			// before the next release and, until some other call
+			// changes the queues or the cores' jobs, find the same
+			// empty queue and the same reason not to halt.
+			until := kernel.Never
+			if ri < len(releases) {
+				until = releases[ri].at
+			}
+			k.soc.Quiet(core.ID, until)
+		}
 		return true
 	}
 

@@ -98,6 +98,9 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 		return nil, err
 	}
 	stats := make([]InstanceStats, 0, opt.Instances)
+	// The run's instances and dispatches are tallied here and added to
+	// the shared counters once, not per dispatch.
+	var instances, dispatches uint64
 	var sc scratch
 	var prevCore []int
 	// Only the events kernel with no recorder may replay a steady state:
@@ -106,12 +109,13 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 	for i := 0; i < opt.Instances; i++ {
 		var s InstanceStats
 		var cores []int
+		instances++
 		if opt.Kernel == kernel.Ticked {
 			s, cores = runInstance(alloc, plat, opt.Cores, i == 0, prevCore,
-				opt.Recorder, int32(opt.RecordTask), int32(i))
+				opt.Recorder, int32(opt.RecordTask), int32(i), &dispatches)
 		} else {
 			s, cores = runInstanceEvents(alloc, plat, opt.Cores, i == 0, prevCore,
-				opt.Recorder, int32(opt.RecordTask), int32(i), &sc)
+				opt.Recorder, int32(opt.RecordTask), int32(i), &sc, &dispatches)
 		}
 		stats = append(stats, s)
 		// Steady state (DESIGN.md §11): a warm instance is a pure
@@ -124,12 +128,14 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 			for k := 0; k < rest; k++ {
 				stats = append(stats, s)
 			}
-			mInstances.Add(uint64(rest))
-			mDispatches.Add(uint64(rest * len(alloc.Task.Nodes)))
+			instances += uint64(rest)
+			dispatches += uint64(rest * len(alloc.Task.Nodes))
 			break
 		}
 		prevCore = cores
 	}
+	mInstances.Add(instances)
+	mDispatches.Add(dispatches)
 	return stats, nil
 }
 
@@ -137,9 +143,8 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 // instance (no platform cache state); prevCore carries the previous
 // instance's placement for warm-up and affinity decisions (nil when cold).
 // rec, when non-nil, receives the instance's flight events stamped with
-// (task, job).
-func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32) (InstanceStats, []int) {
-	mInstances.Inc()
+// (task, job). Each dispatch adds one to *dispatches.
+func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, dispatches *uint64) (InstanceStats, []int) {
 	t := alloc.Task
 	n := len(t.Nodes)
 
@@ -237,7 +242,7 @@ func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore 
 			startAt[v] = now
 			finish := now + fetch + exec
 			freeAt[c] = finish
-			mDispatches.Inc()
+			*dispatches++
 			rec.Emit(flight.Event{Kind: flight.KindDispatch, Time: now,
 				Task: task, Job: job, Node: int32(v), Core: int32(c),
 				Cluster: -1, Wave: -1,
@@ -363,8 +368,7 @@ func popCompletion(h *[]completion) completion {
 // container/heap boxing and per-iteration idle-core slices replaced by a
 // hand-rolled heap and scratch reuse. It must emit byte-identical flight
 // events — the kernel-equivalence tests diff the two.
-func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, sc *scratch) (InstanceStats, []int) {
-	mInstances.Inc()
+func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, sc *scratch, dispatches *uint64) (InstanceStats, []int) {
 	t := alloc.Task
 	n := len(t.Nodes)
 
@@ -456,7 +460,7 @@ func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, pre
 			startAt[v] = now
 			finish := now + fetch + exec
 			freeAt[c] = finish
-			mDispatches.Inc()
+			*dispatches++
 			rec.Emit(flight.Event{Kind: flight.KindDispatch, Time: now,
 				Task: task, Job: job, Node: int32(v), Core: int32(c),
 				Cluster: -1, Wave: -1,

@@ -122,16 +122,19 @@ type SoC struct {
 	l2lvl *l2Level
 	ports []*port
 
-	// Run state: instructions retired per core, the countdown-loop
-	// replays (replay.go), how many are on and how many steps they
-	// have replayed so far, and the clock and core of the step being
-	// executed (of the trapping step inside the handler).
+	// Run state: instructions retired per core, the loop replays
+	// (replay.go, park.go), how many are on and how many steps they
+	// have replayed so far, the clock and core of the step being
+	// executed (of the trapping step inside the handler), and whether
+	// the handler running reported a quiet poll, with its horizon.
 	retired   []uint64
-	loops     []countdown
+	loops     []loop
 	replaying int
 	replayed  uint64
 	stepT     uint64
 	stepCore  int
+	quiet     bool
+	until     uint64
 }
 
 // New builds the SoC.
@@ -177,7 +180,16 @@ func New(cfg Config) (*SoC, error) {
 		s.Cores = append(s.Cores, core)
 	}
 	s.retired = make([]uint64, total)
-	s.loops = make([]countdown, total)
+	s.loops = make([]loop, total)
+	// Every core's park pass buffers, in one block each; a longer pass
+	// grows its own.
+	recs := make([]bodyStep, total*passCap)
+	words := make([]mem.PhysAddr, total*maxPassWords)
+	for i := range s.loops {
+		m := &s.loops[i].meter
+		m.rec = recs[i*passCap : i*passCap : (i+1)*passCap]
+		m.words = words[i*maxPassWords : i*maxPassWords : (i+1)*maxPassWords]
+	}
 	return s, nil
 }
 
@@ -272,17 +284,23 @@ func (s *SoC) IdentityPageTable(tid uint16) *tlb.PageTable {
 // run and is returned.
 //
 // Under the events kernel with single issue, a core running a countdown
-// loop from a hot L1I is replayed in closed form instead of stepped
-// (replay.go); every state it leaves behind is the one-step state. Inside the handler, therefore, only the trapping core's
-// state and the other cores' Halted flags are current. The handler may
-// change the trapping core, the L1.5 control registers, and any core
-// through SetPageTable or StartCore (which settle it first); it must not
-// write another core's registers, clock or Halted flag directly, nor
-// write memory except through a core's stores.
+// loop from a hot L1I, or a park cycle whose polls the handler reports
+// quiet (Quiet), is replayed in closed form instead of stepped (replay.go,
+// park.go); every state it leaves behind is the one-step state, and the
+// handler is not called for the polls of a replayed park cycle. Inside
+// the handler, therefore, only the trapping core's state and the other
+// cores' Halted flags are current. The handler may change the trapping
+// core, the L1.5 control registers, and any core through SetPageTable or
+// StartCore (which settle it first); it must not write another core's
+// registers, clock or Halted flag directly, nor write memory except
+// through a core's stores.
 func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu.Trap, error) {
 	replay := s.Cfg.Kernel == kernel.Events && s.Cfg.IssueWidth <= 1
 	clear(s.retired)
-	clear(s.loops)
+	for i := range s.loops {
+		m := &s.loops[i].meter
+		s.loops[i] = loop{meter: parkMeter{rec: m.rec[:0], words: m.words[:0]}}
+	}
 	s.replaying = 0
 	// stale: a step ran since the SDUs were last brought to the global
 	// time. One-step execution does that after every step; replay defers
@@ -297,7 +315,7 @@ func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu
 		for i, c := range s.Cores {
 			w := c.NextWakeup()
 			if r := &s.loops[i]; r.on {
-				w = r.exit()
+				w = r.wake
 			}
 			if s.retired[i] >= maxInstrs {
 				frozen = min(frozen, w)
@@ -321,12 +339,16 @@ func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu
 			// The global time after the step one-step execution ran last.
 			s.advanceSDUs(kernel.Earliest(bestWake, frozen))
 		}
-		if r := &s.loops[best]; r.on {
+		r := &s.loops[best]
+		if r.on {
 			s.settleLoop(best, r.steps-1)
 		}
 		s.stepT, s.stepCore = bestWake, best
-		c := s.Cores[best]
+		c, p := s.Cores[best], s.ports[best]
 		pc := c.PC
+		if r.meter.on {
+			r.meter.before(c, p, s.Mem)
+		}
 		trap, err := c.StepIssue()
 		if err != nil {
 			s.settleLoops()
@@ -335,6 +357,9 @@ func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu
 		s.retired[best]++
 		if replay {
 			stale = true
+			if r.meter.on {
+				r.meter.step(c, p, s.Mem, pc, trap)
+			}
 			s.trackLoop(best, pc, maxInstrs)
 		} else {
 			s.advanceSDUs(s.globalTime(bestWake, best))
@@ -343,12 +368,15 @@ func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu
 			// An ebreak halts its own core; the rest of the SoC runs on.
 			continue
 		}
+		if trap.Kind == cpu.TrapECall && replay && s.skipPoll(best, maxInstrs) {
+			continue
+		}
 		if stale {
 			s.advanceSDUs(s.globalTime(bestWake, best))
 			stale = false
 		}
 		if trap.Kind == cpu.TrapECall {
-			if handler != nil && handler(c, trap) {
+			if handler != nil && s.callHandler(c, trap, handler, replay) {
 				continue
 			}
 			c.Halted = true
@@ -573,9 +601,7 @@ func (p *port) Store(core int, va uint32, size int, value uint32) (int, error) {
 		p.soc.UART = append(p.soc.UART, byte(value))
 		return tlat + 1, nil
 	}
-	if p.soc.replaying > 0 {
-		p.soc.storeLoops(pa, size)
-	}
+	p.soc.storeLoops(pa, size)
 	lat := tlat + p.access(p.l1d, va, pa, true)
 	switch size {
 	case 1:

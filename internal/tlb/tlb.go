@@ -7,6 +7,7 @@ package tlb
 
 import (
 	"fmt"
+	"slices"
 
 	"l15cache/internal/mem"
 	"l15cache/internal/metrics"
@@ -31,24 +32,45 @@ func (v VirtAddr) Offset() uint32 { return uint32(v) & (PageSize - 1) }
 // an address-space/task ID. The paper's protector compares TIDs to prevent
 // cross-application sharing of L1.5 ways; the TID here is that identity.
 type PageTable struct {
-	TID     uint16
-	entries map[uint32]uint32 // VPN -> PFN
+	TID uint16
+	pfn []uint32 // indexed by VPN, unmapped where no page is mapped
 }
+
+// unmapped marks a VPN without a translation; no PFN of a 32-bit physical
+// address space reaches it.
+const unmapped = ^uint32(0)
 
 // NewPageTable returns an empty page table for the given task ID.
 func NewPageTable(tid uint16) *PageTable {
-	return &PageTable{TID: tid, entries: make(map[uint32]uint32)}
+	return &PageTable{TID: tid}
+}
+
+// grow extends the table to cover VPNs below n, unmapped.
+func (pt *PageTable) grow(n int) {
+	old := len(pt.pfn)
+	if n <= old {
+		return
+	}
+	pt.pfn = slices.Grow(pt.pfn, n-old)[:n]
+	for i := old; i < n; i++ {
+		pt.pfn[i] = unmapped
+	}
 }
 
 // Map installs a translation from the virtual page containing va to the
 // physical page containing pa. Both are truncated to page boundaries.
 func (pt *PageTable) Map(va VirtAddr, pa mem.PhysAddr) {
-	pt.entries[va.VPN()] = uint32(pa) >> PageBits
+	vpn := va.VPN()
+	pt.grow(int(vpn) + 1)
+	pt.pfn[vpn] = uint32(pa) >> PageBits
 }
 
 // MapRange identity-offsets n bytes starting at va onto physical memory at
 // pa, page by page.
 func (pt *PageTable) MapRange(va VirtAddr, pa mem.PhysAddr, n int) {
+	if n > 0 {
+		pt.grow(int((va + VirtAddr((n-1)&^(PageSize-1))).VPN()) + 1)
+	}
 	for off := 0; off < n; off += PageSize {
 		pt.Map(va+VirtAddr(off), pa+mem.PhysAddr(off))
 	}
@@ -56,11 +78,10 @@ func (pt *PageTable) MapRange(va VirtAddr, pa mem.PhysAddr, n int) {
 
 // Lookup translates va, reporting failure for unmapped pages.
 func (pt *PageTable) Lookup(va VirtAddr) (mem.PhysAddr, error) {
-	pfn, ok := pt.entries[va.VPN()]
-	if !ok {
-		return 0, fmt.Errorf("tlb: page fault at %#x (tid %d)", uint32(va), pt.TID)
+	if vpn := va.VPN(); int(vpn) < len(pt.pfn) && pt.pfn[vpn] != unmapped {
+		return mem.PhysAddr(pt.pfn[vpn]<<PageBits | va.Offset()), nil
 	}
-	return mem.PhysAddr(pfn<<PageBits | va.Offset()), nil
+	return 0, fmt.Errorf("tlb: page fault at %#x (tid %d)", uint32(va), pt.TID)
 }
 
 // entry is one cached translation.

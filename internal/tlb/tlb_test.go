@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"l15cache/internal/mem"
@@ -139,5 +141,50 @@ func TestTIDWithoutPageTable(t *testing.T) {
 	tl, _ := New(2, 20)
 	if tl.TID() != 0 {
 		t.Errorf("unbound TID = %d", tl.TID())
+	}
+}
+
+// The dense table translates exactly as a VPN→PFN map does: the same
+// physical address for mapped pages (remapped ones included) and the same
+// page-fault error for unmapped pages inside, between and past the mapped
+// ranges, the top of the address space included.
+func TestPageTableMatchesMap(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	pt := NewPageTable(9)
+	ref := map[uint32]uint32{}
+	mapPage := func(va VirtAddr, pa mem.PhysAddr) {
+		pt.Map(va, pa)
+		ref[va.VPN()] = uint32(pa) >> PageBits
+	}
+	for i := 0; i < 200; i++ {
+		va, pa := VirtAddr(r.Uint32()>>8), mem.PhysAddr(r.Uint32()>>8)
+		if r.Intn(4) == 0 {
+			n := 1 + r.Intn(5*PageSize)
+			pt.MapRange(va, pa, n)
+			for off := 0; off < n; off += PageSize {
+				ref[(va + VirtAddr(off)).VPN()] = uint32(pa+mem.PhysAddr(off)) >> PageBits
+			}
+		} else {
+			mapPage(va, pa)
+		}
+	}
+	mapPage(0xfffff123, 0x7000)
+	probes := []VirtAddr{0, 0xfff, 0x1000, 0xffffffff, 0xfffff000, 0x00ffffff}
+	for i := 0; i < 5000; i++ {
+		probes = append(probes, VirtAddr(r.Uint32()>>uint(r.Intn(12))))
+	}
+	for va := range ref {
+		probes = append(probes, VirtAddr(va<<PageBits|uint32(r.Intn(PageSize))))
+	}
+	for _, va := range probes {
+		got, err := pt.Lookup(va)
+		pfn, ok := ref[va.VPN()]
+		switch {
+		case ok && (err != nil || got != mem.PhysAddr(pfn<<PageBits|va.Offset())):
+			t.Fatalf("%#x: got %#x, %v; want pfn %#x", uint32(va), got, err, pfn)
+		case !ok && (err == nil || got != 0 ||
+			err.Error() != fmt.Sprintf("tlb: page fault at %#x (tid 9)", uint32(va))):
+			t.Fatalf("%#x: unmapped page gave %#x, %v", uint32(va), got, err)
+		}
 	}
 }
