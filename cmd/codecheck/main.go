@@ -1,62 +1,41 @@
 // Command codecheck runs the repository's custom static-analysis suite
 // (internal/lint) over the given package patterns and exits non-zero on
-// any unsuppressed, unbaselined finding. It is the blocking CI gate that
-// keeps the simulator's hand-written invariants — determinism (syntactic
-// and interprocedural), the kernel's zero-alloc hot path and wakeup
-// protocol, exhaustive FSM switches, lock discipline, way-bitmap
-// hygiene, metrics atomicity, error handling — machine-checked:
+// any unsuppressed finding. It keeps the simulator's hand-written
+// invariants — determinism (syntactic and interprocedural), the kernel's
+// zero-alloc hot path and wakeup protocol, exhaustive FSM switches, lock
+// discipline, way-bitmap hygiene, metrics atomicity, error handling —
+// machine-checked:
 //
 //	go run ./cmd/codecheck ./...
 //	go run ./cmd/codecheck -analyzers detmap,bitmask ./internal/...
-//	go run ./cmd/codecheck -json ./... > codecheck.json
-//	go run ./cmd/codecheck -sarif codecheck.sarif ./...
-//	go run ./cmd/codecheck -baseline lint.baseline.json ./...
-//	go run ./cmd/codecheck -baseline lint.baseline.json -update-baseline ./...
+//	go run ./cmd/codecheck -list
 //	go run ./cmd/codecheck -ignores ./...
-//	go run ./cmd/codecheck -parallel -timing ./...
+//
+// The gate itself is internal/lint's TestModuleClean, which runs the same
+// suite over the whole module under `go test ./...`; this command is the
+// way to run it by hand, or on a subset of packages or analyzers.
 //
 // All packages load together so the interprocedural analyzers
 // (puritycheck, hotalloc, wakeupsafe) see cross-package call chains.
-// Text output prints unsuppressed findings one per line as
-// file:line:col: analyzer: message; -json emits every finding —
-// suppressed and baselined ones included, marked as such — as a JSON
-// array with the stable schema in internal/lint.DiagnosticJSON. -sarif
-// additionally writes the same findings as a SARIF 2.1.0 log to the
-// given path (use - for stdout), the format GitHub code scanning
-// ingests. -ignores lists every //lint:ignore directive with its file,
-// analyzers and justification, the audit trail of what the suppressions
-// hide.
+// Unsuppressed findings print one per line as file:line:col: analyzer:
+// message. -ignores lists every //lint:ignore directive with its file,
+// analyzers and justification instead, the audit trail of what the
+// suppressions hide.
 //
-// A finding is suppressed by a `//lint:ignore <analyzer> <justification>`
+// A finding is accepted only by a `//lint:ignore <analyzer> <justification>`
 // comment on the flagged line or the line above it; the justification is
-// mandatory and an ignore without one is itself reported. -baseline
-// points at a committed accepted-debt file (see internal/lint/baseline.go
-// for the line-independent key scheme): findings it covers are reported
-// in machine output but do not block; entries no current finding matches
-// are reported as stale on stderr (prune with -update-baseline).
-// -update-baseline rewrites that file from the current findings and
-// exits 0 — the one-command flow for accepting new debt deliberately.
-//
-// -parallel fans the per-package analyzer passes out over the
-// deterministic worker pool in internal/runner (one package per shard,
-// index-ordered reduction — output is byte-identical to the serial run
-// at any worker count); the interprocedural analyzers still run serially
-// on the shared call graph. -timing prints the per-analyzer wall-time
-// summary on stderr, largest first.
+// mandatory and an ignore without one is itself reported. There is no
+// baseline file.
 //
 // Warning-severity findings (fingerprintcomplete's wasted-key-entropy
-// direction) are printed and carried in -json/-sarif output but never
-// block: the exit code is 1 only when unsuppressed, unbaselined
-// error-severity findings remain, 2 on usage or load errors.
+// direction) are printed but never block: the exit code is 1 only when
+// unsuppressed error-severity findings remain, 2 on usage or load errors.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"l15cache/internal/cli"
 	"l15cache/internal/lint"
@@ -65,13 +44,7 @@ import (
 func main() {
 	names := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := flag.Bool("list", false, "list the available analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit every finding (suppressed included) as JSON on stdout")
-	sarifPath := flag.String("sarif", "", "also write findings as a SARIF 2.1.0 log to this path (- for stdout)")
-	baselinePath := flag.String("baseline", "", "committed accepted-debt file; findings it covers do not block")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite the -baseline file from the current findings and exit 0")
 	ignores := flag.Bool("ignores", false, "list every //lint:ignore directive instead of running analyzers")
-	parallel := flag.Bool("parallel", false, "run per-package analyzer passes on the internal/runner worker pool")
-	timing := flag.Bool("timing", false, "print a per-analyzer wall-time summary on stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: codecheck [flags] [packages]\n\n")
 		flag.PrintDefaults()
@@ -85,9 +58,6 @@ func main() {
 			fmt.Printf("%-13s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *updateBaseline && *baselinePath == "" {
-		fatal(fmt.Errorf("-update-baseline requires -baseline <path>"))
 	}
 
 	analyzers, err := lint.ByName(*names)
@@ -110,16 +80,6 @@ func main() {
 
 	if *ignores {
 		entries := lint.Ignores(pkgs)
-		if entries == nil {
-			entries = []lint.IgnoreEntry{}
-		}
-		if *asJSON {
-			for i := range entries {
-				entries[i].File = lint.RelPath(cwd, entries[i].File)
-			}
-			emitJSON(entries)
-			return
-		}
 		for _, e := range entries {
 			fmt.Printf("%s:%d: %s: %s\n", lint.RelPath(cwd, e.File), e.Line, e.Analyzers, e.Justification)
 		}
@@ -127,141 +87,30 @@ func main() {
 		return
 	}
 
-	var diags []lint.Diagnostic
-	var timings []lint.AnalyzerTiming
-	if *parallel || *timing {
-		// workers 0 = runtime.NumCPU (the runner default); the serial
-		// -timing path still goes through the pool with one worker so the
-		// measurements come from one code path.
-		workers := 0
-		if !*parallel {
-			workers = 1
-		}
-		diags, timings, err = lint.RunModuleParallel(context.Background(), pkgs, analyzers, workers)
-	} else {
-		diags, err = lint.RunModule(pkgs, analyzers)
-	}
+	diags, err := lint.RunModule(pkgs, analyzers)
 	if err != nil {
 		fatal(err)
 	}
-
-	if *updateBaseline {
-		data, err := lint.NewBaseline(diags, cwd).Marshal()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*baselinePath, data, 0o644); err != nil {
-			fatal(err)
-		}
-		kept := 0
-		for _, d := range diags {
-			if !d.Suppressed {
-				kept++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "codecheck: baseline %s rewritten with %d accepted finding(s)\n", *baselinePath, kept)
-		return
-	}
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		b, err := lint.ParseBaseline(data)
-		if err != nil {
-			fatal(err)
-		}
-		b.Apply(diags, cwd)
-		stale = b.Stale(diags, cwd)
-	}
-
-	blocking := 0
-	baselined := 0
-	warnings := 0
+	blocking, warnings := 0, 0
 	for _, d := range diags {
-		switch {
-		case d.Suppressed:
-		case d.Warning:
+		if d.Suppressed {
+			continue
+		}
+		d.Pos.Filename = lint.RelPath(cwd, d.Pos.Filename)
+		if d.Warning {
 			warnings++
-		case d.Baselined:
-			baselined++
-		default:
+			fmt.Printf("%s [warning]\n", d)
+		} else {
 			blocking++
-		}
-	}
-	if *asJSON {
-		emitJSON(lint.ToJSON(diags, cwd))
-	} else {
-		for _, d := range diags {
-			if d.Suppressed || d.Baselined {
-				continue
-			}
-			d.Pos.Filename = lint.RelPath(cwd, d.Pos.Filename)
-			if d.Warning {
-				fmt.Printf("%s [warning]\n", d)
-			} else {
-				fmt.Println(d)
-			}
-		}
-	}
-	if *sarifPath != "" {
-		data, err := lint.ToSARIF(diags, analyzers, cwd)
-		if err != nil {
-			fatal(err)
-		}
-		data = append(data, '\n')
-		if *sarifPath == "-" {
-			if _, err := os.Stdout.Write(data); err != nil {
-				fatal(err)
-			}
-		} else if err := os.WriteFile(*sarifPath, data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	if *timing {
-		sort.SliceStable(timings, func(i, j int) bool {
-			return timings[i].Duration > timings[j].Duration
-		})
-		fmt.Fprintln(os.Stderr, "codecheck: per-analyzer wall time (largest first):")
-		for _, t := range timings {
-			fmt.Fprintf(os.Stderr, "  %-20s %v\n", t.Analyzer, t.Duration)
-		}
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "codecheck: %d stale baseline entr%s (no current finding matches; prune with -update-baseline):\n",
-			len(stale), plural(len(stale), "y", "ies"))
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "  %s: %s: %s (count %d)\n", e.Analyzer, e.File, e.Message, e.Count)
+			fmt.Println(d)
 		}
 	}
 	if warnings > 0 {
 		fmt.Fprintf(os.Stderr, "codecheck: %d warning(s) (non-blocking)\n", warnings)
 	}
-	if baselined > 0 {
-		fmt.Fprintf(os.Stderr, "codecheck: %d baselined finding(s) tolerated\n", baselined)
-	}
 	if blocking > 0 {
 		fmt.Fprintf(os.Stderr, "codecheck: %d finding(s) across %d package(s)\n", blocking, len(pkgs))
 		os.Exit(1)
-	}
-}
-
-// plural picks the singular or plural suffix for n.
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
-}
-
-// emitJSON writes v to stdout as indented JSON, never emitting JSON null
-// for an empty slice (the schema promises an array).
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fatal(err)
 	}
 }
 

@@ -35,6 +35,7 @@ func FromWays(ways ...int) Bitmap {
 // FirstN returns a Bitmap with ways 0..n-1 set.
 func FirstN(n int) Bitmap {
 	if n < 0 || n > MaxWays {
+		//lint:ignore hotalloc out-of-range guard: the message is built only on a way count above MaxWays, a programming error that panics
 		panic(fmt.Sprintf("bitmap: FirstN(%d) out of range", n))
 	}
 	if n == MaxWays {
@@ -45,6 +46,7 @@ func FirstN(n int) Bitmap {
 
 func checkWay(w int) {
 	if w < 0 || w >= MaxWays {
+		//lint:ignore hotalloc out-of-range guard: the message is built only on a way index outside [0,MaxWays), a programming error that panics
 		panic(fmt.Sprintf("bitmap: way %d out of range [0,%d)", w, MaxWays))
 	}
 }

@@ -350,6 +350,7 @@ func Decode(w uint32) (Inst, error) {
 		return Inst{Op: OpJAL, Rd: rd, Imm: signExt(imm, 21)}, nil
 	case opcJALR:
 		if f3 != 0 {
+			//lint:ignore hotalloc illegal-instruction fault: the error is built only on an undecodable word, which raises an illegal-instruction trap
 			return Inst{}, fmt.Errorf("isa: bad jalr funct3 %d", f3)
 		}
 		return Inst{Op: OpJALR, Rd: rd, Rs1: rs1, Imm: iImm}, nil
@@ -357,18 +358,21 @@ func Decode(w uint32) (Inst, error) {
 		imm := (w>>31&1)<<12 | (w>>7&1)<<11 | (w>>25&0x3f)<<5 | (w >> 8 & 0xf << 1)
 		op, ok := decBranch[f3]
 		if !ok {
+			//lint:ignore hotalloc illegal-instruction fault: the error is built only on an undecodable word, which raises an illegal-instruction trap
 			return Inst{}, fmt.Errorf("isa: bad branch funct3 %d", f3)
 		}
 		return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: signExt(imm, 13)}, nil
 	case opcLoad:
 		op, ok := decLoad[f3]
 		if !ok {
+			//lint:ignore hotalloc illegal-instruction fault: the error is built only on an undecodable word, which raises an illegal-instruction trap
 			return Inst{}, fmt.Errorf("isa: bad load funct3 %d", f3)
 		}
 		return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: iImm}, nil
 	case opcStore:
 		op, ok := decStore[f3]
 		if !ok {
+			//lint:ignore hotalloc illegal-instruction fault: the error is built only on an undecodable word, which raises an illegal-instruction trap
 			return Inst{}, fmt.Errorf("isa: bad store funct3 %d", f3)
 		}
 		imm := signExt(w>>25<<5|w>>7&0x1f, 12)
@@ -398,6 +402,7 @@ func Decode(w uint32) (Inst, error) {
 	case opcOp:
 		op, ok := decALU[f7<<3|f3]
 		if !ok {
+			//lint:ignore hotalloc illegal-instruction fault: the error is built only on an undecodable word, which raises an illegal-instruction trap
 			return Inst{}, fmt.Errorf("isa: bad OP funct %#x/%d", f7, f3)
 		}
 		return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
@@ -410,6 +415,7 @@ func Decode(w uint32) (Inst, error) {
 		case 1:
 			return Inst{Op: OpEBREAK}, nil
 		}
+		//lint:ignore hotalloc illegal-instruction fault: the error is built only on an undecodable word, which raises an illegal-instruction trap
 		return Inst{}, fmt.Errorf("isa: unsupported system instruction %#x", w)
 	case opcL15:
 		switch f3 {
@@ -424,7 +430,9 @@ func Decode(w uint32) (Inst, error) {
 		case f3IPSet:
 			return Inst{Op: OpIPSET, Rs1: rs1}, nil
 		}
+		//lint:ignore hotalloc illegal-instruction fault: the error is built only on an undecodable word, which raises an illegal-instruction trap
 		return Inst{}, fmt.Errorf("isa: bad L1.5 funct3 %d", f3)
 	}
+	//lint:ignore hotalloc illegal-instruction fault: the error is built only on an undecodable word, which raises an illegal-instruction trap
 	return Inst{}, fmt.Errorf("isa: cannot decode %#08x", w)
 }

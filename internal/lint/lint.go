@@ -1,8 +1,10 @@
-// Package lint is the repository's custom static-analysis suite: six
+// Package lint is the repository's custom static-analysis suite: thirteen
 // analyzers that encode the simulator's correctness invariants — run-to-run
-// determinism, way-bitmap discipline, metrics atomicity, error hygiene and
-// godoc coverage — as machine-checked rules, plus the loader and runner
-// behind cmd/codecheck.
+// determinism, the zero-allocation hot paths, way-bitmap discipline, metrics
+// atomicity, error hygiene and godoc coverage — as machine-checked rules,
+// plus the loader and runner behind cmd/codecheck. TestModuleClean runs the
+// whole suite over the module under `go test`, so the tier-1 tests are the
+// gate.
 //
 // The container this repository grows in has no module proxy access, so the
 // suite cannot depend on golang.org/x/tools/go/analysis. Instead this
@@ -19,7 +21,7 @@
 //
 // on the flagged line or the line directly above it silences that analyzer
 // there. The justification is mandatory; an ignore without one is itself a
-// diagnostic.
+// diagnostic. An in-source ignore is the only way to accept a finding.
 package lint
 
 import (
@@ -27,6 +29,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -66,12 +69,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Diagnostic is one finding, already resolved to a file position. Chain
 // carries interprocedural evidence when the analyzer has it (puritycheck's
-// entry-point-to-sink path). Suppressed findings are kept — flagged, with
-// the directive's justification — so machine consumers (-json) can audit
-// what the ignores hide; the text output and the exit code skip them.
-// Warning-severity findings (fingerprintcomplete's wasted-key-entropy
-// direction) are advisory: reported in every output form but never
-// blocking, and never baseline material.
+// entry-point-to-sink path). RunModule keeps suppressed findings, flagged
+// with the directive's justification; the text output and the exit code
+// skip them. Warning-severity findings (fingerprintcomplete's
+// wasted-key-entropy direction) are advisory: printed but never blocking.
 type Diagnostic struct {
 	Pos           token.Position
 	Analyzer      string
@@ -80,7 +81,6 @@ type Diagnostic struct {
 	Warning       bool // advisory severity: reported, never blocking
 	Suppressed    bool
 	Justification string // the //lint:ignore justification, when suppressed
-	Baselined     bool   // matched an accepted-debt entry in the committed baseline
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -190,7 +190,7 @@ func RunModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			diags = append(diags, pkgDiags...)
 		}
 	}
-	moduleDiags, err := runModulePasses(pkgs, analyzers, nil)
+	moduleDiags, err := runModulePasses(pkgs, analyzers)
 	if err != nil {
 		return nil, err
 	}
@@ -217,9 +217,8 @@ func runPackagePass(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
 }
 
 // runModulePasses builds the call graph (when needed) and applies the
-// interprocedural analyzers. timeOne, when non-nil, wraps each analyzer
-// run for wall-time accounting.
-func runModulePasses(pkgs []*Package, analyzers []*Analyzer, timeOne func(name string, run func() error) error) ([]Diagnostic, error) {
+// interprocedural analyzers.
+func runModulePasses(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var moduleAnalyzers []*Analyzer
 	for _, a := range analyzers {
 		if a.RunModule != nil {
@@ -229,20 +228,11 @@ func runModulePasses(pkgs []*Package, analyzers []*Analyzer, timeOne func(name s
 	if len(moduleAnalyzers) == 0 {
 		return nil, nil
 	}
-	if timeOne == nil {
-		timeOne = func(_ string, run func() error) error { return run() }
-	}
 	var diags []Diagnostic
-	var graph *CallGraph
-	if err := timeOne("(call graph)", func() error {
-		graph = BuildCallGraph(pkgs)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	graph := BuildCallGraph(pkgs)
 	for _, a := range moduleAnalyzers {
 		mp := &ModulePass{Analyzer: a, Pkgs: pkgs, Graph: graph, diags: &diags}
-		if err := timeOne(a.Name, func() error { return a.RunModule(mp) }); err != nil {
+		if err := a.RunModule(mp); err != nil {
 			return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
 		}
 	}
@@ -250,7 +240,7 @@ func runModulePasses(pkgs []*Package, analyzers []*Analyzer, timeOne func(name s
 }
 
 // finishDiagnostics applies suppression directives and the canonical
-// position sort — the shared tail of RunModule and RunModuleParallel.
+// position sort.
 func finishDiagnostics(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 	var malformed []Diagnostic
 	for _, pkg := range pkgs {
@@ -384,11 +374,10 @@ func markSuppressions(pkg *Package, diags []Diagnostic) []Diagnostic {
 // IgnoreEntry is one //lint:ignore directive, for the codecheck -ignores
 // audit listing.
 type IgnoreEntry struct {
-	Pos           token.Position `json:"-"`
-	File          string         `json:"file"`
-	Line          int            `json:"line"`
-	Analyzers     string         `json:"analyzers"`
-	Justification string         `json:"justification"`
+	File          string
+	Line          int
+	Analyzers     string
+	Justification string
 }
 
 // Ignores lists every suppression directive in the given packages, sorted
@@ -401,7 +390,6 @@ func Ignores(pkgs []*Package) []IgnoreEntry {
 		directives, _ := parseIgnores(pkg)
 		for _, d := range directives {
 			entries = append(entries, IgnoreEntry{
-				Pos:           d.pos,
 				File:          d.pos.Filename,
 				Line:          d.pos.Line,
 				Analyzers:     d.analyzers,
@@ -416,4 +404,19 @@ func Ignores(pkgs []*Package) []IgnoreEntry {
 		return entries[i].Line < entries[j].Line
 	})
 	return entries
+}
+
+// RelPath rewrites path relative to base when that produces a path inside
+// it, so codecheck prints the same paths from any checkout; paths outside
+// base, and any path when base is empty, come back unchanged.
+func RelPath(base, path string) string {
+	if base == "" || path == "" {
+		return path
+	}
+	rel, err := filepath.Rel(base, path)
+	if err != nil || filepath.IsAbs(rel) || rel == ".." ||
+		strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		return path
+	}
+	return rel
 }

@@ -1,7 +1,10 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -100,8 +103,8 @@ func TestSharedCaptureClean(t *testing.T) {
 // silence findings, malformed ones are themselves reported.
 func TestIgnoreDirectives(t *testing.T) { runAnalyzerTest(t, WallTime, "ignore") }
 
-// TestRunModuleKeepsSuppressed pins the -json contract: RunModule marks
-// suppressed findings instead of dropping them, carrying the directive's
+// TestRunModuleKeepsSuppressed pins that RunModule marks suppressed
+// findings instead of dropping them, carrying the directive's
 // justification, while Run still filters them out.
 func TestRunModuleKeepsSuppressed(t *testing.T) {
 	pkg, err := LoadDir("testdata/src/ignore")
@@ -185,6 +188,32 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestAnalyzerTestdataMatchesRegistry ties the registry to its testdata:
+// every analyzer in All() has a flagged and a clean case, and every
+// testdata package except the suppression one names a registered analyzer.
+// An analyzer dropped from All() would otherwise stop running everywhere
+// while its own tests still pass.
+func TestAnalyzerTestdataMatchesRegistry(t *testing.T) {
+	registered := map[string]bool{}
+	for _, a := range All() {
+		registered[a.Name] = true
+		for _, c := range []string{"clean", "flagged"} {
+			if fi, err := os.Stat(filepath.Join("testdata", "src", a.Name, c)); err != nil || !fi.IsDir() {
+				t.Errorf("analyzer %s has no testdata/src/%s/%s", a.Name, a.Name, c)
+			}
+		}
+	}
+	dirs, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && d.Name() != "ignore" && !registered[d.Name()] {
+			t.Errorf("testdata/src/%s names no analyzer in All()", d.Name())
+		}
+	}
+}
+
 func TestAnalyzerNamesUniqueAndDocumented(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range All() {
@@ -215,6 +244,75 @@ func TestLoadModulePackages(t *testing.T) {
 	}
 	if !strings.HasSuffix(pkgs[0].ImportPath, "internal/bitmap") {
 		t.Errorf("unexpected import path %q", pkgs[0].ImportPath)
+	}
+}
+
+var module struct {
+	once  sync.Once
+	diags []Diagnostic
+	err   error
+}
+
+// moduleDiagnostics runs the whole suite over every package of the module
+// once per test binary and returns every diagnostic, suppressed ones
+// included.
+func moduleDiagnostics(t *testing.T) []Diagnostic {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads the whole module")
+	}
+	module.once.Do(func() {
+		pkgs, err := Load("", "../../...")
+		if err != nil {
+			module.err = err
+			return
+		}
+		module.diags, module.err = RunModule(pkgs, All())
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.diags
+}
+
+// TestModuleClean is the lint gate: no error-severity finding on the
+// module may stand unless a justified //lint:ignore accepts it in source.
+// Each failure prints the finding and, for interprocedural analyzers, the
+// call chain that reaches it.
+func TestModuleClean(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range moduleDiagnostics(t) {
+		if d.Suppressed || d.Warning {
+			continue
+		}
+		d.Pos.Filename = RelPath(root, d.Pos.Filename)
+		var b strings.Builder
+		b.WriteString(d.String())
+		for _, hop := range d.Chain {
+			b.WriteString("\n\tvia " + hop.Func)
+			if hop.Site.IsValid() {
+				b.WriteString(" at " + RelPath(root, hop.Site.String()))
+			}
+		}
+		t.Errorf("%s\n(fix it, or accept it with //lint:ignore %s <justification> on the line or the line above)",
+			b.String(), d.Analyzer)
+	}
+}
+
+// TestRelPath pins the boundary cases of the path rewriter.
+func TestRelPath(t *testing.T) {
+	for _, tc := range []struct{ base, path, want string }{
+		{"/repo", "/repo/a/b.go", "a/b.go"},
+		{"/repo", "/other/b.go", "/other/b.go"},
+		{"", "/repo/a/b.go", "/repo/a/b.go"},
+		{"/repo", "", ""},
+	} {
+		if got := RelPath(tc.base, tc.path); got != tc.want {
+			t.Errorf("RelPath(%q, %q) = %q, want %q", tc.base, tc.path, got, tc.want)
+		}
 	}
 }
 

@@ -64,6 +64,7 @@ func (m *Memory) Latency() int { return m.latency }
 
 func (m *Memory) check(addr PhysAddr, n int) error {
 	if int(addr) < 0 || int(addr)+n > m.size {
+		//lint:ignore hotalloc out-of-range fault: the error is built only on an access outside physical memory, which raises a memory-fault trap
 		return fmt.Errorf("mem: access [%#x,%#x) outside [0,%#x)", addr, int(addr)+n, m.size)
 	}
 	return nil
@@ -91,6 +92,7 @@ func (m *Memory) writable(addr PhysAddr) *page {
 // ReadWord returns the little-endian 32-bit word at addr (4-byte aligned).
 func (m *Memory) ReadWord(addr PhysAddr) (uint32, error) {
 	if addr%4 != 0 {
+		//lint:ignore hotalloc misalignment fault: the error is built only on a misaligned word read, which raises a memory-fault trap
 		return 0, fmt.Errorf("mem: misaligned word read at %#x", addr)
 	}
 	if err := m.check(addr, 4); err != nil {
@@ -112,6 +114,7 @@ func (m *Memory) PeekWord(addr PhysAddr) (word uint32, ok bool) {
 // WriteWord stores a little-endian 32-bit word at addr (4-byte aligned).
 func (m *Memory) WriteWord(addr PhysAddr, v uint32) error {
 	if addr%4 != 0 {
+		//lint:ignore hotalloc misalignment fault: the error is built only on a misaligned word write, which raises a memory-fault trap
 		return fmt.Errorf("mem: misaligned word write at %#x", addr)
 	}
 	if err := m.check(addr, 4); err != nil {

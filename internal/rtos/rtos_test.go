@@ -2,9 +2,7 @@ package rtos
 
 import (
 	"testing"
-	"time"
 
-	"l15cache/internal/cpu"
 	"l15cache/internal/dag"
 	"l15cache/internal/soc"
 )
@@ -199,47 +197,4 @@ func TestRateMonotonicOrdering(t *testing.T) {
 	if Misses(records) != 0 {
 		t.Errorf("misses at trivial load: %+v", records)
 	}
-}
-
-// BenchmarkParkPoll idles the 8-core SoC on the park program for a fixed
-// budget of 500k cycles per core: each poll is a countdown delay the
-// events kernel replays, plus the real steps around it. It reports the
-// time per real (not replayed) step.
-func BenchmarkParkPoll(b *testing.B) {
-	const budget, entry = 500_000, 0x1000
-	var ns, steps uint64
-	b.ReportAllocs()
-	for range b.N {
-		b.StopTimer()
-		s, err := soc.New(soc.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.LoadProgram(entry, parkSrc); err != nil {
-			b.Fatal(err)
-		}
-		for c := range s.Cores {
-			if err := s.SetPageTable(c, s.IdentityPageTable(1)); err != nil {
-				b.Fatal(err)
-			}
-			s.StartCore(c, entry, 0)
-		}
-		handler := func(core *cpu.Core, _ cpu.Trap) bool {
-			core.PC = entry
-			return core.Cycles < budget
-		}
-		b.StartTimer()
-		t0 := time.Now()
-		for halted := 0; halted < len(s.Cores); halted++ {
-			if _, err := s.Run(1<<40, handler); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ns += uint64(time.Since(t0))
-		for _, c := range s.Cores {
-			steps += c.Stats.Instret
-		}
-		steps -= s.Replayed()
-	}
-	b.ReportMetric(float64(ns)/float64(steps), "ns/step")
 }

@@ -146,10 +146,13 @@ type Canceled struct {
 
 // Error renders the partial-result summary.
 func (c *Canceled) Error() string {
+	//lint:ignore hotalloc reached from cpu only through the (error).Error interface edge; a core never holds a runner.Canceled, whose text is built once per interrupted sweep
 	msg := fmt.Sprintf("runner: %s interrupted after %d/%d trials", c.Name, c.Done, c.Total)
 	if c.Checkpoint != "" {
+		//lint:ignore hotalloc reached from cpu only through the (error).Error interface edge; a core never holds a runner.Canceled, whose text is built once per interrupted sweep
 		return msg + "; rerun with -checkpoint " + c.Checkpoint + " to resume"
 	}
+	//lint:ignore hotalloc reached from cpu only through the (error).Error interface edge; a core never holds a runner.Canceled, whose text is built once per interrupted sweep
 	return msg + "; rerun with -checkpoint to make interrupted sweeps resumable"
 }
 

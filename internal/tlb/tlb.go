@@ -81,6 +81,7 @@ func (pt *PageTable) Lookup(va VirtAddr) (mem.PhysAddr, error) {
 	if vpn := va.VPN(); int(vpn) < len(pt.pfn) && pt.pfn[vpn] != unmapped {
 		return mem.PhysAddr(pt.pfn[vpn]<<PageBits | va.Offset()), nil
 	}
+	//lint:ignore hotalloc page fault: the error is built only on an unmapped address, which raises a memory-fault trap
 	return 0, fmt.Errorf("tlb: page fault at %#x (tid %d)", uint32(va), pt.TID)
 }
 
@@ -165,6 +166,7 @@ func (t *TLB) Peek(va VirtAddr) (pa mem.PhysAddr, ok bool) {
 // miss penalty on a page walk.
 func (t *TLB) Translate(va VirtAddr) (mem.PhysAddr, int, error) {
 	if t.pt == nil {
+		//lint:ignore hotalloc unbound-table fault: the error is built only when no page table is bound, which raises a memory-fault trap
 		return 0, 0, fmt.Errorf("tlb: no page table bound")
 	}
 	if pa, ok := t.Peek(va); ok {
