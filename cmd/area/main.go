@@ -31,6 +31,10 @@ func main() {
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
+	flushFiles, err := metrics.OpenFiles(*metricsOut, *traceOut)
+	if err != nil {
+		log.Fatal(err)
+	}
 	flushTelemetry := startTelemetry()
 
 	p := area.Synopsys28nm()
@@ -53,7 +57,7 @@ func main() {
 		fmt.Printf("  total:             %8.0f\n", g.Total())
 	}
 
-	if err := metrics.WriteFiles(*metricsOut, *traceOut); err != nil {
+	if err := flushFiles(); err != nil {
 		log.Fatal(err)
 	}
 	if err := flushTelemetry(); err != nil {

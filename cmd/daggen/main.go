@@ -47,9 +47,13 @@ func main() {
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
+	flushFiles, err := metrics.OpenFiles(*metricsOut, *traceOut)
+	if err != nil {
+		log.Fatal(err)
+	}
 	flushTelemetry := startTelemetry()
 	defer func() {
-		if err := metrics.WriteFiles(*metricsOut, *traceOut); err != nil {
+		if err := flushFiles(); err != nil {
 			log.Fatal(err)
 		}
 		if err := flushTelemetry(); err != nil {

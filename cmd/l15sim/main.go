@@ -62,6 +62,10 @@ func main() {
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
+	flushFiles, err := metrics.OpenFiles(*metricsOut, *traceOut)
+	if err != nil {
+		log.Fatal(err)
+	}
 	flushTelemetry := startTelemetry()
 
 	var rec *flight.Recorder
@@ -72,7 +76,7 @@ func main() {
 	// path and again from the interrupt handler, so a Ctrl-C mid-run
 	// still leaves complete (if shorter) files behind.
 	flush := func() error {
-		if err := metrics.WriteFiles(*metricsOut, *traceOut); err != nil {
+		if err := flushFiles(); err != nil {
 			return err
 		}
 		if err := flushTelemetry(); err != nil {
@@ -130,7 +134,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s.Instrument(metrics.Default, metrics.Trace)
+	s.Instrument(metrics.Default, metrics.Trace())
 	s.FlightRecord(rec)
 	if len(sources) > len(s.Cores) {
 		log.Fatalf("%d programs for %d cores", len(sources), len(s.Cores))

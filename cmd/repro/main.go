@@ -202,7 +202,7 @@ func reproduce(ctx context.Context, sw *cli.Sweep) error {
 	// Cycle-accurate smoke: the SoC + monitor run that grounds the metrics
 	// snapshot in real cache counters.
 	step("cycle-accurate smoke (SoC + monitor)")
-	smoke, err := monitor.Demo(soc.DefaultConfig(), metrics.Default, metrics.Trace, rec)
+	smoke, err := monitor.Demo(soc.DefaultConfig(), metrics.Default, metrics.Trace(), rec)
 	if err != nil {
 		return err
 	}

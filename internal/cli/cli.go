@@ -98,11 +98,13 @@ func newSweep(fs *flag.FlagSet) *Sweep {
 // Main is the entry point of an artefact command. Register the command's
 // own flags on the default flag set, then call Main with the command name
 // (the log prefix) and the body: Main adds the sweep flags, parses
-// os.Args, starts the telemetry sampler, builds the trial cache and runs
-// body under a context cancelled by an interrupt. Whatever body returns,
-// Main then writes -metrics, -trace, -telemetry and every file registered
-// through Flight, each independently of the others' success. On any
-// error — body's, the cache's or a write's — it logs every one and exits 1.
+// os.Args, opens the -trace file, starts the telemetry sampler, builds the
+// trial cache and runs body under a context cancelled by an interrupt.
+// Whatever body returns, Main then writes -metrics, closes -trace and
+// writes -telemetry and every file registered through Flight, each
+// independently of the others' success. On any error — an unopenable
+// -trace file (before anything runs), body's, the cache's or a write's —
+// it logs every one and exits 1.
 func Main(name string, body func(ctx context.Context, s *Sweep) error) {
 	log.SetFlags(0)
 	log.SetPrefix(name + ": ")
@@ -122,18 +124,15 @@ func (s *Sweep) exec(ctx context.Context, args []string, body func(ctx context.C
 		return err
 	}
 	s.showVersion()
+	flushFiles, err := metrics.OpenFiles(s.metricsOut, s.traceOut)
+	if err != nil {
+		return err
+	}
 	flushTelemetry := s.startTelemetry()
 	ctx, stop := runner.SignalContext(ctx)
 	defer stop()
 
-	errs := []error{s.run(ctx, body)}
-	if s.metricsOut != "" {
-		errs = append(errs, metrics.Default.WriteFile(s.metricsOut))
-	}
-	if s.traceOut != "" {
-		errs = append(errs, metrics.Trace.WriteChrome(s.traceOut))
-	}
-	errs = append(errs, flushTelemetry())
+	errs := []error{s.run(ctx, body), flushFiles(), flushTelemetry()}
 	for _, flush := range s.flushes {
 		errs = append(errs, flush())
 	}

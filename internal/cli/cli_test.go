@@ -2,6 +2,7 @@ package cli
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -77,6 +78,49 @@ func TestExecFlushesWhenCancelled(t *testing.T) {
 		t.Fatalf("Exec = %v, want *runner.Canceled", err)
 	}
 	requireFiles(t, paths["metrics"], paths["trace"], paths["telemetry"], paths["flight"])
+	if n := countTrace(t, paths["trace"])["sweep"]; n != 1 {
+		t.Errorf("trace of the cancelled sweep holds %d sweep spans, want 1", n)
+	}
+}
+
+// countTrace requires path to hold a Chrome trace JSON array and counts
+// its events by name.
+func countTrace(t *testing.T, path string) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Name string }
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("%s is not a JSON array: %v", path, err)
+	}
+	n := map[string]int{}
+	for _, e := range events {
+		n[e.Name]++
+	}
+	return n
+}
+
+// A -trace file that cannot be created fails the run before the body.
+func TestExecFailsOnUnopenableTrace(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "blocker")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(blocker, "trace.json")
+	ran := false
+	err := testSweep().exec(context.Background(), []string{"-trace", path}, func(context.Context, *Sweep) error {
+		ran = true
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("Exec = %v, want the trace's open error", err)
+	}
+	if ran {
+		t.Error("body ran without its -trace file")
+	}
 }
 
 // One unwritable artifact does not stop the others, and every failure is

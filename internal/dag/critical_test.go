@@ -91,12 +91,9 @@ func refCriticalPath(t *dag.Task, w dag.EdgeWeight) []dag.NodeID {
 	return path
 }
 
-// TestCriticalPathIntoMatchesSeparatePasses is the exactness oracle of the
-// fused steering pass: on §5.1 synthetic tasks over p × cpr × U and on
-// PARSEC-like tasks, under raw, computation-only and reduced edge
-// weights, CriticalPathInto (with one PathBuf reused throughout) returns
-// exactly the length and path of the separate passes.
-func TestCriticalPathIntoMatchesSeparatePasses(t *testing.T) {
+// oracleTasks returns §5.1 synthetic tasks over p × cpr × U, PARSEC-like
+// tasks and the hand-built shapes the path oracles run on.
+func oracleTasks(t *testing.T) []*dag.Task {
 	var tasks []*dag.Task
 	for _, p := range []int{9, 21} {
 		for _, cpr := range []float64{0.1, 0.5} {
@@ -120,7 +117,16 @@ func TestCriticalPathIntoMatchesSeparatePasses(t *testing.T) {
 		}
 		tasks = append(tasks, set...)
 	}
-	tasks = append(tasks, dag.Fig1Example(), dag.ForkJoin("fj", 6, 2, 1, 0.5, 4096), dag.Chain("c", 5, 1, 1, 0.5, 0))
+	return append(tasks, dag.Fig1Example(), dag.ForkJoin("fj", 6, 2, 1, 0.5, 4096), dag.Chain("c", 5, 1, 1, 0.5, 0))
+}
+
+// TestCriticalPathIntoMatchesSeparatePasses is the exactness oracle of the
+// fused steering pass: on §5.1 synthetic tasks over p × cpr × U and on
+// PARSEC-like tasks, under raw, computation-only and reduced edge
+// weights, CriticalPathInto (with one PathBuf reused throughout) returns
+// exactly the length and path of the separate passes.
+func TestCriticalPathIntoMatchesSeparatePasses(t *testing.T) {
+	tasks := oracleTasks(t)
 	weights := map[string]dag.EdgeWeight{
 		"raw":     dag.RawCost,
 		"zero":    dag.ZeroCost,
@@ -143,6 +149,25 @@ func TestCriticalPathIntoMatchesSeparatePasses(t *testing.T) {
 			if got := task.CriticalPath(w); !slices.Equal(got, path) {
 				t.Fatalf("%s: CriticalPath %v, want %v", where, got, path)
 			}
+		}
+	}
+}
+
+// TestCriticalPathOfMatchesZeroCost is the exactness oracle of the
+// generator's cpr steering: CriticalPathOf over a WCET slice returns
+// bit-identically the length and path CriticalPathInto(ZeroCost) returns
+// on the same WCETs, with both buffers reused throughout.
+func TestCriticalPathOfMatchesZeroCost(t *testing.T) {
+	var buf, ref dag.PathBuf
+	for i, task := range oracleTasks(t) {
+		wcet := make([]float64, len(task.Nodes))
+		for j, n := range task.Nodes {
+			wcet[j] = n.WCET
+		}
+		length, path := task.CriticalPathOf(wcet, &buf)
+		wantLength, wantPath := task.CriticalPathInto(dag.ZeroCost, &ref)
+		if length != wantLength || !slices.Equal(path, wantPath) {
+			t.Fatalf("task %d (%s): CriticalPathOf = %v %v, want %v %v", i, task.Name, length, path, wantLength, wantPath)
 		}
 	}
 }

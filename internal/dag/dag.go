@@ -550,6 +550,51 @@ func (t *Task) LongestThrough(w EdgeWeight) []float64 {
 // call.
 func (t *Task) CriticalPathInto(w EdgeWeight, buf *PathBuf) (float64, []NodeID) {
 	head, tail := t.HeadTail(w, buf)
+	return t.longestPath(head, tail, buf)
+}
+
+// CriticalPathOf is CriticalPathInto(ZeroCost, buf) with wcet[j] standing
+// in for Nodes[j].WCET: the computation-only path the workload generator
+// steers its cpr on, over a WCET slice it writes back once. Heads are
+// never negative, so dropping the zero edge weights leaves every sum, and
+// so the result, bit-identical to CriticalPathInto(ZeroCost, buf) on the
+// same WCETs.
+func (t *Task) CriticalPathOf(wcet []float64, buf *PathBuf) (float64, []NodeID) {
+	order, err := t.topoOrder()
+	if err != nil {
+		panic(err) // callers validate first; a cycle is a programming error
+	}
+	l := t.lay
+	n := len(t.Nodes)
+	head, from := grow(buf.head, n), grow(buf.from, n)
+	for _, id := range order {
+		best, bestFrom := 0.0, NodeID(-1)
+		for _, p := range l.pred.row(id) {
+			if c := head[p]; c > best || bestFrom < 0 {
+				best, bestFrom = c, p
+			}
+		}
+		head[id] = best + wcet[id]
+		from[id] = bestFrom
+	}
+	tail := grow(buf.tail, n)
+	for i := len(order) - 1; i >= 0; i-- {
+		id := order[i]
+		best := 0.0
+		for _, s := range l.succ.row(id) {
+			if c := wcet[s] + tail[s]; c > best {
+				best = c
+			}
+		}
+		tail[id] = best
+	}
+	buf.head, buf.tail, buf.from = head, tail, from
+	return t.longestPath(head, tail, buf)
+}
+
+// longestPath returns the largest head+tail and the path of buf's links
+// that ends at the sink with the longest head.
+func (t *Task) longestPath(head, tail []float64, buf *PathBuf) (float64, []NodeID) {
 	var length float64
 	for id := range head {
 		if l := head[id] + tail[id]; l > length {

@@ -1,7 +1,7 @@
 // Package metrics is the repository's unified observability layer: a
 // zero-dependency, allocation-light registry of named counters, gauges and
-// fixed-bucket latency histograms, plus a ring-buffered event tracer
-// (tracer.go) that exports Chrome trace_event JSON.
+// fixed-bucket latency histograms, plus an event tracer (tracer.go) that
+// streams Chrome trace_event JSON to a -trace file while one is open.
 //
 // Hot simulation loops have two ways to feed the registry:
 //
@@ -25,6 +25,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -332,20 +333,24 @@ func (r *Registry) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// WriteFiles writes the Default registry snapshot and the Default tracer's
-// Chrome trace to the given paths; an empty path skips that output. It is
-// the shared implementation behind every cmd/ tool's -metrics and -trace
-// flags.
-func WriteFiles(metricsPath, tracePath string) error {
-	if metricsPath != "" {
-		if err := Default.WriteFile(metricsPath); err != nil {
-			return err
-		}
-	}
+// OpenFiles starts the artifacts behind every cmd/ tool's -metrics and
+// -trace flags: it opens the trace file now, as the process-wide Trace,
+// and returns the flush that writes the Default registry snapshot and
+// closes the trace. An empty path skips that artifact. The flush writes
+// both independently of each other's success and may be called more than
+// once.
+func OpenFiles(metricsPath, tracePath string) (flush func() error, err error) {
+	var tr *Tracer
 	if tracePath != "" {
-		if err := Trace.WriteChrome(tracePath); err != nil {
-			return err
+		if tr, err = OpenTrace(tracePath); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return func() error {
+		var err error
+		if metricsPath != "" {
+			err = Default.WriteFile(metricsPath)
+		}
+		return errors.Join(err, tr.Close())
+	}, nil
 }

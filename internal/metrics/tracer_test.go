@@ -3,40 +3,109 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 )
 
+// traceEvent is the part of a Chrome trace record the tests inspect.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	TS   uint64         `json:"ts"`
+	Dur  uint64         `json:"dur"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// parseTrace requires data to be a Chrome trace_event JSON array.
+func parseTrace(t *testing.T, data []byte) []traceEvent {
+	t.Helper()
+	var evs []traceEvent
+	if err := json.Unmarshal(data, &evs); err != nil {
+		t.Fatalf("not a valid JSON array: %v\n%s", err, data)
+	}
+	return evs
+}
+
+// closed closes tr and returns what it wrote to buf.
+func closed(t *testing.T, tr *Tracer, buf *bytes.Buffer) []traceEvent {
+	t.Helper()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return parseTrace(t, buf.Bytes())
+}
+
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(1, "x", "y", nil) // must not panic
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
-		t.Fatal("nil tracer must be an empty no-op sink")
+	tr.EmitSpan(1, 2, "x", "y", nil)
+	tr.EmitTrialSpan(1, 2, "x", "y", 3, 4)
+	if err := tr.Close(); err != nil {
+		t.Fatalf("nil Close = %v", err)
 	}
 }
 
-func TestTracerRingWrap(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.Emit(uint64(i), "c", fmt.Sprintf("e%d", i), nil)
+// TestTracerNilAllocatesNothing pins the cost of tracing off: emitting
+// into the nil tracer a run without -trace holds allocates nothing.
+func TestTracerNilAllocatesNothing(t *testing.T) {
+	var tr *Tracer
+	if n := testing.AllocsPerRun(100, func() {
+		tr.EmitTrialSpan(1, 2, "runner/x", "trial.run", 3, 4)
+		tr.EmitSpan(1, 2, "runner/x", "sweep", nil)
+	}); n != 0 {
+		t.Fatalf("nil tracer allocates %v per emission pair", n)
 	}
-	if got := tr.Len(); got != 4 {
-		t.Fatalf("len = %d, want 4", got)
+}
+
+// TestTracerKeepsEveryEvent emits more events than the largest ring the
+// tracer used to keep and requires all of them, first to last, in the
+// file.
+func TestTracerKeepsEveryEvent(t *testing.T) {
+	const n = 1<<16 + 10
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	for i := 0; i < n; i++ {
+		tr.EmitSpan(uint64(i), 1, "c", "e", nil)
 	}
-	if got := tr.Dropped(); got != 6 {
-		t.Fatalf("dropped = %d, want 6", got)
+	evs := closed(t, tr, &buf)
+	if len(evs) != n+1 { // + the thread_name row
+		t.Fatalf("trace holds %d events, want %d", len(evs), n+1)
 	}
-	evs := tr.Events()
-	for i, ev := range evs {
-		if want := uint64(6 + i); ev.Cycle != want {
-			t.Fatalf("event %d cycle = %d, want %d (oldest-first after wrap)", i, ev.Cycle, want)
+	for i, ev := range evs[1:] {
+		if ev.TS != uint64(i) {
+			t.Fatalf("event %d has ts %d, want %d", i, ev.TS, i)
 		}
 	}
 }
 
+// TestTracerStreamsBeforeClose checks that events reach the writer while
+// the run goes on, not only at Close.
+func TestTracerStreamsBeforeClose(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	for i := 0; buf.Len() == 0; i++ {
+		if i == 1<<12 {
+			t.Fatal("4096 events emitted and nothing written")
+		}
+		tr.Emit(uint64(i), "c", "e", nil)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	parseTrace(t, buf.Bytes())
+}
+
+// TestTracerConcurrentEmit emits from several goroutines (run it under
+// -race) and requires a parseable array holding every event, with one
+// thread_name row per component ahead of that component's events.
 func TestTracerConcurrentEmit(t *testing.T) {
-	tr := NewTracer(128)
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -44,12 +113,25 @@ func TestTracerConcurrentEmit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				tr.Emit(uint64(i), fmt.Sprintf("w%d", w), "tick", nil)
+				tr.EmitTrialSpan(uint64(i), 1, fmt.Sprintf("w%d", w), "trial.run", uint64(i), i)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := tr.Len() + int(tr.Dropped()); got != 800 {
-		t.Fatalf("retained+dropped = %d, want 800", got)
+	rows := map[int]bool{}
+	events := 0
+	for _, ev := range closed(t, tr, &buf) {
+		if ev.Ph == "M" {
+			rows[ev.TID] = true
+			continue
+		}
+		if !rows[ev.TID] {
+			t.Fatalf("event %+v precedes its thread_name row", ev)
+		}
+		events++
+	}
+	if len(rows) != 8 || events != 1600 {
+		t.Fatalf("trace holds %d rows and %d events, want 8 and 1600", len(rows), events)
 	}
 }
 
@@ -57,22 +139,15 @@ func TestTracerConcurrentEmit(t *testing.T) {
 // thread-name metadata record per component and instant events carrying the
 // simulated cycle as ts.
 func TestChromeJSON(t *testing.T) {
-	tr := NewTracer(16)
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
 	tr.Emit(10, "l15.0", "way.assign", map[string]any{"way": 3})
 	tr.Emit(20, "monitor", "sample", nil)
 	tr.Emit(30, "l15.0", "way.revoke", nil)
 
-	data, err := tr.ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw []map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatalf("not valid JSON array: %v\n%s", err, data)
-	}
 	meta, instants := 0, 0
-	for _, ev := range raw {
-		switch ev["ph"] {
+	for _, ev := range closed(t, tr, &buf) {
+		switch ev.Ph {
 		case "M":
 			meta++
 		case "i":
@@ -86,23 +161,34 @@ func TestChromeJSON(t *testing.T) {
 		t.Fatalf("instant events = %d, want 3", instants)
 	}
 
-	// Empty tracer must still serialise as a (possibly empty) array.
-	empty, err := NewTracer(1).ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arr []any
-	if err := json.Unmarshal(empty, &arr); err != nil || len(arr) != 0 {
-		t.Fatalf("empty tracer export = %s (err %v), want []", empty, err)
+	// An empty trace still closes as an array.
+	buf.Reset()
+	if evs := closed(t, NewTracer(&buf), &buf); len(evs) != 0 {
+		t.Fatalf("empty tracer export = %s, want []", buf.Bytes())
 	}
 }
 
+// TestWriteChrome checks OpenTrace's file and its process-wide
+// installation, which lasts until Close.
 func TestWriteChrome(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Emit(5, "c", "e", nil)
-	path := t.TempDir() + "/t.json"
-	if err := tr.WriteChrome(path); err != nil {
+	path := filepath.Join(t.TempDir(), "t.json")
+	tr, err := OpenTrace(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if Trace() != tr {
+		t.Fatal("OpenTrace did not install its tracer")
+	}
+	Trace().Emit(5, "c", "e", nil)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if Trace() != nil {
+		t.Fatal("Close left the tracer installed")
+	}
+	tr.Emit(6, "c", "late", nil) // discarded
+	if err := tr.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
 	}
 	var arr []map[string]any
 	if err := readJSON(path, &arr); err != nil {
@@ -113,140 +199,53 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
-// TestTracerDroppedExposed checks satellite visibility of a wrapped ring:
-// the snapshot carries trace.events / trace.dropped_events, and the Chrome
-// export leads with a metadata record naming the drop count.
-func TestTracerDroppedExposed(t *testing.T) {
-	tr := NewTracer(2)
-	reg := NewRegistry()
-	tr.PublishMetrics(reg)
-	for i := 0; i < 5; i++ {
-		tr.Emit(uint64(i), "c", "e", nil)
-	}
-	s := reg.Snapshot()
-	if got := s.Counters["trace.events"]; got != 2 {
-		t.Errorf("trace.events = %d, want 2", got)
-	}
-	if got := s.Counters["trace.dropped_events"]; got != 3 {
-		t.Errorf("trace.dropped_events = %d, want 3", got)
-	}
-	data, err := tr.ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte("trace_dropped_events")) {
-		t.Errorf("Chrome export missing drop metadata:\n%s", data)
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// A write error surfaces from Close instead of leaving a truncated trace
+// that reports success.
+func TestTracerReportsWriteError(t *testing.T) {
+	tr := NewTracer(failingWriter{})
+	tr.Emit(1, "c", "e", nil)
+	if err := tr.Close(); err == nil {
+		t.Fatal("Close = nil after a failed write")
 	}
 }
 
 func TestEmitSpan(t *testing.T) {
-	tr := NewTracer(8)
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
 	tr.EmitSpan(100, 50, "runner/x", "trial.run", map[string]any{"span": "abc"})
 	tr.EmitSpan(200, 0, "runner/x", "trial.queue", nil) // zero-width widens to 1
-	events := tr.Events()
-	if len(events) != 2 {
-		t.Fatalf("got %d events", len(events))
-	}
-	if events[0].Cycle != 100 || events[0].Dur != 50 {
-		t.Errorf("span event = %+v", events[0])
-	}
-	if events[1].Dur != 1 {
-		t.Errorf("zero-duration span rendered with Dur=%d, want 1", events[1].Dur)
-	}
-
-	data, err := tr.ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc []struct {
-		Ph  string  `json:"ph"`
-		Ts  float64 `json:"ts"`
-		Dur float64 `json:"dur"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	found := 0
-	for _, e := range doc {
-		if e.Ph == "X" {
-			found++
-			if e.Dur <= 0 {
-				t.Errorf("X slice with dur %v", e.Dur)
-			}
+	var spans []traceEvent
+	for _, ev := range closed(t, tr, &buf) {
+		if ev.Ph == "X" {
+			spans = append(spans, ev)
 		}
 	}
-	if found != 2 {
-		t.Errorf("Chrome export has %d X slices, want 2", found)
+	if len(spans) != 2 {
+		t.Fatalf("Chrome export has %d X slices, want 2", len(spans))
+	}
+	if spans[0].TS != 100 || spans[0].Dur != 50 {
+		t.Errorf("span event = %+v", spans[0])
+	}
+	if spans[1].Dur != 1 {
+		t.Errorf("zero-duration span rendered with dur %d, want 1", spans[1].Dur)
 	}
 }
 
 // TestEmitTrialSpan checks that a typed trial span exports exactly the
 // args a map-carrying span with the same identity does.
 func TestEmitTrialSpan(t *testing.T) {
-	typed, mapped := NewTracer(4), NewTracer(4)
+	var a, b bytes.Buffer
+	typed, mapped := NewTracer(&a), NewTracer(&b)
 	typed.EmitTrialSpan(100, 0, "runner/x", "trial.run", 0xabc, 3)
 	mapped.EmitSpan(100, 0, "runner/x", "trial.run",
 		map[string]any{"span": "0000000000000abc", "trial": 3})
-	a, err := typed.ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mapped.ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("typed trial span exports\n%s\nwant\n%s", a, b)
-	}
-}
-
-// TestTracerGrowsOnDemand checks that the ring reserves nothing up front
-// and still holds exactly its capacity once full.
-func TestTracerGrowsOnDemand(t *testing.T) {
-	tr := NewTracer(100)
-	if len(tr.chunks) != 0 {
-		t.Fatalf("new tracer reserved %d chunks", len(tr.chunks))
-	}
-	for i := 0; i < 250; i++ {
-		tr.Emit(uint64(i), "c", "e", nil)
-	}
-	events := tr.Events()
-	if len(events) != 100 || tr.Dropped() != 150 {
-		t.Fatalf("retained %d, dropped %d; want 100, 150", len(events), tr.Dropped())
-	}
-	for i, ev := range events {
-		if ev.Cycle != uint64(150+i) {
-			t.Fatalf("event %d has cycle %d, want %d", i, ev.Cycle, 150+i)
-		}
-	}
-}
-
-// TestTracerChunkedRing fills a ring that spans several storage chunks,
-// requires growth to leave the filled chunks where they are, and checks
-// the retained suffix and its order after wrapping more than once.
-func TestTracerChunkedRing(t *testing.T) {
-	const capacity = 2*traceChunk + 500
-	tr := NewTracer(capacity)
-	for i := 0; i < 2*traceChunk; i++ {
-		tr.Emit(uint64(i), "c", "e", nil)
-	}
-	first := &tr.chunks[0][0]
-	for i := 2 * traceChunk; i < 3*capacity+7; i++ {
-		tr.Emit(uint64(i), "c", "e", nil)
-	}
-	if len(tr.chunks) < 3 {
-		t.Fatalf("ring of %d events is %d chunk(s); want several", capacity, len(tr.chunks))
-	}
-	if &tr.chunks[0][0] != first {
-		t.Error("growing the ring moved a filled chunk")
-	}
-	events := tr.Events()
-	if tr.Len() != capacity || len(events) != capacity || tr.Dropped() != 2*capacity+7 {
-		t.Fatalf("retained %d (Len %d), dropped %d; want %d, %d", len(events), tr.Len(), tr.Dropped(), capacity, 2*capacity+7)
-	}
-	for i, ev := range events {
-		if want := uint64(2*capacity + 7 + i); ev.Cycle != want {
-			t.Fatalf("event %d has cycle %d, want %d", i, ev.Cycle, want)
-		}
+	closed(t, typed, &a)
+	closed(t, mapped, &b)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("typed trial span exports\n%s\nwant\n%s", a.Bytes(), b.Bytes())
 	}
 }

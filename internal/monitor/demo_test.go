@@ -14,12 +14,13 @@ import (
 // TestDemoKernelEquivalence is the kernel oracle for cmd/repro's
 // cycle-accurate smoke run: the demo under the ticked kernel and under
 // the events kernel must produce the same monitor report, the same
-// registry snapshot and the same flight events.
+// registry snapshot, the same flight events and the same trace.
 func TestDemoKernelEquivalence(t *testing.T) {
 	type result struct {
 		report string
 		snap   []byte
 		flight []byte
+		trace  []byte
 		events int
 	}
 	run := func(k kernel.Mode) result {
@@ -27,16 +28,21 @@ func TestDemoKernelEquivalence(t *testing.T) {
 		cfg.Kernel = k
 		reg := metrics.NewRegistry()
 		rec := flight.New()
-		report, err := Demo(cfg, reg, metrics.NewTracer(1<<12), rec)
+		var trace bytes.Buffer
+		tr := metrics.NewTracer(&trace)
+		report, err := Demo(cfg, reg, tr, rec)
 		if err != nil {
 			t.Fatalf("%v kernel: %v", k, err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
 		}
 		snap, err := reg.Snapshot().JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		recording := rec.Snapshot()
-		return result{report, snap, flight.AppendJSONL(nil, recording), len(recording.Events)}
+		return result{report, snap, flight.AppendJSONL(nil, recording), trace.Bytes(), len(recording.Events)}
 	}
 	ticked, events := run(kernel.Ticked), run(kernel.Events)
 
@@ -51,5 +57,8 @@ func TestDemoKernelEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(ticked.flight, events.flight) {
 		t.Errorf("flight events differ\nticked:\n%s\nevents:\n%s", ticked.flight, events.flight)
+	}
+	if !bytes.Equal(ticked.trace, events.trace) {
+		t.Errorf("trace differs\nticked:\n%s\nevents:\n%s", ticked.trace, events.trace)
 	}
 }

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"l15cache/internal/metrics"
@@ -14,7 +16,8 @@ import (
 func TestObservabilityIntegration(t *testing.T) {
 	s := newSoC(t)
 	reg := metrics.NewRegistry()
-	tr := metrics.NewTracer(1 << 12)
+	var trace bytes.Buffer
+	tr := metrics.NewTracer(&trace)
 	s.Instrument(reg, tr)
 	rec := runRecorded(t, s, demandProg)
 	Analyze(rec, 32, s.Clusters[0].L15.Ticks()).Publish(reg)
@@ -37,8 +40,15 @@ func TestObservabilityIntegration(t *testing.T) {
 		t.Fatal("monitor recorded no reconfigurations")
 	}
 
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Name string }
+	if err := json.Unmarshal(trace.Bytes(), &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
+	}
 	var assigns, satisfied int
-	for _, ev := range tr.Events() {
+	for _, ev := range events {
 		switch ev.Name {
 		case "way.assign":
 			assigns++

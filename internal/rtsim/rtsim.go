@@ -359,15 +359,23 @@ type release struct {
 }
 
 // plan is one planning family's per-task result: clones of the task set
-// carrying the family's node priorities, and the planned tasks' node
-// tables laid out flat for the dispatch loop. Node v of task ti is entry
-// base[ti]+v of the tables. Entry i's in-edges are
-// predEdge[predOff[i]:predOff[i+1]] in Task.Pred order; its successors are
-// succ[succOff[i]:succOff[i+1]] in Task.Succ order. ways is Alg. 1's way
-// plan (Model.Ways, proposed system only) and nodeRank the node's place in
-// its task by Priority desc, then ID.
+// carrying the family's node priorities and, indexed like the shared node
+// tables, ways, Alg. 1's way plan (Model.Ways, proposed system only), and
+// nodeRank, each node's place in its task by Priority desc, then ID.
 type plan struct {
-	tasks            []*dag.Task
+	*tables
+	tasks    []*dag.Task
+	ways     []int
+	nodeRank []uint64
+}
+
+// tables is the task set's structure laid out flat for the dispatch loop,
+// which every plan of a trial shares: planning sets priorities and ways
+// but changes no node, edge or WCET. Node v of task ti is entry
+// base[ti]+v. Entry i's in-edges are predEdge[predOff[i]:predOff[i+1]] in
+// Task.Pred order; its successors are succ[succOff[i]:succOff[i+1]] in
+// Task.Succ order.
+type tables struct {
 	base             []int
 	source           []dag.NodeID // task index -> source node
 	predOff, succOff []int
@@ -375,8 +383,6 @@ type plan struct {
 	succ             []dag.NodeID
 	wcet             []float64
 	data             []int64
-	ways             []int
-	nodeRank         []uint64
 }
 
 // family indexes the planning a system needs. The proposed system plans
@@ -446,15 +452,16 @@ func simulate(tasks []*dag.Task, kinds []Kind, cfg Config, stop bool) ([]Metrics
 		return nil, err
 	}
 	var plans [2]*plan
+	var tab *tables
 	out := make([]Metrics, len(kinds))
 	for i, k := range kinds {
 		f := family(k)
 		if plans[f] == nil {
-			p, err := newPlan(tasks, k == KindProp, cfg)
+			p, err := newPlan(tasks, k == KindProp, cfg, tab)
 			if err != nil {
 				return nil, err
 			}
-			plans[f] = p
+			plans[f], tab = p, p.tables
 		}
 		out[i] = tr.runSystem(k, plans[f], stop)
 		if uses[f]--; uses[f] == 0 {
@@ -464,20 +471,17 @@ func simulate(tasks []*dag.Task, kinds []Kind, cfg Config, stop bool) ([]Metrics
 	return out, nil
 }
 
-// newPlan clones every task, schedules the clone (Alg. 1 when prop is set:
-// the way plan and priorities; longest-path-first otherwise) and copies
-// the planned tasks into the plan's node tables.
-func newPlan(tasks []*dag.Task, prop bool, cfg Config) (*plan, error) {
-	n, m := len(tasks), 0
-	p := &plan{tasks: make([]*dag.Task, n), base: make([]int, n+1), source: make([]dag.NodeID, n)}
-	for ti, t := range tasks {
-		p.base[ti+1] = p.base[ti] + len(t.Nodes)
-		m += len(t.Edges)
+// newPlan clones every task and schedules the clone (Alg. 1 when prop is
+// set: the way plan and priorities; longest-path-first otherwise). The
+// plan shares tab, the node tables of another plan of the same task set;
+// with tab nil it lays them out from its planned clones.
+func newPlan(tasks []*dag.Task, prop bool, cfg Config, tab *tables) (*plan, error) {
+	n := len(tasks)
+	p := &plan{tables: tab, tasks: make([]*dag.Task, n)}
+	if tab == nil {
+		p.tables = newTables(tasks)
 	}
 	nodes := p.base[n]
-	p.predOff, p.succOff = make([]int, nodes+1), make([]int, nodes+1)
-	p.predEdge, p.succ = make([]dag.Edge, 0, m), make([]dag.NodeID, 0, m)
-	p.wcet, p.data = make([]float64, nodes), make([]int64, nodes)
 	p.nodeRank = make([]uint64, nodes)
 	if prop {
 		p.ways = make([]int, nodes)
@@ -496,21 +500,16 @@ func newPlan(tasks []*dag.Task, prop bool, cfg Config) (*plan, error) {
 			return nil, err
 		}
 		p.tasks[ti] = c
-		p.source[ti] = c.Source()
+		if tab == nil {
+			p.tables.add(ti, c)
+		}
 		b := p.base[ti]
 		order = order[:0]
-		for v, node := range c.Nodes {
-			id, i := dag.NodeID(v), b+v
-			for _, e := range c.PredEdges(id) {
-				p.predEdge = append(p.predEdge, c.Edges[e])
-			}
-			p.succ = append(p.succ, c.Succ(id)...)
-			p.predOff[i+1], p.succOff[i+1] = len(p.predEdge), len(p.succ)
-			p.wcet[i], p.data[i] = node.WCET, node.Data
+		for v := range c.Nodes {
 			if prop {
-				p.ways[i] = res.Model.Ways[v]
+				p.ways[b+v] = res.Model.Ways[v]
 			}
-			order = append(order, id)
+			order = append(order, dag.NodeID(v))
 		}
 		slices.SortFunc(order, func(a, b dag.NodeID) int {
 			if pa, pb := c.Nodes[a].Priority, c.Nodes[b].Priority; pa != pb {
@@ -523,6 +522,37 @@ func newPlan(tasks []*dag.Task, prop bool, cfg Config) (*plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// newTables sizes the node tables of tasks; add fills in each task.
+func newTables(tasks []*dag.Task) *tables {
+	n, m := len(tasks), 0
+	tab := &tables{base: make([]int, n+1), source: make([]dag.NodeID, n)}
+	for ti, t := range tasks {
+		tab.base[ti+1] = tab.base[ti] + len(t.Nodes)
+		m += len(t.Edges)
+	}
+	nodes := tab.base[n]
+	tab.predOff, tab.succOff = make([]int, nodes+1), make([]int, nodes+1)
+	tab.predEdge, tab.succ = make([]dag.Edge, 0, m), make([]dag.NodeID, 0, m)
+	tab.wcet, tab.data = make([]float64, nodes), make([]int64, nodes)
+	return tab
+}
+
+// add lays out task ti, a validated clone of the task set's task ti,
+// after tasks 0..ti-1.
+func (tab *tables) add(ti int, c *dag.Task) {
+	tab.source[ti] = c.Source()
+	b := tab.base[ti]
+	for v, node := range c.Nodes {
+		id, i := dag.NodeID(v), b+v
+		for _, e := range c.PredEdges(id) {
+			tab.predEdge = append(tab.predEdge, c.Edges[e])
+		}
+		tab.succ = append(tab.succ, c.Succ(id)...)
+		tab.predOff[i+1], tab.succOff[i+1] = len(tab.predEdge), len(tab.succ)
+		tab.wcet[i], tab.data[i] = node.WCET, node.Data
+	}
 }
 
 // newTrial derives the horizon, the rate-monotonic ranks, the cluster

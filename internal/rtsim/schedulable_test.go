@@ -112,7 +112,7 @@ func TestRecycledJobIsFresh(t *testing.T) {
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPlan(tasks, true, cfg)
+	p, err := newPlan(tasks, true, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

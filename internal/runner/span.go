@@ -1,20 +1,18 @@
-// Sweep/trial span instrumentation: every Map call emits a hierarchy of
-// duration events into the Chrome-trace tracer — per computed trial a
-// queue span (dispatch → worker pickup), a run span (the shard function)
-// and a reduce span (checkpoint/memo/progress accounting), plus one sweep
-// span covering the whole fan-out — and publishes wall-clock latency
-// summaries (exact p50/p95/p99, worker occupancy) into the operational
-// telemetry registry at sweep end.
+// Sweep/trial span instrumentation: while a -trace file is open
+// (metrics.Trace()), every Map call streams a hierarchy of duration events
+// to it — per computed trial a queue span (dispatch → worker pickup), a
+// run span (the shard function) and a reduce span (checkpoint/memo/
+// progress accounting), plus one sweep span covering the whole fan-out.
+// Without -trace the tracer is nil and emission does nothing. Every sweep
+// publishes wall-clock latency summaries (exact p50/p95/p99, worker
+// occupancy) into the operational telemetry registry at sweep end.
 //
 // Span identity is deterministic: SpanID is a pure function of
 // (RootSeed, index), the same derivation the shard seeds use, so the same
 // trial carries the same ID across runs, worker counts and kernels. The
 // spans' timestamps are wall-clock microseconds since sweep start and are
 // therefore operational data only: they flow to the -trace artifact and
-// telemetry.Runtime, never into a deterministic metrics snapshot. The
-// *number* of span events per sweep is itself deterministic (three per
-// computed trial plus one sweep span), so the `trace.events` counter in
-// archived snapshots stays byte-identical with telemetry on or off.
+// telemetry.Runtime, never into a deterministic metrics snapshot.
 
 package runner
 
@@ -59,7 +57,7 @@ type sweepSpans struct {
 func newSweepSpans(name string, root int64, epoch time.Time) *sweepSpans {
 	return &sweepSpans{
 		name: name, comp: "runner/" + name, root: root, epoch: epoch,
-		tracer:  metrics.Trace,
+		tracer:  metrics.Trace(),
 		runHist: telemetry.Runtime.Histogram("runner.trial_run_seconds", trialRunBounds),
 	}
 }
@@ -78,10 +76,12 @@ func (s *sweepSpans) us(t time.Time) uint64 {
 // shard function, redStart bounds the reducer's bookkeeping (its end is
 // now).
 func (s *sweepSpans) trial(index int, enq, start, end, redStart time.Time) {
-	span := uint64(Seed(s.root, index))
-	s.tracer.EmitTrialSpan(s.us(enq), s.us(start)-s.us(enq), s.comp, "trial.queue", span, index)
-	s.tracer.EmitTrialSpan(s.us(start), s.us(end)-s.us(start), s.comp, "trial.run", span, index)
-	s.tracer.EmitTrialSpan(s.us(redStart), s.us(time.Now())-s.us(redStart), s.comp, "trial.reduce", span, index)
+	if s.tracer != nil {
+		span := uint64(Seed(s.root, index))
+		s.tracer.EmitTrialSpan(s.us(enq), s.us(start)-s.us(enq), s.comp, "trial.queue", span, index)
+		s.tracer.EmitTrialSpan(s.us(start), s.us(end)-s.us(start), s.comp, "trial.run", span, index)
+		s.tracer.EmitTrialSpan(s.us(redStart), s.us(time.Now())-s.us(redStart), s.comp, "trial.reduce", span, index)
+	}
 
 	run := end.Sub(start)
 	s.runDurs = append(s.runDurs, run)
@@ -96,12 +96,14 @@ func (s *sweepSpans) trial(index int, enq, start, end, redStart time.Time) {
 // are excluded from the distribution by construction.
 func (s *sweepSpans) finish(workers, total, restored int) {
 	now := time.Now()
-	s.tracer.EmitSpan(0, s.us(now), s.comp, "sweep", map[string]any{
-		"trials":   total,
-		"computed": len(s.runDurs),
-		"restored": restored,
-		"workers":  workers,
-	})
+	if s.tracer != nil {
+		s.tracer.EmitSpan(0, s.us(now), s.comp, "sweep", map[string]any{
+			"trials":   total,
+			"computed": len(s.runDurs),
+			"restored": restored,
+			"workers":  workers,
+		})
+	}
 
 	if len(s.runDurs) == 0 {
 		return

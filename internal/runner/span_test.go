@@ -2,7 +2,10 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"regexp"
 	"testing"
 	"time"
@@ -31,32 +34,72 @@ func TestSpanIDDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepSpanEmission runs a real sweep and checks the span hierarchy
-// in the process tracer: three spans per computed trial plus one sweep
-// span, all carrying the deterministic span ID, plus the latency gauges
-// in the operational registry.
-func TestSweepSpanEmission(t *testing.T) {
-	const name = "t/spans-emission" // unique component filter
-	const trials = 7
-	_, err := Map(context.Background(),
-		Config{Name: name, RootSeed: 5, Options: Options{Workers: 3}},
-		trials, square)
+// traceEvent is the part of a Chrome trace record the span tests read.
+type traceEvent struct {
+	Name string `json:"name"`
+	Cat  string `json:"cat"`
+	Ph   string `json:"ph"`
+	Dur  uint64 `json:"dur"`
+	Args struct {
+		Span  string `json:"span"`
+		Trial *int   `json:"trial"`
+	} `json:"args"`
+}
+
+// traced runs sweep with a -trace file open and returns the events of
+// component comp it left in the file, which must parse as a JSON array.
+func traced(t *testing.T, comp string, sweep func()) []traceEvent {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.json")
+	tr, err := metrics.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sweep()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all, out []traceEvent
+	if err := json.Unmarshal(data, &all); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
+	}
+	for _, e := range all {
+		if e.Cat == comp {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestSweepSpanEmission runs a real sweep with a trace open and checks
+// the span hierarchy in its file: three spans per computed trial plus one
+// sweep span, all carrying the deterministic span ID, plus the latency
+// gauges in the operational registry.
+func TestSweepSpanEmission(t *testing.T) {
+	const name = "t/spans-emission" // unique component filter
+	const trials = 7
+	events := traced(t, "runner/"+name, func() {
+		_, err := Map(context.Background(),
+			Config{Name: name, RootSeed: 5, Options: Options{Workers: 3}},
+			trials, square)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	byName := map[string]int{}
 	spanIDs := map[string]bool{}
-	for _, e := range metrics.Trace.Events() {
-		if e.Component != "runner/"+name {
-			continue
-		}
+	for _, e := range events {
 		byName[e.Name]++
 		if e.Dur == 0 {
 			t.Errorf("span %s has zero duration", e.Name)
 		}
-		if id, ok := e.ChromeArgs()["span"].(string); ok {
-			spanIDs[id] = true
+		if e.Args.Span != "" {
+			spanIDs[e.Args.Span] = true
 		}
 	}
 	for _, want := range []string{"trial.queue", "trial.run", "trial.reduce"} {
@@ -90,6 +133,31 @@ func TestSweepSpanEmission(t *testing.T) {
 	if h, ok := rt.Histograms["runner.trial_run_seconds"]; !ok || h.Count < trials {
 		t.Errorf("runner.trial_run_seconds histogram = %+v", h)
 	}
+}
+
+// TestMapTraceKeepsFirstSpan runs a sweep of more spans than the ring
+// the tracer once was (65,536 events) held and requires the file to keep
+// every one of them, the first trial's queue span included.
+func TestMapTraceKeepsFirstSpan(t *testing.T) {
+	const name = "t/spans-long"
+	const trials = 1<<16/3 + 1 // 3 spans a trial: 65,538 spans + the sweep
+	events := traced(t, "runner/"+name, func() {
+		_, err := Map(context.Background(),
+			Config{Name: name, RootSeed: 3, Options: Options{Workers: 2}},
+			trials, func(context.Context, Shard) (struct{}, error) { return struct{}{}, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(events) != 3*trials+1 {
+		t.Fatalf("trace holds %d spans of the sweep, want %d", len(events), 3*trials+1)
+	}
+	for _, e := range events {
+		if e.Name == "trial.queue" && e.Args.Trial != nil && *e.Args.Trial == 0 {
+			return
+		}
+	}
+	t.Error("trial 0's trial.queue span is missing from the trace")
 }
 
 func TestExactPercentile(t *testing.T) {

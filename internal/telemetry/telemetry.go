@@ -29,7 +29,7 @@ import (
 // function of the host rather than the simulation — Go runtime health
 // (RegisterRuntimeCollector), the runner's trial-latency and occupancy
 // summaries. It is merged into the -telemetry series, and deliberately
-// excluded from metrics.WriteFiles so archived artifacts stay
+// excluded from the -metrics artifact (metrics.OpenFiles) so archived artifacts stay
 // deterministic.
 var Runtime = metrics.NewRegistry()
 

@@ -177,20 +177,22 @@ func alpha(r *rand.Rand, max float64) float64 {
 // assignWCETs distributes W = U×T over the nodes uniformly, then iteratively
 // steers the longest computation-only path toward CPR × W: nodes on the
 // current longest path are deflated (or inflated) and the total is
-// re-normalised to W each round.
+// re-normalised to W each round. The rounds steer a flat WCET slice,
+// written back to the nodes once at the end.
 func assignWCETs(r *rand.Rand, t *dag.Task, p SynthParams) {
 	w := p.Utilization * t.Period
 	// Uniform initial split.
-	for _, n := range t.Nodes {
-		n.WCET = 0.5 + r.Float64()
+	wcet := make([]float64, len(t.Nodes))
+	for i := range wcet {
+		wcet[i] = 0.5 + r.Float64()
 	}
-	rescaleTotal(t, w)
+	rescaleTotal(wcet, w)
 
 	target := p.CPR * w
 	var buf dag.PathBuf
 	onPath := make([]bool, len(t.Nodes))
 	for iter := 0; iter < 200; iter++ {
-		cp, path := t.CriticalPathInto(dag.ZeroCost, &buf)
+		cp, path := t.CriticalPathOf(wcet, &buf)
 		if diff := cp - target; diff < 0.01*w && diff > -0.01*w {
 			break
 		}
@@ -201,29 +203,37 @@ func assignWCETs(r *rand.Rand, t *dag.Task, p SynthParams) {
 		clear(onPath)
 		for _, id := range path {
 			onPath[id] = true
-			t.Node(id).WCET *= factor
+			wcet[id] *= factor
 		}
 		// If the path must grow, deflate the rest so renormalisation
 		// does not cancel the adjustment.
 		if factor > 1 {
-			for _, n := range t.Nodes {
-				if !onPath[n.ID] {
-					n.WCET /= factor
+			for id, on := range onPath {
+				if !on {
+					wcet[id] /= factor
 				}
 			}
 		}
-		rescaleTotal(t, w)
+		rescaleTotal(wcet, w)
+	}
+	for i, n := range t.Nodes {
+		n.WCET = wcet[i]
 	}
 }
 
-func rescaleTotal(t *dag.Task, w float64) {
-	cur := t.Volume()
+// rescaleTotal scales wcet to sum to w, summing in node order as
+// Task.Volume does.
+func rescaleTotal(wcet []float64, w float64) {
+	var cur float64
+	for _, c := range wcet {
+		cur += c
+	}
 	if cur <= 0 {
 		return
 	}
 	f := w / cur
-	for _, n := range t.Nodes {
-		n.WCET *= f
+	for i := range wcet {
+		wcet[i] *= f
 	}
 }
 
