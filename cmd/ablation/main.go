@@ -8,14 +8,15 @@
 // Usage:
 //
 //	ablation [-dags N] [-trials N] [-seed S] [-which zeta|kappa|prio|delay|etm|all]
-//	         [-workers N] [-checkpoint file.json] [-memo] [-memo-dir DIR]
+//	         [-workers N] [-memo] [-memo-dir DIR]
 //
 // Trials fan out on the internal/runner pool: -workers caps the
-// concurrency (0 = NumCPU) without changing any result, -checkpoint makes
-// an interrupted run (Ctrl-C) resumable at trial granularity, and
+// concurrency (0 = NumCPU) without changing any result, and
 // -memo/-memo-dir enable the content-addressed trial result cache
 // (internal/memo): a -memo-dir shared between runs serves every
-// previously computed trial from disk, byte-identically.
+// previously computed trial from disk, byte-identically, so a rerun of an
+// interrupted run (Ctrl-C) over the same -memo-dir resumes at trial
+// granularity.
 package main
 
 import (

@@ -5,14 +5,15 @@
 // Usage:
 //
 //	casestudy [-cores 8|16] [-trials N] [-step pct] [-seed S]
-//	          [-workers N] [-checkpoint file.json] [-memo] [-memo-dir DIR]
+//	          [-workers N] [-memo] [-memo-dir DIR]
 //
 // Trials fan out on the internal/runner pool: -workers caps the
-// concurrency (0 = NumCPU) without changing any result, -checkpoint makes
-// an interrupted run (Ctrl-C) resumable at trial granularity, and
+// concurrency (0 = NumCPU) without changing any result, and
 // -memo/-memo-dir enable the content-addressed trial result cache
 // (internal/memo): a -memo-dir shared between runs serves every
-// previously computed trial from disk, byte-identically. -flight
+// previously computed trial from disk, byte-identically, so a rerun of an
+// interrupted run (Ctrl-C) over the same -memo-dir resumes at trial
+// granularity. -flight
 // additionally records one representative trial (the configured core
 // count and scheduling, 60% utilisation, proposed system) into a flight
 // recording that cmd/explain can dissect. An interrupt still flushes the

@@ -6,17 +6,16 @@
 // Usage:
 //
 //	makespan [-sweep u|p|cpr|all] [-dags N] [-instances N] [-cores N]
-//	         [-seed S] [-workers N] [-checkpoint file.json] [-memo]
-//	         [-memo-dir DIR]
+//	         [-seed S] [-workers N] [-memo] [-memo-dir DIR]
 //
 // With the defaults (500 DAGs × 10 instances, as in §5.1) a full run takes
 // a few minutes; use -dags 100 for a quick pass. Trials fan out on the
 // internal/runner pool: -workers caps the concurrency (0 = NumCPU) without
-// changing any result, -checkpoint makes an interrupted run (Ctrl-C)
-// resumable at trial granularity, and -memo/-memo-dir enable the
-// content-addressed trial result cache (internal/memo): a -memo-dir
-// shared between runs serves every previously computed trial from disk,
-// byte-identically.
+// changing any result, and -memo/-memo-dir enable the content-addressed
+// trial result cache (internal/memo): a -memo-dir shared between runs
+// serves every previously computed trial from disk, byte-identically, so a
+// rerun of an interrupted run (Ctrl-C) over the same -memo-dir resumes at
+// trial granularity.
 package main
 
 import (

@@ -5,18 +5,19 @@
 //
 // Usage:
 //
-//	repro [-quick] [-o report.md] [-seed S] [-workers N] [-checkpoint cp.json]
-//	      [-memo] [-memo-dir DIR] [-metrics m.json] [-trace t.json]
+//	repro [-quick] [-o report.md] [-seed S] [-workers N] [-memo]
+//	      [-memo-dir DIR] [-metrics m.json] [-trace t.json]
 //	      [-flight rec.jsonl]
 //
 // -quick runs reduced sample sizes (~30 s); the default runs the paper's
 // full sizes (500 DAGs × 10 instances, 200 trials — several minutes).
 // Every randomized sweep fans out on the internal/runner pool: -workers
-// caps the concurrency (0 = NumCPU) without changing any result,
-// -checkpoint makes an interrupted run (Ctrl-C) resumable at trial
-// granularity, and -memo/-memo-dir enable the content-addressed trial
-// result cache (internal/memo): a -memo-dir shared between runs serves
-// every previously computed trial from disk, byte-identically.
+// caps the concurrency (0 = NumCPU) without changing any result, and
+// -memo/-memo-dir enable the content-addressed trial result cache
+// (internal/memo): a -memo-dir shared between runs serves every
+// previously computed trial from disk, byte-identically, so a rerun of an
+// interrupted run (Ctrl-C) over the same -memo-dir resumes at trial
+// granularity.
 // -metrics serialises the unified metrics registry (scheduler wave counts,
 // rtsim counters, and the cycle-accurate smoke run's L1/L1.5/L2 hit+miss
 // counters and SDU latency histograms) as stable JSON — the artifact the CI

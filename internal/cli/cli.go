@@ -58,7 +58,7 @@ func telemetryFlag(fs *flag.FlagSet) func() func() error {
 }
 
 // Sweep holds the flags every artefact command takes (-seed -workers
-// -checkpoint -memo -memo-dir -metrics -trace -telemetry -version). Main
+// -memo -memo-dir -metrics -trace -telemetry -version). Main
 // hands it to the command's body, which reads Seed and Run and may ask
 // for a flight recording; Main writes every requested artifact on every
 // exit path, so a failed or interrupted sweep (Ctrl-C → runner.Canceled)
@@ -66,8 +66,8 @@ func telemetryFlag(fs *flag.FlagSet) func() func() error {
 type Sweep struct {
 	// Seed is the -seed base RNG seed.
 	Seed int64
-	// Run carries -workers, -checkpoint and the cache -memo/-memo-dir
-	// describe, built before the body runs.
+	// Run carries -workers and the cache -memo/-memo-dir describe, built
+	// before the body runs.
 	Run runner.Options
 
 	fs             *flag.FlagSet
@@ -85,7 +85,6 @@ func newSweep(fs *flag.FlagSet) *Sweep {
 	s := &Sweep{fs: fs}
 	fs.Int64Var(&s.Seed, "seed", 1, "base RNG seed")
 	fs.IntVar(&s.Run.Workers, "workers", 0, "max concurrent trials (0 = NumCPU; never changes results)")
-	fs.StringVar(&s.Run.Checkpoint, "checkpoint", "", "JSON checkpoint file; an interrupted sweep resumes from it")
 	fs.BoolVar(&s.memo, "memo", false, "enable the in-memory trial result cache (never changes results)")
 	fs.StringVar(&s.memoDir, "memo-dir", "", "on-disk trial cache directory, shareable across runs (implies -memo)")
 	fs.StringVar(&s.metricsOut, "metrics", "", "write a metrics-registry JSON snapshot to this file")

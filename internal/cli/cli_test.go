@@ -178,10 +178,9 @@ func TestExecFlushesWhenMemoFails(t *testing.T) {
 }
 
 func TestExecFillsSweepFromFlags(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "cp.json")
-	args := []string{"-seed", "7", "-workers", "3", "-checkpoint", cp, "-memo"}
+	args := []string{"-seed", "7", "-workers", "3", "-memo"}
 	err := testSweep().exec(context.Background(), args, func(_ context.Context, s *Sweep) error {
-		if s.Seed != 7 || s.Run.Workers != 3 || s.Run.Checkpoint != cp || s.Run.Memo == nil {
+		if s.Seed != 7 || s.Run.Workers != 3 || s.Run.Memo == nil {
 			t.Errorf("sweep = seed %d, run %+v", s.Seed, s.Run)
 		}
 		return nil

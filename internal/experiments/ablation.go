@@ -137,7 +137,7 @@ type PriorityAblation struct {
 }
 
 // prioTrial carries one DAG's three variant makespans. Fields are
-// exported so the runner can checkpoint a trial as JSON.
+// exported so the runner can memoize a trial as JSON.
 type prioTrial struct {
 	Full     float64 `json:"full"`
 	WaysOnly float64 `json:"ways_only"`
@@ -233,7 +233,7 @@ func (p PriorityAblation) Format() string {
 
 // AblateConfigDelay sweeps the SDU per-way configuration delay in the
 // periodic simulator and reports φ (the §5.3 metric) at 8 cores, 80%
-// utilisation. run carries the worker-pool/checkpoint settings; kern
+// utilisation. run carries the worker-pool/memo settings; kern
 // selects the simulator kernel (events by default).
 func AblateConfigDelay(ctx context.Context, trials int, seed int64, run runner.Options, kern kernel.Mode, delays []float64) (*AblationResult, error) {
 	if trials <= 0 {

@@ -43,7 +43,7 @@ type AcceptanceConfig struct {
 	WayBytes int64
 	Seed     int64
 	Base     workload.SynthParams
-	Run      runner.Options // worker pool / checkpoint settings
+	Run      runner.Options // worker pool / memo settings
 	Kernel   kernel.Mode    // simulator kernel (events by default)
 }
 
@@ -60,7 +60,7 @@ func DefaultAcceptanceConfig() AcceptanceConfig {
 }
 
 // acceptanceTrial records one task's three verdicts. Fields are exported
-// so the runner can checkpoint a trial as JSON.
+// so the runner can memoize a trial as JSON.
 type acceptanceTrial struct {
 	Base bool `json:"base"` // conventional bound meets the deadline
 	Prop bool `json:"prop"` // proposed bound meets the deadline

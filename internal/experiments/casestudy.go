@@ -25,7 +25,7 @@ type CaseStudyConfig struct {
 	Seed   int64 // root RNG seed (per-trial seeds derive from it)
 	RT     rtsim.Config
 	Set    workload.TaskSetParams
-	Run    runner.Options // worker pool / checkpoint settings
+	Run    runner.Options // worker pool / memo settings
 }
 
 // DefaultCaseStudyConfig mirrors §5.2 for the given core count.
@@ -161,7 +161,7 @@ type SideEffectsConfig struct {
 	Seed   int64
 	RT     rtsim.Config
 	Set    workload.TaskSetParams
-	Run    runner.Options // worker pool / checkpoint settings
+	Run    runner.Options // worker pool / memo settings
 }
 
 // SideEffectsPoint is one "xc|y%" configuration of Fig. 8(c).
@@ -178,7 +178,7 @@ func (p SideEffectsPoint) Label() string {
 }
 
 // sideTrial carries one trial's raw metrics. Fields are exported so the
-// runner can checkpoint a trial as JSON.
+// runner can memoize a trial as JSON.
 type sideTrial struct {
 	WayUtilization float64 `json:"way_utilization"`
 	Phi            float64 `json:"phi"`

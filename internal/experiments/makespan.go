@@ -9,9 +9,9 @@
 // Every randomized sweep runs on the internal/runner harness: trials
 // execute on a bounded worker pool, each seeded from the sweep's root
 // seed and its trial index only, so published numbers are bit-identical
-// at any -workers setting and interrupted sweeps resume from a
-// -checkpoint file. Each harness config embeds runner.Options as its Run
-// field to expose those knobs.
+// at any -workers setting and an interrupted sweep rerun over the same
+// -memo-dir resumes from its finished trials. Each harness config embeds
+// runner.Options as its Run field to expose those knobs.
 package experiments
 
 import (
@@ -45,7 +45,7 @@ type MakespanConfig struct {
 	WayBytes  int64 // κ (2 KB)
 	Seed      int64 // root RNG seed (per-DAG seeds derive from it)
 	Base      workload.SynthParams
-	Run       runner.Options // worker pool / checkpoint settings
+	Run       runner.Options // worker pool / memo settings
 	Kernel    kernel.Mode    // simulator kernel (events by default)
 }
 
@@ -86,7 +86,7 @@ type MakespanSweep struct {
 func (s *MakespanSweep) Systems() []string { return []string{SysProp, SysCMPL1, SysCMPL2} }
 
 // dagResult carries one DAG's per-system makespans. Fields are exported
-// so the runner can checkpoint a trial as JSON.
+// so the runner can memoize a trial as JSON.
 type dagResult struct {
 	Avg   map[string]float64 `json:"avg"`   // mean makespan over instances, / T
 	Worst map[string]float64 `json:"worst"` // max makespan over instances, / T

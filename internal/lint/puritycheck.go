@@ -21,10 +21,9 @@ import (
 //   - calls through function values (trap handlers, observers, runner
 //     closures received as parameters) are recorded as unknown by the call
 //     graph and not treated as impure;
-//   - package runner keeps its sanctioned carve-outs: wall-clock reads
-//     (operator-facing progress/ETA gauges only) and filesystem reads (the
-//     -checkpoint resume path) are not seeded there, while the global-rand
-//     and map-order rules still apply;
+//   - package runner keeps a wall-clock-only carve-out: its reads feed the
+//     operator-facing progress/ETA gauges and trace spans only, while the
+//     global-rand, env/filesystem-read and map-order rules still apply;
 //   - package telemetry keeps a wall-clock-only carve-out: its
 //     sampler and runtime collector timestamp operator-facing observations
 //     of the simulation, and nothing in the deterministic artifact path
@@ -36,7 +35,7 @@ import (
 //     never which result. Wall-clock, global-rand and map-order rules still
 //     apply there;
 //   - only filesystem/env *reads* are sinks. Writes (reports, CSVs,
-//     checkpoints) do not feed results back into the simulation.
+//     trial-cache entries) do not feed results back into the simulation.
 var PurityCheck = &Analyzer{
 	Name:      "puritycheck",
 	Doc:       "reports call paths from simulator entry points (Tick/Step/Run, experiment sweeps) to wall-clock reads, global rand, env/FS reads or order-dependent map iteration, with the full call chain",
@@ -134,8 +133,8 @@ func runPurityCheck(mp *ModulePass) error {
 			if kind == "" {
 				continue
 			}
-			if runnerExempt && (kind == "wall-clock" || kind == "fs-read") {
-				continue // progress gauges and checkpoint resume (see doc)
+			if runnerExempt && kind == "wall-clock" {
+				continue // progress gauges and trace spans (see doc)
 			}
 			if telemetryExempt && kind == "wall-clock" {
 				continue // sampler timestamps observations only (see doc)

@@ -43,7 +43,7 @@ const (
 // The rule for what to encode (DESIGN.md §12): every input that can
 // influence the trial's result, and nothing that cannot. Observability
 // attachments (recorders, tracers, registries) and operational knobs
-// (worker counts, checkpoint paths) stay out; model parameters, kernel
+// (worker counts, cache directories) stay out; model parameters, kernel
 // mode and workload descriptors go in.
 type Encoder struct {
 	buf []byte

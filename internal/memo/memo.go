@@ -23,10 +23,9 @@
 //     crash can never leave a half-written entry behind. Reads are
 //     corruption-tolerant: an entry that fails to parse, carries the
 //     wrong key, or fails its checksum is deleted and treated as a miss,
-//     and the recomputed result repairs the file. This generalises the
-//     runner's -checkpoint files from "resume my run" to "never recompute
-//     anyone's trial": a memo dir is shareable between runs, sweeps,
-//     tools and machines.
+//     and the recomputed result repairs the file. The runner stores each
+//     trial as it finishes, so a memo dir both resumes an interrupted
+//     sweep and is shareable between runs, sweeps, tools and machines.
 //
 // The cache publishes memo.hits, memo.hits_disk, memo.misses,
 // memo.stores, memo.store_errors, memo.evictions and memo.corrupt

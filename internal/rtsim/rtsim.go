@@ -153,6 +153,9 @@ func (c *Config) fill() error {
 	if c.HorizonPeriods <= 0 {
 		c.HorizonPeriods = 4
 	}
+	if math.IsNaN(c.HorizonPeriods) || math.IsInf(c.HorizonPeriods, 1) {
+		return fmt.Errorf("rtsim: horizon periods = %g", c.HorizonPeriods)
+	}
 	if c.WayConfigDelay < 0 {
 		return fmt.Errorf("rtsim: negative way config delay")
 	}
@@ -566,6 +569,10 @@ func newTrial(tasks []*dag.Task, cfg Config) (*trial, error) {
 	}
 	var maxPeriod float64
 	for _, t := range tasks {
+		if !(t.Period > 0) || math.IsInf(t.Period, 1) || math.IsNaN(t.Deadline) || math.IsInf(t.Deadline, 0) {
+			return nil, fmt.Errorf("rtsim: task %q: period %g must be positive and finite, deadline %g finite",
+				t.Name, t.Period, t.Deadline)
+		}
 		if t.Period > maxPeriod {
 			maxPeriod = t.Period
 		}
@@ -593,12 +600,8 @@ func newTrial(tasks []*dag.Task, cfg Config) (*trial, error) {
 	var maxJobs, maxNodes int
 	for i, t := range tasks {
 		k := 0
-		for ; ; k++ {
-			at := float64(k) * t.Period
-			if at+t.Deadline > tr.horizon {
-				break
-			}
-			tr.releases = append(tr.releases, release{at: at, taskIdx: i})
+		for ; withinHorizon(k, t.Period, t.Deadline, cfg.HorizonPeriods, maxPeriod); k++ {
+			tr.releases = append(tr.releases, release{at: float64(k) * t.Period, taskIdx: i})
 		}
 		maxJobs, maxNodes = max(maxJobs, k), max(maxNodes, len(t.Nodes))
 	}
@@ -617,6 +620,40 @@ func newTrial(tasks []*dag.Task, cfg Config) (*trial, error) {
 		return tr.rmRank[ra.taskIdx] < tr.rmRank[rb.taskIdx]
 	})
 	return tr, nil
+}
+
+// withinHorizon reports whether the job a task releases at k·period meets
+// its deadline inside the horizon, k·period + deadline ≤ h·maxPeriod, in
+// exact arithmetic on the float inputs. Rounding each side, as a plain
+// float test does, puts 9T + T above 10T for about one period in eight and
+// so drops the longest-period task's last job. Each product splits into its
+// rounded value and its exact error (FMA); the five terms sum into a
+// non-overlapping expansion (Shewchuk's GROW-EXPANSION with zero
+// elimination), whose largest component has the sign of the exact sum.
+func withinHorizon(k int, period, deadline, h, maxPeriod float64) bool {
+	kf := float64(k)
+	p1, p2 := kf*period, h*maxPeriod
+	terms := [5]float64{p1, math.FMA(kf, period, -p1), deadline, -p2, -math.FMA(h, maxPeriod, -p2)}
+	var exp [5]float64
+	n := 0
+	for _, q := range terms {
+		m := 0
+		for _, c := range exp[:n] {
+			sum := q + c
+			cv := sum - q
+			if e := (q - (sum - cv)) + (c - cv); e != 0 {
+				exp[m] = e
+				m++
+			}
+			q = sum
+		}
+		if q != 0 {
+			exp[m] = q
+			m++
+		}
+		n = m
+	}
+	return n == 0 || exp[n-1] < 0
 }
 
 // runSystem simulates the trial on one system with its family's plan and

@@ -1,9 +1,13 @@
 package rtsim
 
 import (
+	"math"
+	"math/big"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"l15cache/internal/dag"
 	"l15cache/internal/flight"
 	"l15cache/internal/kernel"
 )
@@ -181,6 +185,95 @@ func TestRunGoldenMetrics(t *testing.T) {
 		if got != g.want {
 			t.Errorf("seed %d %dc u=%g partitioned=%v %v:\ngot  %+v\nwant %+v",
 				g.seed, g.cores, g.util, g.part, g.want.System, got, g.want)
+		}
+	}
+}
+
+// TestLongestPeriodReleasesHorizonJobs: at an integer horizon H, an
+// implicit-deadline task with the longest period releases exactly H jobs,
+// the last with its deadline on the horizon. The float test k·T + T > H·T
+// dropped that last job for about one period in eight at H = 10.
+func TestLongestPeriodReleasesHorizonJobs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, h := range []float64{4, 10} {
+		for i := 0; i < 500; i++ {
+			long := dag.Chain("long", 2, 1, 0, 0, 0)
+			long.Period = 50 + 1000*rng.Float64()
+			long.Deadline = long.Period
+			short := dag.Chain("short", 2, 1, 0, 0, 0)
+			short.Period, short.Deadline = long.Period/3, long.Period/3
+			cfg := DefaultConfig()
+			cfg.HorizonPeriods = h
+			if err := cfg.fill(); err != nil {
+				t.Fatal(err)
+			}
+			tr, err := newTrial([]*dag.Task{short, long}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs := 0
+			for _, r := range tr.releases {
+				if r.taskIdx == 1 {
+					jobs++
+				}
+			}
+			if jobs != int(h) {
+				t.Fatalf("H = %g, T = %v: longest-period task released %d jobs, want %g", h, long.Period, jobs, h)
+			}
+		}
+	}
+}
+
+// TestWithinHorizonExact compares the release test with exact rational
+// arithmetic at and around each task's last release, over random,
+// integer-valued and harmonic periods.
+func TestWithinHorizonExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	rat := func(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
+	for i := 0; i < 20000; i++ {
+		maxPeriod := 50 + 1000*rng.Float64()
+		period := maxPeriod * rng.Float64()
+		switch i % 3 {
+		case 1:
+			maxPeriod = float64(50 + rng.Intn(1000))
+			period = float64(1 + rng.Intn(int(maxPeriod)))
+		case 2:
+			period = maxPeriod / float64(1+rng.Intn(12))
+		}
+		deadline := period
+		if rng.Intn(2) == 0 {
+			deadline = period * rng.Float64()
+		}
+		h := []float64{4, 10, 1 + 20*rng.Float64()}[rng.Intn(3)]
+		last := int(math.Floor((h*maxPeriod - deadline) / period))
+		for k := max(last-2, 0); k <= last+2; k++ {
+			lhs := rat(float64(k))
+			lhs.Mul(lhs, rat(period)).Add(lhs, rat(deadline))
+			rhs := rat(h)
+			rhs.Mul(rhs, rat(maxPeriod))
+			if want := lhs.Cmp(rhs) <= 0; withinHorizon(k, period, deadline, h, maxPeriod) != want {
+				t.Fatalf("withinHorizon(%d, %v, %v, %v, %v) = %v, want %v", k, period, deadline, h, maxPeriod, !want, want)
+			}
+		}
+	}
+}
+
+// TestNonFiniteTimingRejected: a period that is not positive and finite,
+// or a non-finite horizon, has no release count; the run reports it
+// instead of looping or panicking.
+func TestNonFiniteTimingRejected(t *testing.T) {
+	for _, period := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		task := dag.Chain("bad", 2, 1, 0, 0, 0)
+		task.Period = period
+		if _, err := Run([]*dag.Task{task}, KindProp, DefaultConfig()); err == nil {
+			t.Errorf("Run accepted period %g", period)
+		}
+	}
+	for _, h := range []float64{math.Inf(1), math.NaN()} {
+		cfg := DefaultConfig()
+		cfg.HorizonPeriods = h
+		if _, err := Run([]*dag.Task{dag.Chain("ok", 2, 1, 0, 0, 0)}, KindProp, cfg); err == nil {
+			t.Errorf("Run accepted horizon periods %g", h)
 		}
 	}
 }

@@ -18,11 +18,11 @@
 // On top of that contract the runner provides operational features the
 // old ad-hoc goroutine fan-outs lacked: concurrency capped at
 // Options.Workers (default runtime.NumCPU()), cooperative cancellation
-// (SignalContext wires SIGINT) with a partial-result summary, per-trial
-// JSON checkpointing so a killed sweep resumes where it stopped,
+// (SignalContext wires SIGINT) with a partial-result summary,
 // content-addressed trial memoization (Options.Memo, keyed off
 // Config.Fingerprint; see internal/memo and DESIGN.md §12) so previously
-// computed trials are served from cache, and progress/ETA gauges
+// computed trials are served from cache — with an on-disk cache this is
+// also how a killed sweep resumes where it stopped — and progress/ETA gauges
 // published through the internal/metrics registry
 // (runner.<name>.progress, runner.<name>.eta_seconds,
 // runner.<name>.trials_completed, runner.<name>.trials_total).
@@ -40,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -49,17 +48,12 @@ import (
 )
 
 // Options is the operator-facing knob set every experiment config embeds;
-// the cmd/ tools map their -workers, -checkpoint and -memo/-memo-dir
-// flags onto it.
+// the cmd/ tools map their -workers and -memo/-memo-dir flags onto it.
 type Options struct {
 	// Workers caps the number of concurrent shard evaluations. Zero or
 	// negative means runtime.NumCPU(). The value never influences
 	// results, only wall-clock time.
 	Workers int
-	// Checkpoint, when non-empty, names a JSON file recording finished
-	// shards at trial granularity. A rerun with the same Config resumes
-	// from it, recomputing only the missing shards.
-	Checkpoint string
 	// Memo, when non-nil, is the content-addressed trial result cache
 	// (internal/memo). Before dispatching a shard, Map looks up the key
 	// derived from Config.Fingerprint and the shard identity; hits skip
@@ -67,7 +61,9 @@ type Options struct {
 	// Reuse is sound because the determinism contract above makes a
 	// shard's result a pure function of exactly what the key hashes
 	// (DESIGN.md §12). Like Workers, a cache can change only wall-clock
-	// time, never a result.
+	// time, never a result. A disk-backed cache stores each trial as it
+	// is reduced, so a rerun of an interrupted sweep over the same
+	// directory recomputes only the missing shards.
 	Memo *memo.Cache
 }
 
@@ -83,16 +79,15 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// Config identifies one Map invocation: its checkpoint section, metric
-// names and seed root.
+// Config identifies one Map invocation: its metric names, seed root and
+// memo fingerprint.
 type Config struct {
-	// Name identifies the sweep in checkpoints, metrics and cancellation
-	// summaries, e.g. "makespan/U=0.6". Two Map calls sharing a
-	// checkpoint file must use distinct names.
+	// Name identifies the sweep in metrics, trace spans and cancellation
+	// summaries, e.g. "makespan/U=0.6".
 	Name string
 	// RootSeed roots the per-shard seed derivation (see Seed).
 	RootSeed int64
-	// Options carries the worker-pool, checkpoint and memo settings.
+	// Options carries the worker-pool and memo settings.
 	Options
 	// Fingerprint is the canonical encoding (built with memo.Encoder) of
 	// every trial input other than the shard identity: the experiment
@@ -132,28 +127,20 @@ func Seed(root int64, index int) int64 {
 }
 
 // Canceled is returned by Map when the context was canceled before every
-// shard finished. The completed prefix of results is valid (indices with
-// Done set in the checkpoint), and Error renders the partial-result
-// summary the cmd/ tools print on SIGINT.
+// shard finished. The finished shards' results are valid (the others are
+// zero), and Error renders the partial-result summary the cmd/ tools print
+// on SIGINT.
 type Canceled struct {
 	Name  string
 	Done  int
 	Total int
-	// Checkpoint echoes Options.Checkpoint so the summary can name the
-	// resume file ("" when checkpointing was off).
-	Checkpoint string
 }
 
 // Error renders the partial-result summary.
 func (c *Canceled) Error() string {
 	//lint:ignore hotalloc reached from cpu only through the (error).Error interface edge; a core never holds a runner.Canceled, whose text is built once per interrupted sweep
-	msg := fmt.Sprintf("runner: %s interrupted after %d/%d trials", c.Name, c.Done, c.Total)
-	if c.Checkpoint != "" {
-		//lint:ignore hotalloc reached from cpu only through the (error).Error interface edge; a core never holds a runner.Canceled, whose text is built once per interrupted sweep
-		return msg + "; rerun with -checkpoint " + c.Checkpoint + " to resume"
-	}
-	//lint:ignore hotalloc reached from cpu only through the (error).Error interface edge; a core never holds a runner.Canceled, whose text is built once per interrupted sweep
-	return msg + "; rerun with -checkpoint to make interrupted sweeps resumable"
+	return fmt.Sprintf("runner: %s interrupted after %d/%d trials; with -memo-dir DIR, a rerun over the same DIR recomputes only the missing trials",
+		c.Name, c.Done, c.Total)
 }
 
 // Unwrap ties Canceled into the context error chain, so
@@ -165,33 +152,6 @@ func (c *Canceled) Unwrap() error { return context.Canceled }
 // cmd/ tool passes to its sweeps.
 func SignalContext(parent context.Context) (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(parent, os.Interrupt)
-}
-
-// restoreCheckpoint decodes the bound section's finished shards into
-// results (marking finished) and returns how many it restored. An entry
-// that fails to decode, or whose index is out of range, invalidates only
-// itself: it is dropped from the section and recomputed. The map
-// iteration fills results by index, so its order is immaterial.
-func restoreCheckpoint[T any](cp *checkpoint, results []T, finished []bool) int {
-	restored := 0
-	for key, raw := range cp.sec.Done {
-		idx, err := strconv.Atoi(key)
-		if err != nil || idx < 0 || idx >= len(results) {
-			delete(cp.sec.Done, key)
-			continue
-		}
-		var v T
-		if err := json.Unmarshal(raw, &v); err != nil {
-			delete(cp.sec.Done, key)
-			continue
-		}
-		results[idx] = v
-		if !finished[idx] {
-			finished[idx] = true
-			restored++
-		}
-	}
-	return restored
 }
 
 // outcome carries one finished shard from a worker to the reducer,
@@ -220,13 +180,13 @@ type dispatch struct {
 // contract.
 //
 // fn must derive all randomness from its Shard (Seed or RNG) and must not
-// share mutable state with other shards. When checkpointing is enabled,
+// share mutable state with other shards. When memoization is enabled,
 // T must round-trip through encoding/json.
 //
 // On a shard error, Map cancels the remaining work and returns the error
 // of the lowest-indexed failing shard (deterministic under races). On
-// context cancellation it returns *Canceled after persisting the finished
-// shards to the checkpoint.
+// context cancellation it returns *Canceled; with a memo cache every
+// finished shard has already been stored.
 func Map[T any](ctx context.Context, cfg Config, n int, fn func(context.Context, Shard) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: %s: negative shard count %d", cfg.Name, n)
@@ -234,21 +194,9 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(context.Context,
 	results := make([]T, n)
 	finished := make([]bool, n)
 
-	var cp *checkpoint
-	restored := 0
-	if cfg.Checkpoint != "" {
-		var err error
-		cp, err = openCheckpoint(cfg.Checkpoint, cfg.Name, cfg.RootSeed, n)
-		if err != nil {
-			return nil, err
-		}
-		restored = restoreCheckpoint(cp, results, finished)
-	}
-
 	// Memo lookup pass: any shard whose key is already in the trial
-	// cache is restored without computing. Hits deliberately do not feed
-	// the checkpoint — the checkpoint records what *this run* computed,
-	// and a resume consults the cache again anyway.
+	// cache is restored without computing.
+	restored := 0
 	var memoKeys []memo.Key
 	if cfg.Memo != nil {
 		if cfg.Fingerprint == nil {
@@ -259,9 +207,6 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(context.Context,
 				memoKeys[i] = memo.TrialKey(cfg.Fingerprint, i, Seed(cfg.RootSeed, i))
 			}
 			for i := 0; i < n; i++ {
-				if finished[i] {
-					continue
-				}
 				raw, ok := cfg.Memo.Get(memoKeys[i])
 				if !ok {
 					continue
@@ -347,7 +292,6 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(context.Context,
 	doneNew := 0
 	var firstErr error
 	firstErrIdx := n
-	flushEvery := n/20 + 1
 	for o := range outs {
 		if o.err != nil {
 			// Keep the lowest-indexed error so the reported failure does
@@ -360,7 +304,6 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(context.Context,
 		}
 		redStart := time.Now()
 		results[o.index] = o.value
-		finished[o.index] = true
 		if memoKeys != nil {
 			if raw, merr := json.Marshal(o.value); merr == nil {
 				// A failed store is surfaced through memo.store_errors,
@@ -376,40 +319,15 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(context.Context,
 			perTrial := elapsed / time.Duration(doneNew)
 			etaG.Set((time.Duration(pending-doneNew) * perTrial).Seconds())
 		}
-		if cp != nil {
-			if err := cp.record(o.index, o.value); err != nil && firstErr == nil {
-				firstErr, firstErrIdx = err, o.index
-				cancel()
-			}
-			if doneNew%flushEvery == 0 {
-				if err := cp.flush(); err != nil && firstErr == nil {
-					firstErr, firstErrIdx = err, o.index
-					cancel()
-				}
-			}
-		}
 		spans.trial(o.index, o.enq, o.start, o.end, redStart)
-	}
-	if cp != nil {
-		if err := cp.flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 	}
 	spans.finish(poolSize, n, restored)
 
 	if firstErr != nil {
-		if firstErrIdx < n {
-			return nil, fmt.Errorf("runner: %s shard %d: %w", cfg.Name, firstErrIdx, firstErr)
-		}
-		return nil, fmt.Errorf("runner: %s: %w", cfg.Name, firstErr)
+		return nil, fmt.Errorf("runner: %s shard %d: %w", cfg.Name, firstErrIdx, firstErr)
 	}
 	if ctx.Err() != nil {
-		return results, &Canceled{
-			Name:       cfg.Name,
-			Done:       restored + doneNew,
-			Total:      n,
-			Checkpoint: cfg.Checkpoint,
-		}
+		return results, &Canceled{Name: cfg.Name, Done: restored + doneNew, Total: n}
 	}
 	etaG.Set(0)
 	return results, nil

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"syscall"
@@ -152,47 +151,56 @@ func TestMapCancellation(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume kills a sweep partway, then resumes it from the
-// checkpoint and verifies (a) only the missing shards are recomputed and
-// (b) the final results equal an uninterrupted run's.
+// TestCheckpointResume kills a sweep partway, then reruns it with a fresh
+// cache over the same memo dir — the sweep's on-disk checkpoint — and
+// verifies (a) only the missing shards are recomputed, (b) the final
+// results equal an uninterrupted run's and (c) a third run recomputes
+// nothing.
 func TestCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.checkpoint.json")
-	cfg := Config{Name: "t/resume", RootSeed: 9, Options: Options{Workers: 1, Checkpoint: path}}
+	dir := t.TempDir()
+	fp := memo.NewEncoder("runner-resume").Fingerprint()
 	draw := func(_ context.Context, s Shard) (float64, error) {
 		return s.RNG().Float64(), nil
+	}
+	// run sweeps 60 shards through a new Cache over dir, counting calls.
+	run := func(ctx context.Context, hook func()) ([]float64, int, error) {
+		cache, err := memo.New(memo.Options{Dir: dir, Registry: metrics.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Name: "t/resume", RootSeed: 9, Options: Options{Workers: 1, Memo: cache},
+			Fingerprint: fp, Registry: metrics.NewRegistry()}
+		var ran atomic.Int64
+		got, err := Map(ctx, cfg, 60, func(c context.Context, s Shard) (float64, error) {
+			ran.Add(1)
+			hook()
+			return draw(c, s)
+		})
+		return got, int(ran.Load()), err
 	}
 
 	// Interrupted first attempt: cancel after 25 of 60 trials.
 	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := Map(ctx, cfg, 60, func(c context.Context, s Shard) (float64, error) {
-		if ran.Add(1) == 25 {
+	var first atomic.Int64
+	_, _, err := run(ctx, func() {
+		if first.Add(1) == 25 {
 			cancel()
 		}
-		return draw(c, s)
 	})
 	var canceled *Canceled
 	if !errors.As(err, &canceled) {
 		t.Fatalf("first attempt: err = %v, want *Canceled", err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint written: %v", err)
-	}
 
-	// Resume: the shard function counts its invocations.
-	var resumed atomic.Int64
-	got, err := Map(context.Background(), cfg, 60, func(c context.Context, s Shard) (float64, error) {
-		resumed.Add(1)
-		return draw(c, s)
-	})
+	got, re, err := run(context.Background(), func() {})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if re := int(resumed.Load()); re != 60-canceled.Done {
-		t.Errorf("resume recomputed %d shards, want %d (checkpoint had %d)", re, 60-canceled.Done, canceled.Done)
+	if re != 60-canceled.Done {
+		t.Errorf("resume recomputed %d shards, want %d (memo dir had %d)", re, 60-canceled.Done, canceled.Done)
 	}
 
-	// Reference: clean run without checkpointing.
+	// Reference: clean run without a cache.
 	ref, err := Map(context.Background(), Config{Name: "t/resume-ref", RootSeed: 9, Options: Options{Workers: 3}}, 60, draw)
 	if err != nil {
 		t.Fatal(err)
@@ -203,61 +211,8 @@ func TestCheckpointResume(t *testing.T) {
 		}
 	}
 
-	// A third run is fully cached: zero recomputation.
-	var again atomic.Int64
-	if _, err := Map(context.Background(), cfg, 60, func(c context.Context, s Shard) (float64, error) {
-		again.Add(1)
-		return draw(c, s)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if again.Load() != 0 {
-		t.Errorf("completed checkpoint recomputed %d shards", again.Load())
-	}
-}
-
-// TestCheckpointIdentityMismatch: a stale section (different seed or
-// trial count) must be discarded, never partially reused.
-func TestCheckpointIdentityMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
-	cfg := Config{Name: "t/identity", RootSeed: 1, Options: Options{Workers: 1, Checkpoint: path}}
-	if _, err := Map(context.Background(), cfg, 10, square); err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Int64
-	cfg.RootSeed = 2
-	if _, err := Map(context.Background(), cfg, 10, func(_ context.Context, s Shard) (int, error) {
-		ran.Add(1)
-		return 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 10 {
-		t.Errorf("stale section reused: only %d/10 shards recomputed", ran.Load())
-	}
-}
-
-// TestCheckpointSectionsCoexist: two named sweeps share one file without
-// clobbering each other (the multi-point-sweep layout).
-func TestCheckpointSectionsCoexist(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
-	a := Config{Name: "t/sec-a", RootSeed: 1, Options: Options{Workers: 1, Checkpoint: path}}
-	b := Config{Name: "t/sec-b", RootSeed: 1, Options: Options{Workers: 1, Checkpoint: path}}
-	if _, err := Map(context.Background(), a, 5, square); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Map(context.Background(), b, 5, square); err != nil {
-		t.Fatal(err)
-	}
-	var reranA atomic.Int64
-	if _, err := Map(context.Background(), a, 5, func(_ context.Context, s Shard) (int, error) {
-		reranA.Add(1)
-		return 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if reranA.Load() != 0 {
-		t.Errorf("writing section b invalidated section a (%d shards reran)", reranA.Load())
+	if _, again, err := run(context.Background(), func() {}); err != nil || again != 0 {
+		t.Errorf("completed sweep recomputed %d shards (err %v)", again, err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Sweep/trial span instrumentation: while a -trace file is open
 // (metrics.Trace()), every Map call streams a hierarchy of duration events
 // to it — per computed trial a queue span (dispatch → worker pickup), a
-// run span (the shard function) and a reduce span (checkpoint/memo/
+// run span (the shard function) and a reduce span (memo store and
 // progress accounting), plus one sweep span covering the whole fan-out.
 // Without -trace the tracer is nil and emission does nothing. Every sweep
 // publishes wall-clock latency summaries (exact p50/p95/p99, worker
@@ -92,7 +92,7 @@ func (s *sweepSpans) trial(index int, enq, start, end, redStart time.Time) {
 // finish emits the sweep span and publishes the latency summary — exact
 // p50/p95/p99 over the computed trials' run durations and the worker
 // occupancy (Σ run time over workers × wall time) — into
-// telemetry.Runtime. Restored (checkpoint/memo) trials never ran, so they
+// telemetry.Runtime. Trials restored from the memo never ran, so they
 // are excluded from the distribution by construction.
 func (s *sweepSpans) finish(workers, total, restored int) {
 	now := time.Now()
