@@ -27,6 +27,7 @@ import (
 	"l15cache/internal/area"
 	"l15cache/internal/experiments"
 	"l15cache/internal/flight"
+	"l15cache/internal/metrics"
 	"l15cache/internal/rtsim"
 	"l15cache/internal/telemetry"
 	"l15cache/internal/workload"
@@ -307,19 +308,16 @@ func BenchmarkFlightRecorderOn(b *testing.B) { benchFlightTrial(b, true) }
 
 // benchTelemetryTrial runs the same fixed trial as benchFlightTrial,
 // optionally under a live telemetry sampler over the merged default
-// registries — the pair behind the benchjson telemetry-overhead gate.
+// registries, writing into a tracer over io.Discard — the pair behind the
+// benchjson telemetry-overhead gate.
 // The sampler polls far faster than production (1ms vs 250ms) so the
 // measured overhead bounds the real deployment from above.
 func benchTelemetryTrial(b *testing.B, sampled bool) {
 	b.Helper()
 	if sampled {
-		s := telemetry.NewSampler(nil, time.Millisecond, io.Discard)
+		s := telemetry.NewSampler(nil, time.Millisecond, metrics.NewTracer(io.Discard))
 		s.Start()
-		defer func() {
-			if err := s.Stop(); err != nil {
-				b.Error(err)
-			}
-		}()
+		defer s.Stop()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

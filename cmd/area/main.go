@@ -5,11 +5,7 @@
 //
 // Usage:
 //
-//	area [-gates] [-workers N]
-//
-// The area model is closed-form — there is no randomized sweep to fan
-// out — so -workers is accepted only for interface parity with the other
-// experiment commands and has no effect.
+//	area [-gates] [-metrics out.json] [-trace out.json] [-version]
 package main
 
 import (
@@ -19,23 +15,20 @@ import (
 
 	"l15cache/internal/area"
 	"l15cache/internal/cli"
-	"l15cache/internal/metrics"
+	"l15cache/internal/telemetry"
 )
 
 func main() {
 	gates := flag.Bool("gates", false, "also print the L1.5 gate-count breakdown")
-	_ = flag.Int("workers", 0, "accepted for parity with the sweep commands; the analytic model has nothing to parallelise")
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
 	showVersion := cli.VersionFlag()
-	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
-	flushFiles, err := metrics.OpenFiles(*metricsOut, *traceOut)
+	flushFiles, err := telemetry.OpenFiles(*metricsOut, *traceOut)
 	if err != nil {
 		log.Fatal(err)
 	}
-	flushTelemetry := startTelemetry()
 
 	p := area.Synopsys28nm()
 	r, err := area.CompareOverhead(p)
@@ -58,9 +51,6 @@ func main() {
 	}
 
 	if err := flushFiles(); err != nil {
-		log.Fatal(err)
-	}
-	if err := flushTelemetry(); err != nil {
 		log.Fatal(err)
 	}
 }

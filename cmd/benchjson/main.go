@@ -14,13 +14,11 @@
 //
 // -gate lists unit=tolerance pairs gated independently (ns/op, allocs/op,
 // B/op, any custom unit the benchmarks report); without it only ns/op is
-// gated at -tolerance. By default -compare exits 0 and only warns on
+// gated, at 20%. By default -compare exits 0 and only warns on
 // deviations beyond tolerance, so a noisy runner surfaces drift in the job
 // log without blocking; -fail-on-regress makes the gate blocking — each
 // regression becomes a GitHub Actions `::error` annotation (on Actions
 // runners, or with -github) and the exit status is 1, failing the job.
-// -strict is the older blocking spelling and keeps warning-level
-// annotations.
 //
 // -overhead OFF:ON gates an instrumentation pair within a single run:
 //
@@ -150,11 +148,10 @@ type gate struct {
 }
 
 // parseGates parses the -gate flag ("ns/op=0.25,allocs/op=0.10"). An empty
-// spec falls back to gating ns/op alone at defTol, the pre-per-metric
-// behaviour.
-func parseGates(spec string, defTol float64) ([]gate, error) {
+// spec gates ns/op alone at 20%.
+func parseGates(spec string) ([]gate, error) {
 	if strings.TrimSpace(spec) == "" {
-		return []gate{{unit: "ns/op", tol: defTol}}, nil
+		return []gate{{unit: "ns/op", tol: 0.20}}, nil
 	}
 	var out []gate
 	for _, part := range strings.Split(spec, ",") {
@@ -264,10 +261,8 @@ func main() {
 	out := flag.String("out", "", "write parsed results as JSON to this file ('-' for stdout)")
 	baselinePath := flag.String("compare", "", "baseline JSON to compare -against")
 	againstPath := flag.String("against", "", "current-run JSON for -compare")
-	tol := flag.Float64("tolerance", 0.20, "relative ns/op tolerance for -compare (the default gate when -gate is empty)")
 	gateSpec := flag.String("gate", "",
-		`comma-separated unit=tolerance gates for -compare (e.g. "ns/op=0.25,allocs/op=0.10"); empty gates ns/op at -tolerance`)
-	strict := flag.Bool("strict", false, "exit 1 on regressions beyond tolerance (warning-level annotations)")
+		`comma-separated unit=tolerance gates for -compare (e.g. "ns/op=0.25,allocs/op=0.10"); empty gates ns/op at 0.20`)
 	failOnRegress := flag.Bool("fail-on-regress", false,
 		"blocking gate: exit 1 on regressions beyond tolerance and annotate them as GitHub ::error")
 	annotate := flag.Bool("github", os.Getenv("GITHUB_ACTIONS") == "true",
@@ -279,7 +274,6 @@ func main() {
 	flag.Parse()
 	showVersion()
 
-	blocking := *strict || *failOnRegress
 	annotateCmd := ""
 	if *annotate {
 		annotateCmd = "warning"
@@ -304,7 +298,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if over && blocking {
+		if over && *failOnRegress {
 			os.Exit(1)
 		}
 		if over {
@@ -317,7 +311,7 @@ func main() {
 		if *againstPath == "" {
 			log.Fatal("-compare requires -against")
 		}
-		gates, err := parseGates(*gateSpec, *tol)
+		gates, err := parseGates(*gateSpec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -332,7 +326,7 @@ func main() {
 		n := compare(os.Stdout, baseline, current, gates, annotateCmd)
 		if n > 0 {
 			fmt.Printf("%d benchmark metric(s) worse than baseline beyond tolerance\n", n)
-			if blocking {
+			if *failOnRegress {
 				os.Exit(1)
 			}
 			fmt.Println("(warn-only: run with -fail-on-regress to fail the build)")

@@ -94,15 +94,15 @@ func TestCompareEmitsGitHubAnnotations(t *testing.T) {
 }
 
 func TestParseGates(t *testing.T) {
-	gates, err := parseGates("", 0.25)
+	gates, err := parseGates("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gates) != 1 || gates[0].unit != "ns/op" || gates[0].tol != 0.25 {
+	if len(gates) != 1 || gates[0].unit != "ns/op" || gates[0].tol != 0.20 {
 		t.Fatalf("default gates = %+v", gates)
 	}
 
-	gates, err = parseGates("ns/op=0.25, allocs/op=0.10", 0.20)
+	gates, err = parseGates("ns/op=0.25, allocs/op=0.10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestParseGates(t *testing.T) {
 	}
 
 	for _, bad := range []string{"ns/op", "ns/op=x", "ns/op=-1", "=0.1"} {
-		if _, err := parseGates(bad, 0.2); err == nil {
+		if _, err := parseGates(bad); err == nil {
 			t.Errorf("parseGates(%q) accepted", bad)
 		}
 	}

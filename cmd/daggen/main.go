@@ -20,9 +20,9 @@ import (
 	"l15cache/internal/dag"
 	"l15cache/internal/flight"
 	"l15cache/internal/forensics"
-	"l15cache/internal/metrics"
 	"l15cache/internal/sched"
 	"l15cache/internal/schedsim"
+	"l15cache/internal/telemetry"
 	"l15cache/internal/workload"
 )
 
@@ -44,19 +44,14 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
 	showVersion := cli.VersionFlag()
-	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
-	flushFiles, err := metrics.OpenFiles(*metricsOut, *traceOut)
+	flushFiles, err := telemetry.OpenFiles(*metricsOut, *traceOut)
 	if err != nil {
 		log.Fatal(err)
 	}
-	flushTelemetry := startTelemetry()
 	defer func() {
 		if err := flushFiles(); err != nil {
-			log.Fatal(err)
-		}
-		if err := flushTelemetry(); err != nil {
 			log.Fatal(err)
 		}
 	}()

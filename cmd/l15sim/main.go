@@ -7,14 +7,14 @@
 // Usage:
 //
 //	l15sim [-program file.s]... [-max N] [-stats] [-metrics out.json]
-//	       [-trace out.json] [-flight out.jsonl] [-telemetry out.jsonl]
+//	       [-trace out.json] [-flight out.jsonl]
 //	       [-cpuprofile out.pb.gz] [-memprofile out.pb.gz] [-version]
 //
 // -metrics serialises the metrics registry (L1/L1.5/L2/TLB counters, SDU
 // latency histograms) as JSON; -trace writes a Chrome trace_event file for
-// chrome://tracing; -flight writes a flight recording of every Walloc way
-// reassignment and gv_set (dissect it with cmd/explain); -telemetry
-// streams the wall-clock sampler's time series to a JSONL file. An
+// chrome://tracing, with the wall-clock sampler's heap, GC and latency
+// series as counter tracks; -flight writes a flight recording of every
+// Walloc way reassignment and gv_set (dissect it with cmd/explain). An
 // interrupt (Ctrl-C) at any point still flushes the requested artifact
 // files before exiting. -cpuprofile/-memprofile write offline profiles.
 package main
@@ -33,6 +33,7 @@ import (
 	"l15cache/internal/isa"
 	"l15cache/internal/metrics"
 	"l15cache/internal/soc"
+	"l15cache/internal/telemetry"
 )
 
 type programList []string
@@ -59,14 +60,12 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	showVersion := cli.VersionFlag()
-	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
-	flushFiles, err := metrics.OpenFiles(*metricsOut, *traceOut)
+	flushFiles, err := telemetry.OpenFiles(*metricsOut, *traceOut)
 	if err != nil {
 		log.Fatal(err)
 	}
-	flushTelemetry := startTelemetry()
 
 	var rec *flight.Recorder
 	if *flightOut != "" {
@@ -77,9 +76,6 @@ func main() {
 	// still leaves complete (if shorter) files behind.
 	flush := func() error {
 		if err := flushFiles(); err != nil {
-			return err
-		}
-		if err := flushTelemetry(); err != nil {
 			return err
 		}
 		if *flightOut != "" {

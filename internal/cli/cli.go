@@ -1,8 +1,7 @@
 // Package cli holds the flag plumbing shared by the cmd/ tools: the
-// -version build-attribution flag and the -telemetry time-series sampler
-// flag every tool takes, and Main, the sweep harness the six artefact
-// commands (makespan, casestudy, sideeffects, ablation, acceptance,
-// repro) run under.
+// -version build-attribution flag every tool takes, and Main, the sweep
+// harness the six artefact commands (makespan, casestudy, sideeffects,
+// ablation, acceptance, repro) run under.
 package cli
 
 import (
@@ -17,7 +16,6 @@ import (
 	"l15cache/internal/buildinfo"
 	"l15cache/internal/flight"
 	"l15cache/internal/memo"
-	"l15cache/internal/metrics"
 	"l15cache/internal/runner"
 	"l15cache/internal/telemetry"
 )
@@ -38,27 +36,8 @@ func versionFlag(fs *flag.FlagSet) func() {
 	}
 }
 
-// TelemetryFlag registers -telemetry on the default flag set. Call the
-// returned activator after flag.Parse: when a path was given it starts
-// the wall-clock sampler over the merged metrics registries, streaming
-// its series there as JSONL, and returns the flush that stops it and
-// closes the file; with no path both steps are no-ops. Tools flush wherever they write their -metrics
-// artifacts (normal exit and the interrupt path) — the flush is safe to
-// call more than once. Sampling observes the run and never feeds a value
-// back, so the flag can never change a result.
-func TelemetryFlag() func() func() error { return telemetryFlag(flag.CommandLine) }
-
-func telemetryFlag(fs *flag.FlagSet) func() func() error {
-	path := fs.String("telemetry", "",
-		"sample merged metrics on a wall-clock ticker and write the series as JSONL to this file (never changes results)")
-	return func() func() error {
-		_, flush := telemetry.StartFlag(*path)
-		return flush
-	}
-}
-
 // Sweep holds the flags every artefact command takes (-seed -workers
-// -memo -memo-dir -metrics -trace -telemetry -version). Main
+// -memo -memo-dir -metrics -trace -version). Main
 // hands it to the command's body, which reads Seed and Run and may ask
 // for a flight recording; Main writes every requested artifact on every
 // exit path, so a failed or interrupted sweep (Ctrl-C → runner.Canceled)
@@ -70,14 +49,13 @@ type Sweep struct {
 	// before the body runs.
 	Run runner.Options
 
-	fs             *flag.FlagSet
-	memo           bool
-	memoDir        string
-	metricsOut     string
-	traceOut       string
-	showVersion    func()
-	startTelemetry func() func() error
-	flushes        []func() error
+	fs          *flag.FlagSet
+	memo        bool
+	memoDir     string
+	metricsOut  string
+	traceOut    string
+	showVersion func()
+	flushes     []func() error
 }
 
 // newSweep registers the sweep flags on fs.
@@ -90,18 +68,17 @@ func newSweep(fs *flag.FlagSet) *Sweep {
 	fs.StringVar(&s.metricsOut, "metrics", "", "write a metrics-registry JSON snapshot to this file")
 	fs.StringVar(&s.traceOut, "trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
 	s.showVersion = versionFlag(fs)
-	s.startTelemetry = telemetryFlag(fs)
 	return s
 }
 
 // Main is the entry point of an artefact command. Register the command's
 // own flags on the default flag set, then call Main with the command name
 // (the log prefix) and the body: Main adds the sweep flags, parses
-// os.Args, opens the -trace file, starts the telemetry sampler, builds the
+// os.Args, opens the -trace file with its telemetry sampler, builds the
 // trial cache and runs body under a context cancelled by an interrupt.
-// Whatever body returns, Main then writes -metrics, closes -trace and
-// writes -telemetry and every file registered through Flight, each
-// independently of the others' success. On any error — an unopenable
+// Whatever body returns, Main then writes -metrics, closes -trace after
+// the sampler's final sample and writes every file registered through
+// Flight, each independently of the others' success. On any error — an unopenable
 // -trace file (before anything runs), body's, the cache's or a write's —
 // it logs every one and exits 1.
 func Main(name string, body func(ctx context.Context, s *Sweep) error) {
@@ -123,15 +100,14 @@ func (s *Sweep) exec(ctx context.Context, args []string, body func(ctx context.C
 		return err
 	}
 	s.showVersion()
-	flushFiles, err := metrics.OpenFiles(s.metricsOut, s.traceOut)
+	flushFiles, err := telemetry.OpenFiles(s.metricsOut, s.traceOut)
 	if err != nil {
 		return err
 	}
-	flushTelemetry := s.startTelemetry()
 	ctx, stop := runner.SignalContext(ctx)
 	defer stop()
 
-	errs := []error{s.run(ctx, body), flushFiles(), flushTelemetry()}
+	errs := []error{s.run(ctx, body), flushFiles()}
 	for _, flush := range s.flushes {
 		errs = append(errs, flush())
 	}

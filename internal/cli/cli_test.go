@@ -20,12 +20,11 @@ import (
 // Sweep.Flight.
 func artifacts(dir string) (args []string, paths map[string]string) {
 	paths = map[string]string{
-		"metrics":   filepath.Join(dir, "metrics.json"),
-		"trace":     filepath.Join(dir, "trace.json"),
-		"telemetry": filepath.Join(dir, "telemetry.jsonl"),
-		"flight":    filepath.Join(dir, "flight.jsonl"),
+		"metrics": filepath.Join(dir, "metrics.json"),
+		"trace":   filepath.Join(dir, "trace.json"),
+		"flight":  filepath.Join(dir, "flight.jsonl"),
 	}
-	args = []string{"-metrics", paths["metrics"], "-trace", paths["trace"], "-telemetry", paths["telemetry"]}
+	args = []string{"-metrics", paths["metrics"], "-trace", paths["trace"]}
 	return args, paths
 }
 
@@ -58,10 +57,11 @@ func TestExecFlushesWhenBodyFails(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Exec = %v, want the body's error", err)
 	}
-	requireFiles(t, paths["metrics"], paths["trace"], paths["telemetry"], paths["flight"])
+	requireFiles(t, paths["metrics"], paths["trace"], paths["flight"])
 }
 
-// An interrupted sweep (runner.Canceled) still writes its partial files.
+// An interrupted sweep (runner.Canceled) still writes its partial files,
+// the trace with the sampler's final sample after the sweep span.
 func TestExecFlushesWhenCancelled(t *testing.T) {
 	args, paths := artifacts(t.TempDir())
 	args = append(args, "-workers", "1")
@@ -77,29 +77,47 @@ func TestExecFlushesWhenCancelled(t *testing.T) {
 	if !errors.As(err, &canceled) {
 		t.Fatalf("Exec = %v, want *runner.Canceled", err)
 	}
-	requireFiles(t, paths["metrics"], paths["trace"], paths["telemetry"], paths["flight"])
-	if n := countTrace(t, paths["trace"])["sweep"]; n != 1 {
-		t.Errorf("trace of the cancelled sweep holds %d sweep spans, want 1", n)
+	requireFiles(t, paths["metrics"], paths["trace"], paths["flight"])
+	sweeps := 0
+	var sweepEnd, lastSample uint64
+	for _, e := range readTrace(t, paths["trace"]) {
+		switch {
+		case e.Name == "sweep":
+			sweeps++
+			sweepEnd = e.TS + e.Dur
+		case e.Ph == "C" && e.Name == "go.goroutines":
+			lastSample = max(lastSample, e.TS)
+		}
+	}
+	if sweeps != 1 {
+		t.Errorf("trace of the cancelled sweep holds %d sweep spans, want 1", sweeps)
+	}
+	if lastSample < sweepEnd {
+		t.Errorf("final sample at %d µs precedes the sweep's end at %d µs", lastSample, sweepEnd)
 	}
 }
 
-// countTrace requires path to hold a Chrome trace JSON array and counts
-// its events by name.
-func countTrace(t *testing.T, path string) map[string]int {
+// traceEvent is the part of a Chrome trace record the tests read.
+type traceEvent struct {
+	Name string `json:"name"`
+	Ph   string `json:"ph"`
+	TS   uint64 `json:"ts"`
+	Dur  uint64 `json:"dur"`
+}
+
+// readTrace requires path to hold a Chrome trace JSON array and returns
+// its events.
+func readTrace(t *testing.T, path string) []traceEvent {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []struct{ Name string }
+	var events []traceEvent
 	if err := json.Unmarshal(data, &events); err != nil {
 		t.Fatalf("%s is not a JSON array: %v", path, err)
 	}
-	n := map[string]int{}
-	for _, e := range events {
-		n[e.Name]++
-	}
-	return n
+	return events
 }
 
 // A -trace file that cannot be created fails the run before the body.
@@ -150,11 +168,11 @@ func TestExecReportsEveryFlushError(t *testing.T) {
 			t.Errorf("error %v does not report the failed write of %s", err, want)
 		}
 	}
-	requireFiles(t, paths["trace"], paths["telemetry"])
+	requireFiles(t, paths["trace"])
 }
 
 // A trial cache that cannot be built fails the run before the body, but
-// the sampler already started and its series is still written.
+// the trace and its sampler already started and are still written.
 func TestExecFlushesWhenMemoFails(t *testing.T) {
 	dir := t.TempDir()
 	args, paths := artifacts(dir)
@@ -174,7 +192,7 @@ func TestExecFlushesWhenMemoFails(t *testing.T) {
 	if ran {
 		t.Error("body ran without its trial cache")
 	}
-	requireFiles(t, paths["metrics"], paths["trace"], paths["telemetry"])
+	requireFiles(t, paths["metrics"], paths["trace"])
 }
 
 func TestExecFillsSweepFromFlags(t *testing.T) {

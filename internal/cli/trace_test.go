@@ -46,8 +46,9 @@ func ablationBody(ctx context.Context, sw *Sweep) error {
 	fmt.Println(prio.Format())
 	fmt.Println(delay.Format())
 	// The sweep finishes before the sampler's first tick; waiting 1.5
-	// intervals puts at least one ticked sample before Main writes
-	// -metrics, so a sampler that wrote into metrics.Default would show.
+	// intervals puts at least one ticked sample into -trace before Main
+	// writes -metrics, so a sampler that wrote into metrics.Default would
+	// show.
 	time.Sleep(telemetry.DefaultInterval * 3 / 2)
 	return nil
 }
@@ -86,34 +87,6 @@ func runAblation(t *testing.T, dir, side string, extra ...string) (stdout, metri
 	return out, data
 }
 
-// TestTelemetryDoesNotChangeArtifacts runs the same reduced ablation
-// sweep through Main with and without -telemetry and requires identical
-// stdout and -metrics bytes, plus a telemetry series of at least two
-// samples.
-func TestTelemetryDoesNotChangeArtifacts(t *testing.T) {
-	ablationChild()
-	dir := t.TempDir()
-	telemetryPath := filepath.Join(dir, "telemetry.jsonl")
-	offOut, offMetrics := runAblation(t, dir, "off")
-	onOut, onMetrics := runAblation(t, dir, "on", "-telemetry", telemetryPath)
-	if len(offOut) == 0 || !bytes.Contains(offOut, []byte("ablation")) {
-		t.Fatalf("sweep printed no report:\n%s", offOut)
-	}
-	if !bytes.Equal(offOut, onOut) {
-		t.Errorf("stdout differs with -telemetry:\noff:\n%s\non:\n%s", offOut, onOut)
-	}
-	if !bytes.Equal(offMetrics, onMetrics) {
-		t.Errorf("-metrics differs with -telemetry:\noff: %s\non:  %s", offMetrics, onMetrics)
-	}
-	series, err := os.ReadFile(telemetryPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(series, []byte("\n")); n < 2 {
-		t.Errorf("telemetry file holds %d samples, want a ticked one and the final one", n)
-	}
-}
-
 // TestTraceDoesNotChangeMetrics runs the reduced ablation sweep with and
 // without -trace: stdout and -metrics must be byte-identical, and the
 // trace must be a JSON array holding the sweeps' trial.run spans.
@@ -129,7 +102,55 @@ func TestTraceDoesNotChangeMetrics(t *testing.T) {
 	if !bytes.Equal(offMetrics, onMetrics) {
 		t.Errorf("-metrics differs with -trace:\noff: %s\non:  %s", offMetrics, onMetrics)
 	}
-	if n := countTrace(t, tracePath)["trial.run"]; n == 0 {
+	var trialRuns int
+	for _, e := range readTrace(t, tracePath) {
+		if e.Name == "trial.run" {
+			trialRuns++
+		}
+	}
+	if trialRuns == 0 {
 		t.Error("trace holds no trial.run span")
+	}
+}
+
+// TestTelemetryDoesNotChangeArtifacts runs the same reduced ablation
+// sweep with and without the wall-clock sampler that -trace starts:
+// stdout and -metrics must be byte-identical, and the trace must hold
+// the sampler's go.* counter samples on the sweeps' timeline, its final
+// sample at or after the last sweep span's end.
+func TestTelemetryDoesNotChangeArtifacts(t *testing.T) {
+	ablationChild()
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	offOut, offMetrics := runAblation(t, dir, "off")
+	onOut, onMetrics := runAblation(t, dir, "on", "-trace", tracePath)
+	if len(offOut) == 0 || !bytes.Contains(offOut, []byte("ablation")) {
+		t.Fatalf("sweep printed no report:\n%s", offOut)
+	}
+	if !bytes.Equal(offOut, onOut) {
+		t.Errorf("stdout differs with the sampler:\noff:\n%s\non:\n%s", offOut, onOut)
+	}
+	if !bytes.Equal(offMetrics, onMetrics) {
+		t.Errorf("-metrics differs with the sampler:\noff: %s\non:  %s", offMetrics, onMetrics)
+	}
+
+	var samples int
+	var sweepEnd, lastSample uint64
+	for _, e := range readTrace(t, tracePath) {
+		switch {
+		case e.Name == "sweep":
+			sweepEnd = max(sweepEnd, e.TS+e.Dur)
+		case e.Ph == "C" && e.Name == "go.heap_objects_bytes":
+			samples++
+			lastSample = max(lastSample, e.TS)
+		}
+	}
+	// The first sample precedes the sweeps; the sleep in ablationBody
+	// adds a ticked one and Main's flush the final one.
+	if samples < 2 {
+		t.Errorf("trace holds %d go.heap_objects_bytes samples, want at least 2", samples)
+	}
+	if lastSample < sweepEnd {
+		t.Errorf("final sample at %d µs precedes the last sweep's end at %d µs", lastSample, sweepEnd)
 	}
 }

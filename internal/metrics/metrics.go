@@ -25,7 +25,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -331,26 +330,4 @@ func (r *Registry) WriteFile(path string) error {
 		return fmt.Errorf("metrics: %w", err)
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// OpenFiles starts the artifacts behind every cmd/ tool's -metrics and
-// -trace flags: it opens the trace file now, as the process-wide Trace,
-// and returns the flush that writes the Default registry snapshot and
-// closes the trace. An empty path skips that artifact. The flush writes
-// both independently of each other's success and may be called more than
-// once.
-func OpenFiles(metricsPath, tracePath string) (flush func() error, err error) {
-	var tr *Tracer
-	if tracePath != "" {
-		if tr, err = OpenTrace(tracePath); err != nil {
-			return nil, err
-		}
-	}
-	return func() error {
-		var err error
-		if metricsPath != "" {
-			err = Default.WriteFile(metricsPath)
-		}
-		return errors.Join(err, tr.Close())
-	}, nil
 }

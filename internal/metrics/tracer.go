@@ -8,6 +8,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // FormatSpanID renders a trial span's identity as 16 hex digits, the form
@@ -19,8 +20,10 @@ func FormatSpanID(span uint64) string { return fmt.Sprintf("%016x", span) }
 // event is written as one array element the moment it is emitted, so a
 // trace keeps every event of a run however long it is, and holds none in
 // memory. Each distinct component becomes one "thread" row, named by a
-// metadata record written before its first event. A nil *Tracer is a
-// valid no-op sink, so components can hold one unconditionally.
+// metadata record written before its first event. Host-time emitters
+// place their events through Stamp, so a trace has one clock origin. A
+// nil *Tracer is a valid no-op sink, so components can hold one
+// unconditionally.
 type Tracer struct {
 	mu sync.Mutex
 	s  stream
@@ -34,6 +37,7 @@ type stream struct {
 	n      int   // array elements written
 	err    error // first encoding or write error
 	closed bool
+	origin time.Time // the first host clock reading stamped, the timeline's 0
 }
 
 // trace is the process-wide tracer, installed by OpenTrace until Close.
@@ -99,6 +103,25 @@ func (s *stream) keep(err error) {
 	}
 }
 
+// Stamp places a host clock reading on the trace's timeline: µs since the
+// trace's origin, which is the first reading ever stamped on t. Readings
+// before the origin stamp 0, as does a nil tracer. The reading is the
+// caller's, so a tracer never reads the clock itself.
+func (t *Tracer) Stamp(at time.Time) uint64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.s.origin.IsZero() {
+		t.s.origin = at
+	}
+	if d := at.Sub(t.s.origin); d > 0 {
+		return uint64(d.Microseconds())
+	}
+	return 0
+}
+
 // chromeEvent is one record of the Chrome trace_event format.
 type chromeEvent struct {
 	Name  string `json:"name"`
@@ -157,6 +180,21 @@ func (t *Tracer) EmitTrialSpan(cycle, dur uint64, component, name string, span u
 	ev := spanEvent(cycle, dur, name)
 	ev.Args = trialArgs{FormatSpanID(span), trial}
 	t.write(component, ev)
+}
+
+// counterArgs are a counter sample's args: the series' one value.
+type counterArgs struct {
+	Value float64 `json:"value"`
+}
+
+// EmitCounter records one sample of the counter series name at ts — a
+// Chrome "C" event, which the viewers draw as a value track. Safe for
+// concurrent use and on a nil tracer.
+func (t *Tracer) EmitCounter(ts uint64, component, name string, value float64) {
+	if t == nil {
+		return
+	}
+	t.write(component, chromeEvent{Name: name, Phase: "C", TS: ts, Args: counterArgs{value}})
 }
 
 func spanEvent(cycle, dur uint64, name string) chromeEvent {

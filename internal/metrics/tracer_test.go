@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // traceEvent is the part of a Chrome trace record the tests inspect.
@@ -45,6 +46,10 @@ func TestTracerNilSafe(t *testing.T) {
 	tr.Emit(1, "x", "y", nil) // must not panic
 	tr.EmitSpan(1, 2, "x", "y", nil)
 	tr.EmitTrialSpan(1, 2, "x", "y", 3, 4)
+	tr.EmitCounter(1, "x", "y", 5)
+	if ts := tr.Stamp(time.Now()); ts != 0 {
+		t.Errorf("nil Stamp = %d, want 0", ts)
+	}
 	if err := tr.Close(); err != nil {
 		t.Fatalf("nil Close = %v", err)
 	}
@@ -247,5 +252,37 @@ func TestEmitTrialSpan(t *testing.T) {
 	closed(t, mapped, &b)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("typed trial span exports\n%s\nwant\n%s", a.Bytes(), b.Bytes())
+	}
+}
+
+// TestStampOneOrigin checks that the first reading stamped is the
+// timeline's 0, later readings are µs after it, and earlier ones clamp.
+func TestStampOneOrigin(t *testing.T) {
+	tr := NewTracer(&bytes.Buffer{})
+	origin := time.Unix(1000, 0)
+	if ts := tr.Stamp(origin); ts != 0 {
+		t.Errorf("origin stamps %d, want 0", ts)
+	}
+	if ts := tr.Stamp(origin.Add(1500 * time.Microsecond)); ts != 1500 {
+		t.Errorf("origin+1.5ms stamps %d, want 1500", ts)
+	}
+	if ts := tr.Stamp(origin.Add(-time.Second)); ts != 0 {
+		t.Errorf("a reading before the origin stamps %d, want 0", ts)
+	}
+}
+
+// TestEmitCounter checks a counter sample's Chrome form: a "C" event
+// named after its series, carrying the value as its one arg.
+func TestEmitCounter(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	tr.EmitCounter(42, "telemetry", "go.goroutines", 7)
+	evs := closed(t, tr, &buf)
+	if len(evs) != 2 {
+		t.Fatalf("trace holds %d events, want a row and a sample", len(evs))
+	}
+	ev := evs[1]
+	if ev.Ph != "C" || ev.Name != "go.goroutines" || ev.TS != 42 || ev.Args["value"] != 7.0 {
+		t.Errorf("counter event = %+v", ev)
 	}
 }

@@ -10,9 +10,11 @@
 // Span identity is deterministic: SpanID is a pure function of
 // (RootSeed, index), the same derivation the shard seeds use, so the same
 // trial carries the same ID across runs, worker counts and kernels. The
-// spans' timestamps are wall-clock microseconds since sweep start and are
-// therefore operational data only: they flow to the -trace artifact and
-// telemetry.Runtime, never into a deterministic metrics snapshot.
+// spans' timestamps are wall-clock microseconds on the trace's timeline
+// (metrics.Tracer.Stamp), so consecutive sweeps lay out end to end next
+// to the telemetry sampler's counter tracks. They are operational data
+// only: they flow to the -trace artifact and telemetry.Runtime, never
+// into a deterministic metrics snapshot.
 
 package runner
 
@@ -46,29 +48,32 @@ type sweepSpans struct {
 	comp    string // trace component, "runner/"+name
 	root    int64
 	epoch   time.Time
+	base    uint64 // the epoch on the trace's timeline, µs
 	tracer  *metrics.Tracer
 	runHist *metrics.Histogram
 	runDurs []time.Duration
 	sumRun  time.Duration
 }
 
-// newSweepSpans starts the span hierarchy of one sweep; epoch anchors all
-// span timestamps (µs offsets).
+// newSweepSpans starts the span hierarchy of one sweep, placing epoch on
+// the trace's timeline once so each span is an offset from it.
 func newSweepSpans(name string, root int64, epoch time.Time) *sweepSpans {
+	tracer := metrics.Trace()
 	return &sweepSpans{
 		name: name, comp: "runner/" + name, root: root, epoch: epoch,
-		tracer:  metrics.Trace(),
+		base:    tracer.Stamp(epoch),
+		tracer:  tracer,
 		runHist: telemetry.Runtime.Histogram("runner.trial_run_seconds", trialRunBounds),
 	}
 }
 
-// us converts an absolute time to the sweep's µs timeline.
+// us converts an absolute time to the trace's µs timeline.
 func (s *sweepSpans) us(t time.Time) uint64 {
 	d := t.Sub(s.epoch)
 	if d < 0 {
-		return 0
+		return s.base
 	}
-	return uint64(d.Microseconds())
+	return s.base + uint64(d.Microseconds())
 }
 
 // trial emits the queue/run/reduce spans of one computed trial and
@@ -97,7 +102,7 @@ func (s *sweepSpans) trial(index int, enq, start, end, redStart time.Time) {
 func (s *sweepSpans) finish(workers, total, restored int) {
 	now := time.Now()
 	if s.tracer != nil {
-		s.tracer.EmitSpan(0, s.us(now), s.comp, "sweep", map[string]any{
+		s.tracer.EmitSpan(s.base, s.us(now)-s.base, s.comp, "sweep", map[string]any{
 			"trials":   total,
 			"computed": len(s.runDurs),
 			"restored": restored,

@@ -39,6 +39,7 @@ type traceEvent struct {
 	Name string `json:"name"`
 	Cat  string `json:"cat"`
 	Ph   string `json:"ph"`
+	TS   uint64 `json:"ts"`
 	Dur  uint64 `json:"dur"`
 	Args struct {
 		Span  string `json:"span"`
@@ -47,7 +48,8 @@ type traceEvent struct {
 }
 
 // traced runs sweep with a -trace file open and returns the events of
-// component comp it left in the file, which must parse as a JSON array.
+// component comp it left in the file, which must parse as a JSON array
+// ("" keeps every event).
 func traced(t *testing.T, comp string, sweep func()) []traceEvent {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.json")
@@ -68,7 +70,7 @@ func traced(t *testing.T, comp string, sweep func()) []traceEvent {
 		t.Fatalf("trace is not a JSON array: %v", err)
 	}
 	for _, e := range all {
-		if e.Cat == comp {
+		if comp == "" || e.Cat == comp {
 			out = append(out, e)
 		}
 	}
@@ -185,15 +187,10 @@ func TestExactPercentile(t *testing.T) {
 func TestTelemetryDoesNotPerturbSweep(t *testing.T) {
 	run := func(name string, withSampler bool) ([]byte, []float64) {
 		reg := metrics.NewRegistry()
-		var sam *telemetry.Sampler
 		if withSampler {
-			sam = telemetry.NewSampler(nil, time.Millisecond, io.Discard)
+			sam := telemetry.NewSampler(nil, time.Millisecond, metrics.NewTracer(io.Discard))
 			sam.Start()
-			defer func() {
-				if err := sam.Stop(); err != nil {
-					t.Error(err)
-				}
-			}()
+			defer sam.Stop()
 		}
 		res, err := Map(context.Background(),
 			Config{Name: name, RootSeed: 99, Registry: reg, Options: Options{Workers: 4}},
@@ -222,5 +219,78 @@ func TestTelemetryDoesNotPerturbSweep(t *testing.T) {
 		if offRes[i] != onRes[i] {
 			t.Fatalf("result %d differs with telemetry on: %v vs %v", i, offRes[i], onRes[i])
 		}
+	}
+}
+
+// TestConsecutiveSweepsLayOutEndToEnd runs two Map calls under one trace
+// and requires the second sweep span to start at or after the first one
+// ends: every sweep is stamped from the trace's one origin.
+func TestConsecutiveSweepsLayOutEndToEnd(t *testing.T) {
+	const name = "t/spans-consecutive"
+	events := traced(t, "runner/"+name, func() {
+		for i := 0; i < 2; i++ {
+			_, err := Map(context.Background(),
+				Config{Name: name, RootSeed: int64(i), Options: Options{Workers: 2}},
+				20, square)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	var sweeps []traceEvent
+	for _, e := range events {
+		if e.Name == "sweep" {
+			sweeps = append(sweeps, e)
+		}
+	}
+	if len(sweeps) != 2 {
+		t.Fatalf("trace holds %d sweep spans, want 2", len(sweeps))
+	}
+	if end := sweeps[0].TS + sweeps[0].Dur; sweeps[1].TS < end {
+		t.Errorf("second sweep starts at %d µs, before the first ends at %d µs", sweeps[1].TS, end)
+	}
+	for _, e := range events {
+		if e.Ph == "X" && e.Name != "sweep" && e.TS < sweeps[0].TS {
+			t.Errorf("%s span at %d µs precedes its sweep at %d µs", e.Name, e.TS, sweeps[0].TS)
+		}
+	}
+}
+
+// TestSamplerBesideSweepSpans runs a fast sampler into the process-wide
+// trace while a parallel sweep emits its spans there (run it under
+// -race): the file must hold both on one timeline, the sampler's final
+// sample after the sweep.
+func TestSamplerBesideSweepSpans(t *testing.T) {
+	const name = "t/spans-sampled"
+	events := traced(t, "", func() {
+		sam := telemetry.NewSampler(nil, time.Millisecond, metrics.Trace())
+		sam.Start()
+		_, err := Map(context.Background(),
+			Config{Name: name, RootSeed: 1, Options: Options{Workers: 4}},
+			200, func(_ context.Context, s Shard) (float64, error) {
+				time.Sleep(50 * time.Microsecond)
+				return s.RNG().Float64(), nil
+			})
+		sam.Stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	var sweepEnd, lastSample uint64
+	samples := 0
+	for _, e := range events {
+		switch {
+		case e.Cat == "runner/"+name && e.Name == "sweep":
+			sweepEnd = e.TS + e.Dur
+		case e.Ph == "C" && e.Name == "go.goroutines":
+			samples++
+			lastSample = max(lastSample, e.TS)
+		}
+	}
+	if samples < 2 {
+		t.Fatalf("trace holds %d go.goroutines samples, want at least 2", samples)
+	}
+	if sweepEnd == 0 || lastSample < sweepEnd {
+		t.Errorf("final sample at %d µs, sweep ends at %d µs", lastSample, sweepEnd)
 	}
 }

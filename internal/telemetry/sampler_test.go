@@ -1,46 +1,69 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"l15cache/internal/metrics"
 )
 
-// samplerOver builds a manual-tick sampler over a private registry so
-// tests control exactly when samples are captured.
-func samplerOver(r *metrics.Registry, w io.Writer) *Sampler {
-	return NewSampler(r.Snapshot, time.Hour, w)
+// point is one counter sample read back from a trace.
+type point struct {
+	ts    uint64
+	value float64
 }
 
-// decodeSeries parses a JSONL sample stream.
-func decodeSeries(t *testing.T, data []byte) []Sample {
+// counterSeries parses a Chrome trace array and returns its "C" events
+// grouped by series name, in file order.
+func counterSeries(t *testing.T, data []byte) map[string][]point {
 	t.Helper()
-	var out []Sample
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		var sample Sample
-		if err := json.Unmarshal(sc.Bytes(), &sample); err != nil {
-			t.Fatalf("line %d %q: %v", len(out), sc.Text(), err)
-		}
-		out = append(out, sample)
+	var events []struct {
+		Name string `json:"name"`
+		Ph   string `json:"ph"`
+		TS   uint64 `json:"ts"`
+		Args struct {
+			Value float64 `json:"value"`
+		} `json:"args"`
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v\n%s", err, data)
+	}
+	out := map[string][]point{}
+	for _, e := range events {
+		if e.Ph == "C" {
+			out[e.Name] = append(out[e.Name], point{e.TS, e.Args.Value})
+		}
 	}
 	return out
 }
 
+// sampleInto builds a manual-tick sampler over a private registry that
+// writes into a tracer over buf, so tests control exactly when samples
+// are captured.
+func sampleInto(r *metrics.Registry, buf *bytes.Buffer) (*Sampler, *metrics.Tracer) {
+	tr := metrics.NewTracer(buf)
+	return NewSampler(r.Snapshot, time.Hour, tr), tr
+}
+
+// closeTrace closes tr and returns the series it wrote to buf.
+func closeTrace(t *testing.T, tr *metrics.Tracer, buf *bytes.Buffer) map[string][]point {
+	t.Helper()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return counterSeries(t, buf.Bytes())
+}
+
+// TestSamplerDeltas checks that counters are sampled cumulatively, so a
+// counter's increment between two samples is their difference, and that
+// gauges and folded histograms are sampled too.
 func TestSamplerDeltas(t *testing.T) {
 	r := metrics.NewRegistry()
 	c := r.Counter("work.items")
@@ -48,78 +71,54 @@ func TestSamplerDeltas(t *testing.T) {
 	g := r.Gauge("work.progress")
 	h := r.Histogram("work.latency", []float64{1, 10})
 
-	s := samplerOver(r, io.Discard)
+	var buf bytes.Buffer
+	s, tr := sampleInto(r, &buf)
 	c.Add(5)
 	idle.Add(1)
 	g.Set(0.25)
 	h.Observe(0.5)
 	h.Observe(5)
-	first := s.SampleNow()
-
-	// The first sample treats the whole cumulative value as the delta.
-	if first.Seq != 0 || first.Counters["work.items"] != 5 || first.Deltas["work.items"] != 5 {
-		t.Errorf("first sample: %+v", first)
-	}
-	if first.Gauges["work.progress"] != 0.25 {
-		t.Errorf("gauge = %v", first.Gauges["work.progress"])
-	}
-	if first.Counters["work.latency.count"] != 2 {
-		t.Errorf("folded histogram count = %v", first.Counters["work.latency.count"])
-	}
-	if first.Gauges["work.latency.sum"] != 5.5 {
-		t.Errorf("folded histogram sum = %v", first.Gauges["work.latency.sum"])
-	}
-	if _, ok := first.Gauges["work.latency.p50"]; !ok {
-		t.Error("folded p50 missing")
-	}
-
+	s.SampleNow()
 	c.Add(3)
-	second := s.SampleNow()
-	if second.Seq != 1 || second.Counters["work.items"] != 8 || second.Deltas["work.items"] != 3 {
-		t.Errorf("second sample: %+v", second)
-	}
-	// An unmoved counter is omitted from Deltas but stays in Counters.
-	if _, ok := second.Deltas["work.idle"]; ok {
-		t.Error("zero delta not omitted")
-	}
-	if second.Counters["work.idle"] != 1 {
-		t.Error("cumulative value lost for idle counter")
-	}
-}
+	s.SampleNow()
+	series := closeTrace(t, tr, &buf)
 
-func TestSamplerWriteJSONL(t *testing.T) {
-	r := metrics.NewRegistry()
-	c := r.Counter("n")
-	var buf bytes.Buffer
-	s := samplerOver(r, &buf)
-	for i := 0; i < 3; i++ {
-		c.Add(2)
-		s.SampleNow()
+	items := series["work.items"]
+	if len(items) != 2 || items[0].value != 5 || items[1].value-items[0].value != 3 {
+		t.Errorf("work.items = %+v, want 5 then 8", items)
 	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
+	if items[0].ts > items[1].ts {
+		t.Errorf("samples out of time order: %+v", items)
 	}
-	series := decodeSeries(t, buf.Bytes())
-	if len(series) != 4 || series[0].Seq != 0 || series[3].Seq != 3 {
-		t.Fatalf("JSONL series = %+v", series)
+	// An unmoved counter keeps its cumulative value.
+	if idle := series["work.idle"]; len(idle) != 2 || idle[1].value != 1 {
+		t.Errorf("work.idle = %+v, want 1 twice", idle)
 	}
-	// Stop's final sample saw no new work: cumulative value, no delta.
-	if last := series[3]; last.Counters["n"] != 6 || len(last.Deltas) != 0 {
-		t.Errorf("final sample = %+v", last)
+	if p := series["work.progress"]; len(p) != 2 || p[0].value != 0.25 {
+		t.Errorf("gauge = %+v", p)
+	}
+	if n := series["work.latency.count"]; len(n) != 2 || n[0].value != 2 {
+		t.Errorf("folded histogram count = %+v", n)
+	}
+	if sum := series["work.latency.sum"]; len(sum) != 2 || sum[0].value != 5.5 {
+		t.Errorf("folded histogram sum = %+v", sum)
+	}
+	if len(series["work.latency.p50"]) != 2 || len(series["work.latency.p95"]) != 2 {
+		t.Error("folded quantiles missing")
 	}
 }
 
 // TestSamplerWritesWholeSeries takes 2,500 samples — more than a 250 ms
-// sampler takes in ten minutes — and checks that the written series is
-// complete: every seq from 0 once and in order, and the per-sample deltas
-// summing to the final cumulative counters.
+// sampler takes in ten minutes — and checks that the trace holds every
+// one: each series has a point per sample, in time order, ending at the
+// registry's final values.
 func TestSamplerWritesWholeSeries(t *testing.T) {
 	const n = 2500
 	r := metrics.NewRegistry()
 	steady := r.Counter("steady")
 	sparse := r.Counter("sparse")
 	var buf bytes.Buffer
-	s := samplerOver(r, &buf)
+	s, tr := sampleInto(r, &buf)
 	for i := 0; i < n; i++ {
 		steady.Add(uint64(i%3 + 1))
 		if i%7 == 0 {
@@ -127,154 +126,119 @@ func TestSamplerWritesWholeSeries(t *testing.T) {
 		}
 		s.SampleNow()
 	}
-	if err := s.Stop(); err != nil { // the final sample makes n+1
-		t.Fatal(err)
-	}
+	s.Stop() // the final sample makes n+1
+	series := closeTrace(t, tr, &buf)
 
-	series := decodeSeries(t, buf.Bytes())
-	if len(series) != n+1 {
-		t.Fatalf("wrote %d samples, want %d", len(series), n+1)
-	}
-	sums := map[string]uint64{}
-	for i, sample := range series {
-		if sample.Seq != uint64(i) {
-			t.Fatalf("line %d: seq %d", i, sample.Seq)
+	for name, want := range map[string]uint64{"steady": steady.Load(), "sparse": sparse.Load()} {
+		pts := series[name]
+		if len(pts) != n+1 {
+			t.Fatalf("%s: trace holds %d samples, want %d", name, len(pts), n+1)
 		}
-		for name, d := range sample.Deltas {
-			sums[name] += d
+		for i := 1; i < len(pts); i++ {
+			if pts[i].ts < pts[i-1].ts || pts[i].value < pts[i-1].value {
+				t.Fatalf("%s: sample %d %+v goes back from %+v", name, i, pts[i], pts[i-1])
+			}
 		}
-	}
-	last := series[n].Counters
-	for _, name := range []string{"steady", "sparse"} {
-		if sums[name] != last[name] {
-			t.Errorf("%s: deltas sum to %d, final counter %d", name, sums[name], last[name])
+		if last := pts[n].value; last != float64(want) {
+			t.Errorf("%s: final sample %v, registry %d", name, last, want)
 		}
-	}
-	if last["steady"] != steady.Load() || last["sparse"] != sparse.Load() {
-		t.Errorf("final sample %v, registry steady=%d sparse=%d", last, steady.Load(), sparse.Load())
 	}
 }
 
 func TestSamplerStartStopIdempotent(t *testing.T) {
 	r := metrics.NewRegistry()
-	var out syncBuffer
-	s := NewSampler(r.Snapshot, time.Millisecond, &out)
-	s.Start()
+	r.Counter("n").Add(1)
+	var snaps atomic.Int64
+	snap := func() metrics.Snapshot {
+		snaps.Add(1)
+		return r.Snapshot()
+	}
+	var buf bytes.Buffer
+	tr := metrics.NewTracer(&buf)
+	s := NewSampler(snap, time.Millisecond, tr)
+	s.Start() // samples at once
 	s.Start() // second Start while running must be a no-op
 	deadline := time.Now().Add(2 * time.Second)
-	for out.Len() == 0 && time.Now().Before(deadline) {
+	for snaps.Load() < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if out.Len() == 0 {
-		t.Fatal("ticker loop wrote nothing")
+	if snaps.Load() < 3 {
+		t.Fatal("ticker loop took no sample")
 	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Stop(); err != nil { // double Stop must not panic or hang
-		t.Fatal(err)
-	}
-	n := out.Len()
+	s.Stop()
+	s.Stop() // double Stop must not panic or hang
+	n := snaps.Load()
 	time.Sleep(5 * time.Millisecond)
-	if got := out.Len(); got != n {
-		t.Errorf("sampler kept running after Stop: %d -> %d bytes", n, got)
+	if got := snaps.Load(); got != n {
+		t.Errorf("sampler kept running after Stop: %d -> %d samples", n, got)
 	}
 	s.Start() // restart after Stop must work
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	series := decodeSeries(t, out.Bytes())
-	for i, sample := range series {
-		if sample.Seq != uint64(i) {
-			t.Fatalf("line %d: seq %d", i, sample.Seq)
-		}
+	s.Stop()
+	pts := closeTrace(t, tr, &buf)["n"]
+	if int64(len(pts)) != snaps.Load() {
+		t.Errorf("trace holds %d samples of n, sampler took %d", len(pts), snaps.Load())
 	}
 }
 
-func TestStartFlag(t *testing.T) {
-	// Empty path: nil sampler, no-op flush.
-	s, flush := StartFlag("")
-	if s != nil {
-		t.Error("StartFlag(\"\") returned a sampler")
+// TestOpenFiles checks the tools' artifact path: with a trace path the
+// trace is the process-wide one and holds the Go runtime series from
+// the sampler's first sample to its final one before the closing
+// bracket; a second flush changes nothing.
+func TestOpenFiles(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	metricsPath := filepath.Join(dir, "metrics.json")
+	flush, err := OpenFiles(metricsPath, tracePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := flush(); err != nil {
-		t.Errorf("no-op flush: %v", err)
+	if metrics.Trace() == nil {
+		t.Error("OpenFiles did not install the trace")
 	}
-
-	path := filepath.Join(t.TempDir(), "telemetry.jsonl")
-	s, flush = StartFlag(path)
-	if s == nil {
-		t.Fatal("StartFlag returned nil sampler for a real path")
-	}
-	// Flush twice: idempotent, and the file holds at least the final
-	// sample even though no ticker interval has elapsed.
 	if err := flush(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := flush(); err != nil {
 		t.Fatalf("second flush: %v", err)
 	}
-	if again, _ := os.ReadFile(path); !bytes.Equal(again, data) {
-		t.Error("second flush changed the file")
+	if again, _ := os.ReadFile(tracePath); !bytes.Equal(again, data) {
+		t.Error("second flush changed the trace")
 	}
-	series := decodeSeries(t, data)
-	if len(series) == 0 {
-		t.Fatal("flush wrote an empty file")
+	if n := len(counterSeries(t, data)["go.goroutines"]); n < 2 {
+		t.Errorf("trace holds %d go.goroutines samples, want the first and the final one", n)
 	}
-	// The merged default snapshot includes the runtime collector.
-	if _, ok := series[0].Gauges["go.goroutines"]; !ok {
-		t.Error("flushed sample missing go.goroutines")
+	if _, err := os.Stat(metricsPath); err != nil {
+		t.Errorf("-metrics not written: %v", err)
+	}
+
+	// Without a trace path nothing is sampled or opened.
+	flush, err = OpenFiles("", "")
+	if err != nil || flush() != nil || metrics.Trace() != nil {
+		t.Errorf("OpenFiles(\"\", \"\") = %v, trace %v", err, metrics.Trace())
 	}
 }
 
 func TestSamplerWriteFileError(t *testing.T) {
-	s, flush := StartFlag(filepath.Join(t.TempDir(), "no", "such", "dir.jsonl"))
-	if s != nil {
-		t.Error("StartFlag returned a sampler for an uncreatable file")
-	}
-	if err := flush(); err == nil {
-		t.Error("-telemetry to a missing directory succeeded")
+	if _, err := OpenFiles("", filepath.Join(t.TempDir(), "no", "such", "dir.json")); err == nil {
+		t.Error("-trace to a missing directory succeeded")
 	}
 
-	// A writer that fails: Stop reports the first error.
+	// A writer that fails: the tracer's Close reports the first error.
 	r := metrics.NewRegistry()
 	r.Counter("n").Add(1)
-	sam := samplerOver(r, failWriter{})
-	sam.SampleNow()
-	if err := sam.Stop(); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Errorf("Stop over a failing writer = %v", err)
+	tr := metrics.NewTracer(failWriter{})
+	s := NewSampler(r.Snapshot, time.Hour, tr)
+	s.SampleNow()
+	s.Stop()
+	if err := tr.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("Close over a failing writer = %v", err)
 	}
 }
 
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
-
-// syncBuffer is a bytes.Buffer safe to read while the sampler's ticker
-// goroutine writes to it.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Len()
-}
-
-func (b *syncBuffer) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]byte(nil), b.buf.Bytes()...)
-}

@@ -1,8 +1,9 @@
 // Package telemetry is the host-time observability layer on top of
 // internal/metrics: the operational Runtime registry, a runtime/metrics
-// collector for the Go runtime's own health, and the wall-clock sampler
-// behind the cmd tools' -telemetry flag, which streams snapshot deltas of
-// the merged registries to a JSONL file (DESIGN.md §13).
+// collector for the Go runtime's own health, the wall-clock sampler that
+// writes the merged registries' series into the -trace file as counter
+// events, and OpenFiles, which opens every cmd tool's -metrics and -trace
+// artifacts (DESIGN.md §13).
 //
 // The layer's one invariant is that it must never perturb determinism:
 //
@@ -12,13 +13,13 @@
 //   - every wall-clock-coupled series — trial latency, worker occupancy,
 //     heap, GC pauses — lives in the separate Runtime registry below,
 //     which the sampler merges into its series but which is never written
-//     into an archived artifact;
+//     into the -metrics artifact;
 //   - the sampler's clock reads are an operator-facing carve-out, and the
 //     walltime/puritycheck analyzers encode the boundary.
 //
 // A sweep therefore produces byte-identical experiment artifacts with
-// telemetry on or off — the property internal/cli's
-// TestTelemetryDoesNotChangeArtifacts checks end to end.
+// -trace on or off — the property internal/cli's
+// TestTraceDoesNotChangeMetrics checks end to end.
 package telemetry
 
 import (
@@ -28,9 +29,9 @@ import (
 // Runtime is the operational registry: the home of every series that is a
 // function of the host rather than the simulation — Go runtime health
 // (RegisterRuntimeCollector), the runner's trial-latency and occupancy
-// summaries. It is merged into the -telemetry series, and deliberately
-// excluded from the -metrics artifact (metrics.OpenFiles) so archived artifacts stay
-// deterministic.
+// summaries. The sampler merges it into the series it writes to -trace;
+// it is deliberately excluded from the -metrics artifact (OpenFiles) so
+// archived artifacts stay deterministic.
 var Runtime = metrics.NewRegistry()
 
 func init() { RegisterRuntimeCollector(Runtime) }
@@ -62,7 +63,7 @@ func Merge(a, b metrics.Snapshot) metrics.Snapshot {
 }
 
 // MergedSnapshot captures metrics.Default overlaid with Runtime — the
-// view the -telemetry sampler records.
+// view the sampler records.
 func MergedSnapshot() metrics.Snapshot {
 	return Merge(metrics.Default.Snapshot(), Runtime.Snapshot())
 }
