@@ -35,7 +35,7 @@ func main() {
 	step := flag.Float64("step", 0.05, "utilisation step")
 	csv := flag.Bool("csv", false, "emit CSV instead of the formatted table")
 	partitioned := flag.Bool("partitioned", false, "partition tasks to clusters instead of global scheduling")
-	flightOut := flag.String("flight", "", "record one representative trial to this flight file (.jsonl or .bin)")
+	flightOut := flag.String("flight", "", "record one representative trial to this JSONL flight file")
 	cli.Main("casestudy", func(ctx context.Context, sw *cli.Sweep) error {
 		cfg := experiments.DefaultCaseStudyConfig(*cores)
 		cfg.Trials = *trials

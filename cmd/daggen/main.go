@@ -1,6 +1,7 @@
 // Command daggen generates the synthetic DAG tasks of §5.1 and inspects
 // them: structural summary, Algorithm 1's way allocation and priorities,
-// and optional Graphviz output.
+// and optional Graphviz output. A failed run still writes the requested
+// -metrics and -trace files, then exits 1.
 //
 // Usage:
 //
@@ -9,6 +10,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -26,21 +28,31 @@ import (
 	"l15cache/internal/workload"
 )
 
+// options are the flags that choose the task and what to print about it.
+type options struct {
+	seed                            int64
+	params                          workload.SynthParams
+	dot, schedule, gantt, csv, json bool
+	load                            string
+	zeta                            int
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("daggen: ")
 
-	seed := flag.Int64("seed", 1, "RNG seed")
-	u := flag.Float64("u", 0.8, "task utilisation U_i")
-	p := flag.Int("p", 15, "maximum layer width p")
-	cpr := flag.Float64("cpr", 0.1, "critical path ratio")
-	dot := flag.Bool("dot", false, "emit Graphviz dot instead of the summary")
-	schedule := flag.Bool("schedule", false, "run Alg. 1 and print the configuration")
-	gantt := flag.Bool("gantt", false, "simulate on 8 cores and print the execution timeline")
-	csv := flag.Bool("csv", false, "with -gantt: emit the timeline as CSV instead")
-	jsonOut := flag.Bool("json", false, "emit the task as JSON instead of the summary")
-	load := flag.String("load", "", "load a task from a JSON file instead of generating one")
-	zeta := flag.Int("zeta", 16, "L1.5 ways ζ for -schedule")
+	o := options{params: workload.DefaultSynthParams()}
+	flag.Int64Var(&o.seed, "seed", 1, "RNG seed")
+	flag.Float64Var(&o.params.Utilization, "u", 0.8, "task utilisation U_i")
+	flag.IntVar(&o.params.MaxWidth, "p", 15, "maximum layer width p")
+	flag.Float64Var(&o.params.CPR, "cpr", 0.1, "critical path ratio")
+	flag.BoolVar(&o.dot, "dot", false, "emit Graphviz dot instead of the summary")
+	flag.BoolVar(&o.schedule, "schedule", false, "run Alg. 1 and print the configuration")
+	flag.BoolVar(&o.gantt, "gantt", false, "simulate on 8 cores and print the execution timeline")
+	flag.BoolVar(&o.csv, "csv", false, "with -gantt: emit the timeline as CSV instead")
+	flag.BoolVar(&o.json, "json", false, "emit the task as JSON instead of the summary")
+	flag.StringVar(&o.load, "load", "", "load a task from a JSON file instead of generating one")
+	flag.IntVar(&o.zeta, "zeta", 16, "L1.5 ways ζ for -schedule")
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
 	showVersion := cli.VersionFlag()
@@ -50,45 +62,39 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer func() {
-		if err := flushFiles(); err != nil {
-			log.Fatal(err)
-		}
-	}()
+	if err := errors.Join(run(o), flushFiles()); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	params := workload.DefaultSynthParams()
-	params.Utilization = *u
-	params.MaxWidth = *p
-	params.CPR = *cpr
-
+// run builds or loads the task and prints what o asks for.
+func run(o options) error {
 	var task *dag.Task
-	if *load != "" {
-		data, err := os.ReadFile(*load)
+	if o.load != "" {
+		data, err := os.ReadFile(o.load)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		task, err = dag.LoadJSON(data)
-		if err != nil {
-			log.Fatal(err)
+		if task, err = dag.LoadJSON(data); err != nil {
+			return err
 		}
 	} else {
 		var err error
-		task, err = workload.Synthetic(rand.New(rand.NewSource(*seed)), params)
-		if err != nil {
-			log.Fatal(err)
+		if task, err = workload.Synthetic(rand.New(rand.NewSource(o.seed)), o.params); err != nil {
+			return err
 		}
 	}
-	if *jsonOut {
+	if o.json {
 		data, err := json.MarshalIndent(task, "", "  ")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Println(string(data))
-		return
+		return nil
 	}
-	if *dot {
+	if o.dot {
 		fmt.Print(task.DOT())
-		return
+		return nil
 	}
 
 	var comm float64
@@ -101,32 +107,32 @@ func main() {
 		task.CriticalPathLength(dag.ZeroCost),
 		task.CriticalPathLength(dag.ZeroCost)/task.Volume())
 
-	if *gantt || *csv {
-		prop, err := schedsim.NewProposed(task.Clone(), *zeta, 2048)
+	if o.gantt || o.csv {
+		prop, err := schedsim.NewProposed(task.Clone(), o.zeta, 2048)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rec := flight.New()
 		if _, err := schedsim.Run(prop.Alloc, prop, schedsim.Options{Cores: 8, Recorder: rec}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		m := forensics.Build(rec.Snapshot())
 		fmt.Println()
-		if *csv {
+		if o.csv {
 			fmt.Print(spansCSV(m, task))
 		} else {
 			fmt.Print(m.Gantt(forensics.JobKey{}, 100))
 		}
 	}
 
-	if !*schedule {
-		return
+	if !o.schedule {
+		return nil
 	}
-	res, err := sched.L15Schedule(task, *zeta, 2048)
+	res, err := sched.L15Schedule(task, o.zeta, 2048)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nAlg. 1 with ζ=%d ways:\n", *zeta)
+	fmt.Printf("\nAlg. 1 with ζ=%d ways:\n", o.zeta)
 	fmt.Printf("%6s%10s%8s%8s%10s\n", "node", "WCET", "δ(KB)", "ways", "priority")
 	for _, id := range res.PriorityOrder() {
 		n := task.Node(id)
@@ -137,6 +143,7 @@ func main() {
 	eff := task.CriticalPathLength(res.Model.Weight())
 	fmt.Printf("\ncritical path: raw %.2f -> with L1.5 %.2f (%.1f%% shorter)\n",
 		raw, eff, 100*(raw-eff)/raw)
+	return nil
 }
 
 // spansCSV renders every recorded span, in dispatch order, as

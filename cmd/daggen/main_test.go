@@ -1,7 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
+	"flag"
 	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -49,5 +55,46 @@ func TestSpansCSV(t *testing.T) {
 		if want := task.Node(dag.NodeID(id)).Name; f[3] != want {
 			t.Errorf("node %d named %q, want %q", id, f[3], want)
 		}
+	}
+}
+
+// TestFailingRunFlushesArtifacts runs daggen on a missing -load file,
+// with -metrics and -trace: it must exit 1 and leave both files
+// complete. The test re-executes its own binary so main's exit ends the
+// child.
+func TestFailingRunFlushesArtifacts(t *testing.T) {
+	if args := os.Getenv("DAGGEN_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"daggen"}, strings.Split(args, "\n")...)
+		flag.CommandLine = flag.NewFlagSet("daggen", flag.ExitOnError)
+		main()
+		os.Exit(0) // unreachable unless the run ignored its error
+	}
+	dir := t.TempDir()
+	metricsPath := filepath.Join(dir, "metrics.json")
+	tracePath := filepath.Join(dir, "trace.json")
+	args := []string{"-load", filepath.Join(dir, "missing.json"), "-metrics", metricsPath, "-trace", tracePath}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFailingRunFlushesArtifacts$")
+	cmd.Env = append(os.Environ(), "DAGGEN_TEST_ARGS="+strings.Join(args, "\n"))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("child exit = %v, want status 1; output:\n%s", err, out)
+	}
+	var snapshot map[string]any
+	readJSON(t, metricsPath, &snapshot)
+	var events []map[string]any
+	readJSON(t, tracePath, &events)
+}
+
+// readJSON requires path to hold one complete JSON value and decodes it
+// into v.
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s is not complete JSON: %v\n%s", filepath.Base(path), err, data)
 	}
 }

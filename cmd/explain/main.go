@@ -5,14 +5,14 @@
 //
 // Usage:
 //
-//	explain [-task N -job N] [-width N] [-chrome out.json] recording.{jsonl,bin}
+//	explain [-task N -job N] [-width N] [-chrome out.json] recording.jsonl
 //
-// The recording format is sniffed from the content, so both the JSONL and
-// the compact binary export load. Without -task/-job the tool focuses on
-// the first missed job, or the job with the largest makespan. The output
-// is a deterministic function of the recording: a summary, an ASCII
-// per-core timeline, the critical path with per-step gates, a per-node
-// attribution table, and per-cluster way-occupancy statistics. -chrome
+// The recording is the JSONL file a -flight flag writes. Without
+// -task/-job the tool focuses on the first missed job, or the job with
+// the largest makespan. The output is a deterministic function of the
+// recording: a summary, an ASCII per-core timeline, the critical path
+// with per-step gates, a per-node attribution table, and per-cluster
+// way-occupancy statistics. -chrome
 // additionally converts the dispatch spans and the per-cluster way
 // occupancy into a Chrome trace_event file for chrome://tracing or
 // Perfetto.
@@ -44,7 +44,7 @@ func main() {
 	showVersion()
 
 	if flag.NArg() != 1 {
-		log.Fatal("usage: explain [flags] recording.{jsonl,bin}")
+		log.Fatal("usage: explain [flags] recording.jsonl")
 	}
 	rec, err := flight.ReadFile(flag.Arg(0))
 	if err != nil {

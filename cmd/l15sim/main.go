@@ -13,13 +13,15 @@
 // -metrics serialises the metrics registry (L1/L1.5/L2/TLB counters, SDU
 // latency histograms) as JSON; -trace writes a Chrome trace_event file for
 // chrome://tracing, with the wall-clock sampler's heap, GC and latency
-// series as counter tracks; -flight writes a flight recording of every
-// Walloc way reassignment and gv_set (dissect it with cmd/explain). An
-// interrupt (Ctrl-C) at any point still flushes the requested artifact
-// files before exiting. -cpuprofile/-memprofile write offline profiles.
+// series as counter tracks; -flight writes a JSONL flight recording of
+// every Walloc way reassignment and gv_set (dissect it with cmd/explain).
+// A failed run still writes the requested artifact files, then exits 1;
+// an interrupt (Ctrl-C) at any point flushes them too before exiting.
+// -cpuprofile/-memprofile write offline profiles.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -44,21 +46,32 @@ func (p *programList) Set(v string) error {
 	return nil
 }
 
+// options are the flags that shape the simulated run.
+type options struct {
+	programs   programList
+	maxInstrs  uint64
+	stats      bool
+	width      int
+	list       bool
+	cpuProfile string
+	memProfile string
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("l15sim: ")
 
-	var programs programList
-	flag.Var(&programs, "program", "assembly source file (repeatable, one per core)")
-	maxInstrs := flag.Uint64("max", 10_000_000, "instruction budget per core")
-	stats := flag.Bool("stats", false, "print cache and pipeline statistics")
-	width := flag.Int("width", 1, "core issue width (2 enables the §3.3 dual-issue front end)")
-	list := flag.Bool("list", false, "print the disassembly of each program before running")
+	var o options
+	flag.Var(&o.programs, "program", "assembly source file (repeatable, one per core)")
+	flag.Uint64Var(&o.maxInstrs, "max", 10_000_000, "instruction budget per core")
+	flag.BoolVar(&o.stats, "stats", false, "print cache and pipeline statistics")
+	flag.IntVar(&o.width, "width", 1, "core issue width (2 enables the §3.3 dual-issue front end)")
+	flag.BoolVar(&o.list, "list", false, "print the disassembly of each program before running")
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
-	flightOut := flag.String("flight", "", "write a flight recording (.jsonl or .bin) to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
+	flightOut := flag.String("flight", "", "write a JSONL flight recording to this file")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file")
 	showVersion := cli.VersionFlag()
 	flag.Parse()
 	showVersion()
@@ -71,17 +84,15 @@ func main() {
 	if *flightOut != "" {
 		rec = flight.New()
 	}
-	// flush writes every requested artifact; it runs on the normal exit
-	// path and again from the interrupt handler, so a Ctrl-C mid-run
+	// flush writes every requested artifact; it runs once the run ends,
+	// failed or not, and from the interrupt handler, so a Ctrl-C mid-run
 	// still leaves complete (if shorter) files behind.
 	flush := func() error {
-		if err := flushFiles(); err != nil {
-			return err
-		}
+		err := flushFiles()
 		if *flightOut != "" {
-			return flight.WriteFile(*flightOut, rec.Snapshot())
+			err = errors.Join(err, flight.WriteFile(*flightOut, rec.Snapshot()))
 		}
-		return nil
+		return err
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
@@ -94,27 +105,35 @@ func main() {
 		os.Exit(130)
 	}()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if err := errors.Join(run(o, rec), flush()); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run loads the programs onto a fresh SoC instrumented with
+// metrics.Default and rec, runs it and prints the outcome.
+func run(o options, rec *flight.Recorder) error {
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 
 	sources := []string{soc.DemoProducer, soc.DemoConsumer}
 	names := []string{"demo-producer", "demo-consumer"}
-	if len(programs) > 0 {
+	if len(o.programs) > 0 {
 		sources = nil
 		names = nil
-		for _, path := range programs {
+		for _, path := range o.programs {
 			src, err := os.ReadFile(path)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			sources = append(sources, string(src))
 			names = append(names, path)
@@ -122,32 +141,31 @@ func main() {
 	}
 
 	cfg := soc.DefaultConfig()
-	if *width > 1 {
-		cfg.IssueWidth = *width
+	if o.width > 1 {
+		cfg.IssueWidth = o.width
 		cfg.MemPorts = 2
 	}
 	s, err := soc.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	s.Instrument(metrics.Default, metrics.Trace())
-	s.FlightRecord(rec)
+	s.Instrument(metrics.Default, rec)
 	if len(sources) > len(s.Cores) {
-		log.Fatalf("%d programs for %d cores", len(sources), len(s.Cores))
+		return fmt.Errorf("%d programs for %d cores", len(sources), len(s.Cores))
 	}
 	pt := s.IdentityPageTable(1)
 	base := uint32(0x1000)
 	for i, src := range sources {
 		n, err := s.LoadProgram(base, src)
 		if err != nil {
-			log.Fatalf("%s: %v", names[i], err)
+			return fmt.Errorf("%s: %w", names[i], err)
 		}
 		if err := s.SetPageTable(i, pt); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		s.StartCore(i, base, 0x8000+uint32(i)*0x1000)
 		fmt.Printf("core %d: %s (%d words at %#x)\n", i, names[i], n, base)
-		if *list {
+		if o.list {
 			words, err := isa.Assemble(src, base)
 			if err == nil {
 				fmt.Print(isa.Disassemble(words, base))
@@ -159,9 +177,9 @@ func main() {
 		s.Cores[i].Halted = true
 	}
 
-	trap, err := s.Run(*maxInstrs, nil)
+	trap, err := s.Run(o.maxInstrs, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if trap.Kind != 0 {
 		fmt.Printf("stopped by trap: %v at pc %#x (%s)\n", trap.Kind, trap.PC, trap.Info)
@@ -177,7 +195,7 @@ func main() {
 		fmt.Printf("core %d: halted=%v cycles=%d instret=%d a0=%d (%#x)\n",
 			i, c.Halted, c.Cycles, c.Stats.Instret, c.Regs[10], c.Regs[10])
 	}
-	if *stats {
+	if o.stats {
 		for i := range sources {
 			c := s.Cores[i]
 			fmt.Printf("core %d: load-use stalls %d, branch flushes %d, fetch stall %d, mem stall %d, l15 ops %d, dual groups %d\n",
@@ -196,20 +214,13 @@ func main() {
 		fmt.Printf("L2: hits %d, misses %d\n", s.L2.Stats.Hits, s.L2.Stats.Misses)
 	}
 
-	if err := flush(); err != nil {
-		log.Fatal(err)
+	if o.memProfile == "" {
+		return nil
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+	f, err := os.Create(o.memProfile)
+	if err != nil {
+		return err
 	}
+	runtime.GC()
+	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
 }

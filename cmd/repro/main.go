@@ -50,7 +50,7 @@ import (
 var (
 	quick     = flag.Bool("quick", false, "reduced sample sizes (~30s instead of minutes)")
 	out       = flag.String("o", "repro_report.md", "output report path ('-' for stdout)")
-	flightOut = flag.String("flight", "", "write a flight recording (.jsonl or .bin) of a representative trial")
+	flightOut = flag.String("flight", "", "write a JSONL flight recording of a representative trial")
 )
 
 func main() { cli.Main("repro", reproduce) }
@@ -203,7 +203,7 @@ func reproduce(ctx context.Context, sw *cli.Sweep) error {
 	// Cycle-accurate smoke: the SoC + monitor run that grounds the metrics
 	// snapshot in real cache counters.
 	step("cycle-accurate smoke (SoC + monitor)")
-	smoke, err := monitor.Demo(soc.DefaultConfig(), metrics.Default, metrics.Trace(), rec)
+	smoke, err := monitor.Demo(soc.DefaultConfig(), metrics.Default, rec)
 	if err != nil {
 		return err
 	}

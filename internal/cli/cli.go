@@ -123,9 +123,9 @@ func (s *Sweep) run(ctx context.Context, body func(ctx context.Context, s *Sweep
 	return body(ctx, s)
 }
 
-// Flight returns a recorder whose recording Main writes to path (.jsonl
-// or .bin) on every exit path, or nil — recording off — when path is
-// empty. Call it from the body.
+// Flight returns a recorder whose recording Main writes to path as JSONL
+// on every exit path, or nil — recording off — when path is empty. Call
+// it from the body.
 func (s *Sweep) Flight(path string) *flight.Recorder {
 	if path == "" {
 		return nil

@@ -3,31 +3,19 @@ package flight
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 )
 
-// The two export formats. JSONL is the greppable, diffable form (one
-// object per line, fields in fixed order, shortest-round-trip float
-// formatting — identical values encode to identical bytes). The binary
-// form is the compact one: fixed 68-byte little-endian records behind a
-// 24-byte header. Both start with a magic line/prefix so ReadFile can
-// sniff them.
+// The export format is JSONL: greppable and diffable, one object per
+// line, fields in fixed order, shortest-round-trip float formatting — so
+// identical values encode to identical bytes.
 
-// jsonlMagic is the first line of a JSONL recording: a header object
-// carrying the format version and the dropped-event count.
+// jsonlVersion is the format version the header line carries.
 const jsonlVersion = 1
-
-// binMagic opens a binary recording.
-var binMagic = [8]byte{'L', '1', '5', 'F', 'L', 'T', '0', '1'}
-
-// binRecordSize is the fixed encoded size of one event.
-const binRecordSize = 68
 
 // AppendJSONL appends the deterministic JSONL encoding of the recording
 // to dst and returns the extended slice. The first line is a header
@@ -166,100 +154,21 @@ func DecodeJSONL(r io.Reader) (Recording, error) {
 	return rec, nil
 }
 
-// AppendBinary appends the compact binary encoding to dst: an 8-byte
-// magic, event and dropped counts, then fixed-width little-endian
-// records.
-func AppendBinary(dst []byte, rec Recording) []byte {
-	dst = append(dst, binMagic[:]...)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(len(rec.Events)))
-	binary.LittleEndian.PutUint64(hdr[8:], rec.Dropped)
-	dst = append(dst, hdr[:]...)
-	var b [binRecordSize]byte
-	for _, e := range rec.Events {
-		binary.LittleEndian.PutUint64(b[0:], e.Seq)
-		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(e.Time))
-		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(e.A))
-		binary.LittleEndian.PutUint64(b[24:], math.Float64bits(e.B))
-		binary.LittleEndian.PutUint64(b[32:], math.Float64bits(e.C))
-		binary.LittleEndian.PutUint32(b[40:], uint32(e.Task))
-		binary.LittleEndian.PutUint32(b[44:], uint32(e.Job))
-		binary.LittleEndian.PutUint32(b[48:], uint32(e.Node))
-		binary.LittleEndian.PutUint32(b[52:], uint32(e.Core))
-		binary.LittleEndian.PutUint32(b[56:], uint32(e.Cluster))
-		binary.LittleEndian.PutUint32(b[60:], uint32(e.Wave))
-		b[64] = byte(e.Kind)
-		b[65], b[66], b[67] = 0, 0, 0
-		dst = append(dst, b[:]...)
-	}
-	return dst
-}
-
-// DecodeBinary parses a binary recording.
-func DecodeBinary(data []byte) (Recording, error) {
-	var rec Recording
-	if len(data) < len(binMagic)+16 || !bytes.Equal(data[:len(binMagic)], binMagic[:]) {
-		return rec, fmt.Errorf("flight: not a binary recording (bad magic)")
-	}
-	n := binary.LittleEndian.Uint64(data[8:])
-	rec.Dropped = binary.LittleEndian.Uint64(data[16:])
-	body := data[24:]
-	// Compare without multiplying: n*binRecordSize wraps for huge n.
-	if len(body)%binRecordSize != 0 || n != uint64(len(body)/binRecordSize) {
-		return rec, fmt.Errorf("flight: truncated recording: %d bytes for %d events", len(body), n)
-	}
-	rec.Events = make([]Event, 0, n)
-	for i := uint64(0); i < n; i++ {
-		b := body[i*binRecordSize:]
-		kind := Kind(b[64])
-		if int(kind) >= KindCount {
-			return rec, fmt.Errorf("flight: event %d: unknown kind %d", i, kind)
-		}
-		rec.Events = append(rec.Events, Event{
-			Seq:     binary.LittleEndian.Uint64(b[0:]),
-			Time:    math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-			A:       math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
-			B:       math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
-			C:       math.Float64frombits(binary.LittleEndian.Uint64(b[32:])),
-			Task:    int32(binary.LittleEndian.Uint32(b[40:])),
-			Job:     int32(binary.LittleEndian.Uint32(b[44:])),
-			Node:    int32(binary.LittleEndian.Uint32(b[48:])),
-			Core:    int32(binary.LittleEndian.Uint32(b[52:])),
-			Cluster: int32(binary.LittleEndian.Uint32(b[56:])),
-			Wave:    int32(binary.LittleEndian.Uint32(b[60:])),
-			Kind:    kind,
-		})
-	}
-	return rec, nil
-}
-
-// WriteFile serialises the recording to path: binary when the path ends
-// in ".bin", JSONL otherwise.
+// WriteFile serialises the recording to path as JSONL, whatever the
+// path's extension.
 func WriteFile(path string, rec Recording) error {
-	var data []byte
-	if isBinPath(path) {
-		data = AppendBinary(nil, rec)
-	} else {
-		data = AppendJSONL(nil, rec)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, AppendJSONL(nil, rec), 0o644); err != nil {
 		return fmt.Errorf("flight: %w", err)
 	}
 	return nil
 }
 
-// ReadFile loads a recording, sniffing the format from the content.
+// ReadFile loads a JSONL recording.
 func ReadFile(path string) (Recording, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Recording{}, fmt.Errorf("flight: %w", err)
 	}
-	if len(data) >= len(binMagic) && bytes.Equal(data[:len(binMagic)], binMagic[:]) {
-		return DecodeBinary(data)
-	}
-	return DecodeJSONL(bytes.NewReader(data))
-}
-
-func isBinPath(path string) bool {
-	return len(path) > 4 && path[len(path)-4:] == ".bin"
+	defer f.Close()
+	return DecodeJSONL(f)
 }

@@ -1,24 +1,26 @@
 // Package flight is the simulator's flight recorder: a typed,
 // cycle-stamped, ring-buffered log of every scheduling and
-// cache-reconfiguration *decision*, built for post-hoc forensics rather
-// than visualisation. It complements the untyped Chrome-trace tracer of
-// internal/metrics — the tracer answers "what happened when" for a human
-// looking at swimlanes; the flight recorder answers "why did the schedule
-// come out this way" for the internal/forensics analyzers and cmd/explain.
+// cache-reconfiguration *decision*, built for post-hoc forensics. It is
+// the one event stream in simulated time — the schedulers, the SoC's
+// L1.5s and the §5.3 monitor all write or read it — as the Chrome trace
+// of internal/metrics is the one stream in host time. The recording
+// answers "why did the schedule come out this way" for the
+// internal/forensics analyzers and cmd/explain, which also draws it as a
+// Chrome trace.
 //
 // The design contract, in order of importance:
 //
 //   - Determinism. A recording is a pure function of the simulated run:
 //     events carry simulated time only (cycles or task-time units, never
-//     the wall clock), the encoders emit fields in a fixed order with
-//     deterministic float formatting, and per-run recorders compose with
-//     the internal/runner harness so exported bytes are identical at any
-//     -workers count.
+//     the wall clock), the JSONL encoder emits fields in a fixed order
+//     with deterministic float formatting, and per-run recorders compose
+//     with the internal/runner harness so exported bytes are identical
+//     at any -workers count.
 //   - Zero-alloc hot path. Event is a fixed-size struct of scalars (no
 //     maps, no strings); Emit copies it into a preallocated ring under a
 //     mutex and allocates nothing.
 //   - Graceful saturation. When the ring wraps, the oldest events are
-//     overwritten and counted in Dropped, which both exporters surface —
+//     overwritten and counted in Dropped, which the JSONL header carries —
 //     a recording never silently pretends to be complete.
 //
 // A nil *Recorder is a valid no-op sink, so the simulators thread one

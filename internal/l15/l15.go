@@ -116,11 +116,9 @@ type L15 struct {
 	// evictions and way revocations (write-back mode only).
 	WritebackLines uint64
 
-	// Observability hookups (nil until Instrument): the SDU reassignment
-	// latency histogram and the event tracer.
-	mSDULat   *metrics.Histogram
-	tracer    *metrics.Tracer
-	traceName string
+	// mSDULat is the SDU reassignment-latency histogram (nil until
+	// Instrument).
+	mSDULat *metrics.Histogram
 
 	// Flight recording (nil until FlightRecord): every Walloc way
 	// reassignment and gv_set emits a typed, tick-stamped event.
@@ -133,14 +131,13 @@ type L15 struct {
 var SDULatencyBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // Instrument publishes the cluster's counters to the registry under prefix
-// (e.g. "soc.cluster0.l15") and routes Walloc way reassignments to the
-// tracer. Per-core hit/miss/global-hit counters, the rollups, the tag
-// store's counters and the owned-way gauge are collected lazily at snapshot
-// time; the SDU configuration-latency histogram is observed live as demands
-// are satisfied. Either argument may be nil.
-func (l *L15) Instrument(r *metrics.Registry, tr *metrics.Tracer, prefix string) {
-	l.tracer = tr
-	l.traceName = prefix
+// (e.g. "soc.cluster0.l15"). Per-core hit/miss/global-hit counters, the
+// rollups, the tag store's counters and the owned-way gauge are collected
+// lazily at snapshot time; the SDU configuration-latency histogram is
+// observed live as demands are satisfied. A nil registry publishes
+// nothing. The Walloc's way moves themselves go to the flight recording
+// (FlightRecord), the one simulated-time event stream.
+func (l *L15) Instrument(r *metrics.Registry, prefix string) {
 	if r == nil {
 		return
 	}
@@ -421,11 +418,6 @@ func (l *L15) observeConfigLatency(core int) {
 	if l.mSDULat != nil {
 		l.mSDULat.Observe(float64(l.satisfiedTick[core] - l.demandTick[core]))
 	}
-	if l.tracer != nil {
-		l.tracer.Emit(l.ticks, l.traceName, "demand.satisfied",
-			//lint:ignore hotalloc tracer payload, built only when instrumented; trace runs are diagnostic, not timing-measured
-			map[string]any{"core": core, "ways": l.demand[core]})
-	}
 }
 
 func (l *L15) assignWay(core, w int) {
@@ -434,10 +426,6 @@ func (l *L15) assignWay(core, w int) {
 	l.masksDirty = true
 	l.updateIdle()
 	l.configEvents++
-	if l.tracer != nil {
-		//lint:ignore hotalloc tracer payload, built only when instrumented; trace runs are diagnostic, not timing-measured
-		l.tracer.Emit(l.ticks, l.traceName, "way.assign", map[string]any{"core": core, "way": w})
-	}
 	if l.frec != nil {
 		l.frec.Emit(flight.Event{Kind: flight.KindSDU,
 			Time: float64(l.ticks), Task: -1, Job: -1, Node: int32(w),
@@ -462,11 +450,6 @@ func (l *L15) revokeWay(core, w int) {
 	l.masksDirty = true
 	l.updateIdle()
 	l.configEvents++
-	if l.tracer != nil {
-		l.tracer.Emit(l.ticks, l.traceName, "way.revoke",
-			//lint:ignore hotalloc tracer payload, built only when instrumented; trace runs are diagnostic, not timing-measured
-			map[string]any{"core": core, "way": w, "dirty": dirty})
-	}
 	if l.frec != nil {
 		l.frec.Emit(flight.Event{Kind: flight.KindSDU,
 			Time: float64(l.ticks), Task: -1, Job: -1, Node: int32(w),

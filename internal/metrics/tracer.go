@@ -15,15 +15,16 @@ import (
 // trace args and operator tooling join on.
 func FormatSpanID(span uint64) string { return fmt.Sprintf("%016x", span) }
 
-// Tracer streams events as a Chrome trace_event JSON array ("JSON array
-// format", viewable in chrome://tracing or https://ui.perfetto.dev): each
-// event is written as one array element the moment it is emitted, so a
-// trace keeps every event of a run however long it is, and holds none in
-// memory. Each distinct component becomes one "thread" row, named by a
-// metadata record written before its first event. Host-time emitters
-// place their events through Stamp, so a trace has one clock origin. A
-// nil *Tracer is a valid no-op sink, so components can hold one
-// unconditionally.
+// Tracer streams host-time events as a Chrome trace_event JSON array
+// ("JSON array format", viewable in chrome://tracing or
+// https://ui.perfetto.dev): each event is written as one array element
+// the moment it is emitted, so a trace keeps every event of a run however
+// long it is, and holds none in memory. Each distinct component becomes
+// one "thread" row, named by a metadata record written before its first
+// event. Every timestamp is a host clock reading placed through Stamp, so
+// a trace has one clock origin; simulated time has its own stream, the
+// flight recording (internal/flight). A nil *Tracer is a valid no-op
+// sink, so components can hold one unconditionally.
 type Tracer struct {
 	mu sync.Mutex
 	s  stream
@@ -127,11 +128,10 @@ type chromeEvent struct {
 	Name  string `json:"name"`
 	Cat   string `json:"cat"`
 	Phase string `json:"ph"`
-	TS    uint64 `json:"ts"` // the component's time unit, displayed as µs
+	TS    uint64 `json:"ts"` // µs on the trace's timeline (Stamp)
 	Dur   uint64 `json:"dur,omitempty"`
 	PID   int    `json:"pid"`
 	TID   int    `json:"tid"`
-	Scope string `json:"s,omitempty"`
 	Args  any    `json:"args,omitempty"`
 }
 
@@ -141,30 +141,14 @@ type trialArgs struct {
 	Trial int    `json:"trial"`
 }
 
-// Emit records one instant event inside the simulated system: a Walloc
-// way reassignment, a monitor sample. cycle is the component's notion of
-// time (SDU ticks, core cycles or simulated task time scaled by the
-// caller). Safe for concurrent use and on a nil tracer.
-func (t *Tracer) Emit(cycle uint64, component, name string, args map[string]any) {
+// EmitSpan records one duration event covering [ts, ts+dur] µs of host
+// time — a Chrome "complete" (X) slice, such as a runner sweep. Safe for
+// concurrent use and on a nil tracer.
+func (t *Tracer) EmitSpan(ts, dur uint64, component, name string, args map[string]any) {
 	if t == nil {
 		return
 	}
-	ev := chromeEvent{Name: name, Phase: "i", TS: cycle, Scope: "t"}
-	if len(args) > 0 {
-		ev.Args = args
-	}
-	t.write(component, ev)
-}
-
-// EmitSpan records one duration event covering [cycle, cycle+dur] — a
-// Chrome "complete" (X) slice. The runner's sweep/trial spans use it with
-// wall-clock microseconds; simulated components may use it with cycle
-// spans. Safe for concurrent use and on a nil tracer.
-func (t *Tracer) EmitSpan(cycle, dur uint64, component, name string, args map[string]any) {
-	if t == nil {
-		return
-	}
-	ev := spanEvent(cycle, dur, name)
+	ev := spanEvent(ts, dur, name)
 	if len(args) > 0 {
 		ev.Args = args
 	}
@@ -173,11 +157,11 @@ func (t *Tracer) EmitSpan(cycle, dur uint64, component, name string, args map[st
 
 // EmitTrialSpan is EmitSpan for a runner trial: span (the trial's seed)
 // and trial (its index) become the event's args.
-func (t *Tracer) EmitTrialSpan(cycle, dur uint64, component, name string, span uint64, trial int) {
+func (t *Tracer) EmitTrialSpan(ts, dur uint64, component, name string, span uint64, trial int) {
 	if t == nil {
 		return
 	}
-	ev := spanEvent(cycle, dur, name)
+	ev := spanEvent(ts, dur, name)
 	ev.Args = trialArgs{FormatSpanID(span), trial}
 	t.write(component, ev)
 }
@@ -197,8 +181,8 @@ func (t *Tracer) EmitCounter(ts uint64, component, name string, value float64) {
 	t.write(component, chromeEvent{Name: name, Phase: "C", TS: ts, Args: counterArgs{value}})
 }
 
-func spanEvent(cycle, dur uint64, name string) chromeEvent {
-	return chromeEvent{Name: name, Phase: "X", TS: cycle, Dur: max(dur, 1)} // a zero-width X slice is invisible in the viewers
+func spanEvent(ts, dur uint64, name string) chromeEvent {
+	return chromeEvent{Name: name, Phase: "X", TS: ts, Dur: max(dur, 1)} // a zero-width X slice is invisible in the viewers
 }
 
 func (t *Tracer) write(component string, ev chromeEvent) {
@@ -218,7 +202,6 @@ func (s *stream) write(component string, ev chromeEvent) {
 		tid = len(s.tids)
 		s.tids[component] = tid
 		s.element(chromeEvent{Name: "thread_name", Phase: "M", TID: tid,
-			//lint:ignore hotalloc once per component, and only while a -trace file is open
 			Args: map[string]any{"name": component}})
 	}
 	ev.Cat, ev.TID = component, tid

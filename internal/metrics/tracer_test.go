@@ -43,8 +43,7 @@ func closed(t *testing.T, tr *Tracer, buf *bytes.Buffer) []traceEvent {
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(1, "x", "y", nil) // must not panic
-	tr.EmitSpan(1, 2, "x", "y", nil)
+	tr.EmitSpan(1, 2, "x", "y", nil) // must not panic
 	tr.EmitTrialSpan(1, 2, "x", "y", 3, 4)
 	tr.EmitCounter(1, "x", "y", 5)
 	if ts := tr.Stamp(time.Now()); ts != 0 {
@@ -97,7 +96,7 @@ func TestTracerStreamsBeforeClose(t *testing.T) {
 		if i == 1<<12 {
 			t.Fatal("4096 events emitted and nothing written")
 		}
-		tr.Emit(uint64(i), "c", "e", nil)
+		tr.EmitCounter(uint64(i), "c", "e", float64(i))
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -117,7 +116,7 @@ func TestTracerConcurrentEmit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Emit(uint64(i), fmt.Sprintf("w%d", w), "tick", nil)
+				tr.EmitCounter(uint64(i), fmt.Sprintf("w%d", w), "tick", float64(i))
 				tr.EmitTrialSpan(uint64(i), 1, fmt.Sprintf("w%d", w), "trial.run", uint64(i), i)
 			}
 		}(w)
@@ -141,29 +140,32 @@ func TestTracerConcurrentEmit(t *testing.T) {
 }
 
 // TestChromeJSON checks the export is a valid trace_event array with one
-// thread-name metadata record per component and instant events carrying the
-// simulated cycle as ts.
+// thread-name metadata record per component, naming it, ahead of that
+// component's events.
 func TestChromeJSON(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.Emit(10, "l15.0", "way.assign", map[string]any{"way": 3})
-	tr.Emit(20, "monitor", "sample", nil)
-	tr.Emit(30, "l15.0", "way.revoke", nil)
+	tr.EmitSpan(10, 5, "runner/x", "sweep", nil)
+	tr.EmitCounter(20, "telemetry", "go.goroutines", 3)
+	tr.EmitSpan(30, 5, "runner/x", "sweep", nil)
 
-	meta, instants := 0, 0
+	names := map[int]any{}
+	events := 0
 	for _, ev := range closed(t, tr, &buf) {
-		switch ev.Ph {
-		case "M":
-			meta++
-		case "i":
-			instants++
+		if ev.Ph == "M" {
+			names[ev.TID] = ev.Args["name"]
+			continue
 		}
+		if names[ev.TID] != ev.Cat {
+			t.Errorf("event %+v is on row %v", ev, names[ev.TID])
+		}
+		events++
 	}
-	if meta != 2 {
-		t.Fatalf("thread_name metadata events = %d, want 2 (one per component)", meta)
+	if len(names) != 2 {
+		t.Fatalf("thread_name metadata events = %d, want 2 (one per component)", len(names))
 	}
-	if instants != 3 {
-		t.Fatalf("instant events = %d, want 3", instants)
+	if events != 3 {
+		t.Fatalf("events = %d, want 3", events)
 	}
 
 	// An empty trace still closes as an array.
@@ -184,14 +186,14 @@ func TestWriteChrome(t *testing.T) {
 	if Trace() != tr {
 		t.Fatal("OpenTrace did not install its tracer")
 	}
-	Trace().Emit(5, "c", "e", nil)
+	Trace().EmitCounter(5, "c", "e", 1)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if Trace() != nil {
 		t.Fatal("Close left the tracer installed")
 	}
-	tr.Emit(6, "c", "late", nil) // discarded
+	tr.EmitCounter(6, "c", "late", 2) // discarded
 	if err := tr.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
 	}
@@ -199,7 +201,7 @@ func TestWriteChrome(t *testing.T) {
 	if err := readJSON(path, &arr); err != nil {
 		t.Fatal(err)
 	}
-	if len(arr) != 2 { // metadata + instant
+	if len(arr) != 2 { // metadata + counter sample
 		t.Fatalf("exported %d events, want 2", len(arr))
 	}
 }
@@ -212,7 +214,7 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk ful
 // that reports success.
 func TestTracerReportsWriteError(t *testing.T) {
 	tr := NewTracer(failingWriter{})
-	tr.Emit(1, "c", "e", nil)
+	tr.EmitCounter(1, "c", "e", 1)
 	if err := tr.Close(); err == nil {
 		t.Fatal("Close = nil after a failed write")
 	}

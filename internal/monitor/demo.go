@@ -12,20 +12,19 @@ import (
 // Demo runs the §4.3 producer/consumer demo plus an L1-overflowing sweep
 // (soc.DemoProducer, DemoConsumer and DemoSweeper on cores 0–2) on a fresh
 // SoC built from cfg, records its L1.5 events and analyses the recording
-// (Analyze). The SoC feeds reg and tr, the report's numbers are published
-// to reg, the recording is appended to rec (nil keeps none), and the
+// (Analyze). The SoC feeds reg, the report's numbers are published to
+// reg, the recording is appended to rec (nil keeps none), and the
 // returned text is the report followed by the cluster-0 L1.5 and the L2
 // hit/miss totals. This is the cycle-accurate smoke run of cmd/repro: it
 // puts real L1/L1.5/L2 counters and an SDU reassignment-latency histogram
 // into the -metrics snapshot.
-func Demo(cfg soc.Config, reg *metrics.Registry, tr *metrics.Tracer, rec *flight.Recorder) (string, error) {
+func Demo(cfg soc.Config, reg *metrics.Registry, rec *flight.Recorder) (string, error) {
 	s, err := soc.New(cfg)
 	if err != nil {
 		return "", err
 	}
-	s.Instrument(reg, tr)
 	own := flight.NewCap(1 << 12) // the demo moves a handful of ways
-	s.FlightRecord(own)
+	s.Instrument(reg, own)
 
 	pt := s.IdentityPageTable(1)
 	base := uint32(0x1000)

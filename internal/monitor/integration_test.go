@@ -1,25 +1,32 @@
 package monitor
 
 import (
-	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"l15cache/internal/flight"
 	"l15cache/internal/metrics"
 )
 
-// TestObservabilityIntegration wires a fresh registry and tracer into an
-// SoC, runs a way-demanding program, publishes the monitor's analysis of
-// the recording, and asserts the SDU reassignment latency lands in the
-// histogram and the tracer records the Walloc events — the end-to-end path
-// the -metrics/-trace flags expose.
+// TestObservabilityIntegration wires a fresh registry and recorder into
+// an SoC while a process-wide trace is open, runs a way-demanding
+// program, publishes the monitor's analysis of the recording, and asserts
+// the end-to-end path the -metrics/-flight/-trace flags expose: the SDU
+// reassignment latency lands in the histogram, the Walloc's way grants
+// land in the flight recording, and the host-time trace holds no
+// simulated-time instant.
 func TestObservabilityIntegration(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	tr, err := metrics.OpenTrace(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
 	s := newSoC(t)
 	reg := metrics.NewRegistry()
-	var trace bytes.Buffer
-	tr := metrics.NewTracer(&trace)
-	s.Instrument(reg, tr)
-	rec := runRecorded(t, s, demandProg)
+	rec := runRecorded(t, s, reg, demandProg)
 	Analyze(rec, 32, s.Clusters[0].L15.Ticks()).Publish(reg)
 
 	snap := reg.Snapshot()
@@ -40,27 +47,31 @@ func TestObservabilityIntegration(t *testing.T) {
 		t.Fatal("monitor recorded no reconfigurations")
 	}
 
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var events []struct{ Name string }
-	if err := json.Unmarshal(trace.Bytes(), &events); err != nil {
-		t.Fatalf("trace is not a JSON array: %v", err)
-	}
-	var assigns, satisfied int
-	for _, ev := range events {
-		switch ev.Name {
-		case "way.assign":
+	var assigns int
+	for _, e := range rec.Events {
+		if e.Kind == flight.KindSDU && e.Task < 0 && e.A == 1 {
 			assigns++
-		case "demand.satisfied":
-			satisfied++
 		}
 	}
 	if assigns < 4 {
-		t.Fatalf("way.assign events = %d, want >= 4 (one per granted way)", assigns)
+		t.Fatalf("recorded way assigns = %d, want >= 4 (one per granted way)", assigns)
 	}
-	if satisfied == 0 {
-		t.Fatal("no demand.satisfied event traced")
+
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Name, Ph string }
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
+	}
+	for _, ev := range events {
+		if ev.Ph == "i" {
+			t.Errorf("trace holds a simulated-time instant %q", ev.Name)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ type Report struct {
 }
 
 // Analyze derives the report from a recording of L1.5 hardware events
-// (l15.FlightRecord): totalWays is the way count summed over every
+// (soc.SoC.Instrument): totalWays is the way count summed over every
 // cluster, and end the final SDU tick of the run.
 //
 // The utilisation is the exact integral of each cluster's way-occupancy

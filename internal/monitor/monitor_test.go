@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"l15cache/internal/flight"
+	"l15cache/internal/metrics"
 	"l15cache/internal/soc"
 )
 
@@ -25,12 +26,13 @@ loop:
 	ebreak
 `
 
-// runRecorded runs prog on core 0 of s (other cores halted) with its L1.5
-// events recorded, settles the SDUs and returns the recording.
-func runRecorded(t *testing.T, s *soc.SoC, prog string) flight.Recording {
+// runRecorded instruments s with reg (nil publishes nothing) and a fresh
+// recorder, runs prog on core 0 (other cores halted), settles the SDUs
+// and returns the recording.
+func runRecorded(t *testing.T, s *soc.SoC, reg *metrics.Registry, prog string) flight.Recording {
 	t.Helper()
 	rec := flight.New()
-	s.FlightRecord(rec)
+	s.Instrument(reg, rec)
 	if _, err := s.LoadProgram(0x1000, prog); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestWriteReportPropagatesError(t *testing.T) {
 
 func TestMonitorSamplesDuringRun(t *testing.T) {
 	s := newSoC(t)
-	rec := runRecorded(t, s, demandProg)
+	rec := runRecorded(t, s, nil, demandProg)
 	r := Analyze(rec, 32, s.Clusters[0].L15.Ticks())
 	// The program ends holding 4 of 32 ways (two clusters × 16), which
 	// it acquired one per SDU cycle after its demand.

@@ -78,7 +78,7 @@ func runPipelines(t *testing.T, mode kernel.Mode, clusters int, useL15 bool, job
 	}
 	s := k.SoC()
 	rec := flight.New()
-	s.FlightRecord(rec)
+	s.Instrument(nil, rec)
 	recs, err := k.Run()
 	if err != nil {
 		t.Fatal(err)

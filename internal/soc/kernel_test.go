@@ -25,7 +25,7 @@ func runUnderKernel(t *testing.T, mode kernel.Mode, src string) recordedRun {
 		t.Fatal(err)
 	}
 	rec := flight.New()
-	s.FlightRecord(rec)
+	s.Instrument(nil, rec)
 	if _, err := s.LoadProgram(0x1000, src); err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func (r twinRun) run(t *testing.T, what string) *SoC {
 			t.Fatal(err)
 		}
 		recs[k] = flight.New()
-		s.FlightRecord(recs[k])
+		s.Instrument(nil, recs[k])
 		r.setup(t, s)
 		var h func(*cpu.Core, cpu.Trap) bool
 		if r.handler != nil {

@@ -193,24 +193,20 @@ func New(cfg Config) (*SoC, error) {
 	return s, nil
 }
 
-// FlightRecord attaches a flight recorder to every cluster's L1.5: way
-// reassignments and gv_set calls emit typed, tick-stamped events carrying
-// the cluster index (see l15.FlightRecord). A nil recorder detaches.
-func (s *SoC) FlightRecord(rec *flight.Recorder) {
+// Instrument publishes the whole SoC to the observability layer. reg
+// gets per-core L1 I$/D$ and TLB counters, per-cluster L1.5 counters with
+// SDU latency histograms (see l15.Instrument), the shared L2, and
+// aggregate rollups (soc.l1.*, soc.tlb.*, per-cluster soc.clusterN.l15.*,
+// soc.instret, soc.cycles); the counters are collected lazily, so the
+// simulation hot path is unaffected until a snapshot is taken. rec, the
+// SoC's one event sink, gets every L1.5's way reassignments and gv_set
+// calls as typed, tick-stamped events carrying the cluster index (see
+// l15.FlightRecord). Either argument may be nil; a nil rec detaches the
+// recorder an earlier call attached.
+func (s *SoC) Instrument(reg *metrics.Registry, rec *flight.Recorder) {
 	for _, cl := range s.Clusters {
+		cl.L15.Instrument(reg, fmt.Sprintf("soc.cluster%d.l15", cl.ID))
 		cl.L15.FlightRecord(rec, cl.ID)
-	}
-}
-
-// Instrument publishes the whole SoC to the observability layer: per-core
-// L1 I$/D$ and TLB counters, per-cluster L1.5 counters with SDU latency
-// histograms (see l15.Instrument), the shared L2, and aggregate rollups
-// (soc.l1.*, soc.tlb.*, per-cluster soc.clusterN.l15.*, soc.instret,
-// soc.cycles). Either argument may be nil; instrumentation is lazy, so the
-// simulation hot path is unaffected until a snapshot is taken.
-func (s *SoC) Instrument(reg *metrics.Registry, tr *metrics.Tracer) {
-	for _, cl := range s.Clusters {
-		cl.L15.Instrument(reg, tr, fmt.Sprintf("soc.cluster%d.l15", cl.ID))
 	}
 	if reg == nil {
 		return
