@@ -567,9 +567,10 @@ func (t *Task) CriticalPathOf(wcet []float64, buf *PathBuf) (float64, []NodeID) 
 	l := t.lay
 	n := len(t.Nodes)
 	head, from := grow(buf.head, n), grow(buf.from, n)
+	off, ids := l.pred.off, l.pred.ids
 	for _, id := range order {
 		best, bestFrom := 0.0, NodeID(-1)
-		for _, p := range l.pred.row(id) {
+		for _, p := range ids[off[id]:off[id+1]] {
 			if c := head[p]; c > best || bestFrom < 0 {
 				best, bestFrom = c, p
 			}
@@ -578,10 +579,11 @@ func (t *Task) CriticalPathOf(wcet []float64, buf *PathBuf) (float64, []NodeID) 
 		from[id] = bestFrom
 	}
 	tail := grow(buf.tail, n)
+	off, ids = l.succ.off, l.succ.ids
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		best := 0.0
-		for _, s := range l.succ.row(id) {
+		for _, s := range ids[off[id]:off[id+1]] {
 			if c := wcet[s] + tail[s]; c > best {
 				best = c
 			}

@@ -81,14 +81,6 @@ func TestRunSideEffectsSmall(t *testing.T) {
 	}
 }
 
-func TestSortedSystems(t *testing.T) {
-	pt := MakespanPoint{Avg: map[string]float64{"a": 3, "b": 1, "c": 2}}
-	got := pt.SortedSystems()
-	if len(got) != 3 || got[0] != "b" || got[1] != "c" || got[2] != "a" {
-		t.Errorf("SortedSystems = %v", got)
-	}
-}
-
 func TestWorstGainMatchesDefinition(t *testing.T) {
 	s := &MakespanSweep{
 		Points: []MakespanPoint{

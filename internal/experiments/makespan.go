@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"l15cache/internal/kernel"
@@ -306,14 +305,4 @@ func (s *MakespanSweep) FormatTable2() string {
 	}
 	fmt.Fprintf(&sb, "mean worst-case gain: %.1f%%\n", 100*s.WorstGain(SysCMPL1))
 	return sb.String()
-}
-
-// SortedSystems returns the systems of a point sorted by value (diagnostic).
-func (p MakespanPoint) SortedSystems() []string {
-	sys := make([]string, 0, len(p.Avg))
-	for s := range p.Avg {
-		sys = append(sys, s)
-	}
-	sort.Slice(sys, func(i, j int) bool { return p.Avg[sys[i]] < p.Avg[sys[j]] })
-	return sys
 }

@@ -1154,16 +1154,18 @@ func (s *sim) place(rn readyNode, idle *coreSet, lo, hi int) {
 		exec = s.wcet[i]
 	default:
 		warm := s.prevCore[i] == c
+		kExec, kComm := s.plat.Interference()
+		fc := 1 + kComm*busyFrac
 		for _, e := range s.predEdge[s.predOff[i]:s.predOff[i+1]] {
 			p := e.From
-			cost := s.plat.CommCost(e, j.task.Nodes[p], j.coreOf[p] == c, busyFrac)
+			cost := s.plat.CommCost(e, j.task.Nodes[p], j.coreOf[p] == c) * fc
 			fetch += cost
 			s.rec.Emit(flight.Event{Kind: flight.KindEdge, Time: s.now,
 				Task: int32(j.taskIdx), Job: int32(j.jobIdx),
 				Node: int32(v), Core: int32(c), Cluster: -1,
 				Wave: -1, A: float64(p), B: e.Cost, C: cost})
 		}
-		exec = s.plat.ExecTime(j.task.Nodes[v], warm, busyFrac)
+		exec = s.plat.ExecTime(j.task.Nodes[v], warm) * (1 + kExec*busyFrac)
 	}
 
 	j.coreOf[v] = c

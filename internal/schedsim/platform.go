@@ -17,6 +17,13 @@ import (
 // transfer is. The simulator is agnostic to which concrete system is behind
 // the interface.
 //
+// Every cost has the form term·(1 + k·busyFrac): an uncontended term that
+// depends on the node or edge and its placement, times an interference
+// factor that depends only on the phase (computation or communication) and
+// on busyFrac, the fraction of the other cores busy when the node starts.
+// Run evaluates each node's and each edge's terms once per run and then
+// multiplies one table entry by one factor per dispatch.
+//
 // Implementations must be pure: every method's result depends on its
 // arguments and the platform's fixed parameters only, never on call
 // history, and no method mutates the node, the edge or the *sched.Result
@@ -27,17 +34,22 @@ type Platform interface {
 	// Name identifies the system in reports (e.g. "Prop", "CMP|L1").
 	Name() string
 
-	// ExecTime returns the duration of v's computation phase. warm
-	// reports whether the node runs on the same core as in the previous
-	// task instance (its private-cache contents may survive); busyFrac
-	// is the fraction of the other cores busy when the node starts,
-	// which shared-cache systems translate into interference.
-	ExecTime(v *dag.Node, warm bool, busyFrac float64) float64
+	// ExecTime returns the uncontended duration of v's computation
+	// phase. warm reports whether the node runs on the same core as in
+	// the previous task instance (its private-cache contents may
+	// survive).
+	ExecTime(v *dag.Node, warm bool) float64
 
-	// CommCost returns the time the consumer core spends fetching the
-	// dependent data of edge e. sameCore reports whether producer and
-	// consumer were placed on the same core.
-	CommCost(e dag.Edge, producer *dag.Node, sameCore bool, busyFrac float64) float64
+	// CommCost returns the uncontended time the consumer core spends
+	// fetching the dependent data of edge e. sameCore reports whether
+	// producer and consumer were placed on the same core.
+	CommCost(e dag.Edge, producer *dag.Node, sameCore bool) float64
+
+	// Interference returns the coefficients k of the computation and
+	// communication phases: a phase whose uncontended time is t takes
+	// t·(1 + k·busyFrac). Shared-cache systems translate busy cores into
+	// interference this way; k = 0 means none.
+	Interference() (exec, comm float64)
 
 	// Affinity reports whether the dispatcher should prefer re-placing a
 	// node on the core it used in the previous instance (the
@@ -58,15 +70,19 @@ type Proposed struct {
 // Name implements Platform.
 func (p *Proposed) Name() string { return "Prop" }
 
-// ExecTime implements Platform: plain WCET, no interference.
-func (p *Proposed) ExecTime(v *dag.Node, warm bool, busyFrac float64) float64 {
+// ExecTime implements Platform: plain WCET, cold or warm.
+func (p *Proposed) ExecTime(v *dag.Node, warm bool) float64 {
 	return v.WCET
 }
 
 // CommCost implements Platform via the ETM.
-func (p *Proposed) CommCost(e dag.Edge, producer *dag.Node, sameCore bool, busyFrac float64) float64 {
+func (p *Proposed) CommCost(e dag.Edge, producer *dag.Node, sameCore bool) float64 {
 	return p.Alloc.EdgeCost(e)
 }
+
+// Interference implements Platform: way-level isolation leaves no
+// inter-core interference in either phase.
+func (p *Proposed) Interference() (exec, comm float64) { return 0, 0 }
 
 // Affinity implements Platform. The L1.5 Cache makes the dependent data
 // visible cluster-wide, so placement does not matter.
@@ -188,25 +204,30 @@ func (c *CMP) cacheFit(data int64) float64 {
 	return fit
 }
 
-// ExecTime implements Platform. Warm nodes enjoy the cache speed-up; every
-// node suffers the shared-level interference inflation.
-func (c *CMP) ExecTime(v *dag.Node, warm bool, busyFrac float64) float64 {
+// ExecTime implements Platform: warm nodes enjoy the cache speed-up.
+func (c *CMP) ExecTime(v *dag.Node, warm bool) float64 {
 	t := v.WCET
 	if warm {
 		t *= 1 - c.P.ExecSpeedup*c.cacheFit(v.Data)
 	}
-	return t * (1 + c.P.ExecInterference*busyFrac)
+	return t
 }
 
 // CommCost implements Platform: the edge's α is honoured only to the extent
 // the platform's caches keep the producer's data close.
-func (c *CMP) CommCost(e dag.Edge, producer *dag.Node, sameCore bool, busyFrac float64) float64 {
+func (c *CMP) CommCost(e dag.Edge, producer *dag.Node, sameCore bool) float64 {
 	factor := c.P.CrossCoreCommFactor
 	if sameCore {
 		factor = c.P.SameCoreCommFactor
 	}
 	relief := e.Alpha * factor * c.cacheFit(producer.Data)
-	return e.Cost * (1 - relief) * (1 + c.P.CommInterference*busyFrac)
+	return e.Cost * (1 - relief)
+}
+
+// Interference implements Platform: both phases suffer the shared-level
+// interference inflation.
+func (c *CMP) Interference() (exec, comm float64) {
+	return c.P.ExecInterference, c.P.CommInterference
 }
 
 // Affinity implements Platform.

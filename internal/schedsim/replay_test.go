@@ -13,28 +13,32 @@ import (
 	"l15cache/internal/workload"
 )
 
-// countingPlatform wraps a platform and counts ExecTime calls, one per
-// simulated dispatch, so a test can tell simulated instances from
-// replayed ones. The count does not feed back into any returned value.
-type countingPlatform struct {
-	Platform
-	calls *int
-}
+// wrapped hides a platform's concrete type behind a struct that embeds
+// it, so a test can check that Run treats it by its costs alone.
+type wrapped struct{ Platform }
 
-func (c countingPlatform) ExecTime(v *dag.Node, warm bool, busyFrac float64) float64 {
-	*c.calls++
-	return c.Platform.ExecTime(v, warm, busyFrac)
-}
-
-// system is one platform with the schedule it simulates.
+// system is one platform with the schedule it simulates. free marks the
+// placement-free platforms: no affinity and no warm speed-up, so every
+// instance repeats instance 0.
 type system struct {
 	name  string
 	alloc *sched.Result
 	plat  Platform
+	free  bool
 }
 
-// replaySystems schedules task for the four platforms: Alg. 1 for the
-// proposed system, one shared longest-path-first schedule for the rest.
+// coldOnly is a CMP|Shared-L1 without its warm speed-up: no affinity and
+// warm terms equal to cold ones, so it is placement-free although its
+// edge costs still depend on the placement within an instance.
+func coldOnly() *CMP {
+	c := SharedL1()
+	c.P.Name, c.P.ExecSpeedup = "CMP|cold", 0
+	return c
+}
+
+// replaySystems schedules task for the four platforms and coldOnly: Alg. 1
+// for the proposed system, one shared longest-path-first schedule for the
+// rest.
 func replaySystems(t *testing.T, task *dag.Task) []system {
 	t.Helper()
 	prop, err := NewProposed(task.Clone(), DefaultZeta, DefaultWayBytes)
@@ -43,10 +47,11 @@ func replaySystems(t *testing.T, task *dag.Task) []system {
 	}
 	lpf := mustSchedule(t, task.Clone())
 	return []system{
-		{"Prop", prop.Alloc, prop},
-		{"CMP|L1", lpf, CMPL1()},
-		{"CMP|L2", lpf, CMPL2()},
-		{"CMP|Shared-L1", lpf, SharedL1()},
+		{"Prop", prop.Alloc, prop, true},
+		{"CMP|L1", lpf, CMPL1(), false},
+		{"CMP|L2", lpf, CMPL2(), false},
+		{"CMP|Shared-L1", lpf, SharedL1(), false},
+		{"CMP|cold", lpf, coldOnly(), true},
 	}
 }
 
@@ -62,11 +67,11 @@ func synthTask(t *testing.T, seed int64, width int, cpr float64) *dag.Task {
 }
 
 // counted runs the simulation and returns its stats, the schedsim counter
-// deltas and the number of dispatches actually simulated.
+// deltas and the number of instances actually simulated.
 func counted(t *testing.T, s system, opt Options) (st []InstanceStats, instances, dispatches uint64, simulated int) {
 	t.Helper()
 	i0, d0 := mInstances.Load(), mDispatches.Load()
-	st, err := Run(s.alloc, countingPlatform{s.plat, &simulated}, opt)
+	st, simulated, err := run(s.alloc, s.plat, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +100,14 @@ func placements(t *testing.T, s system, opt Options) [][]int {
 	return out
 }
 
-// wantSimulated is the replay rule: instances up to and including the
-// first warm one whose placement repeats its predecessor's are simulated,
-// the rest are copies.
-func wantSimulated(place [][]int) int {
+// wantSimulated is the replay rule: a placement-free platform simulates
+// instance 0 only; otherwise instances up to and including the first warm
+// one whose placement repeats its predecessor's are simulated, the rest
+// are copies.
+func wantSimulated(place [][]int, free bool) int {
+	if free {
+		return min(1, len(place))
+	}
 	for i := 1; i < len(place); i++ {
 		if slices.Equal(place[i], place[i-1]) {
 			return i + 1
@@ -110,7 +119,9 @@ func wantSimulated(place [][]int) int {
 // TestReplayMatchesTicked checks that steady-state replay in the events
 // kernel returns exactly the ticked kernel's full simulation — stats and
 // schedsim counters — and that it simulates exactly the instances the
-// replay rule says it must.
+// replay rule says it must: one for Prop and the cold-only CMP, whether
+// or not their concrete type is visible, and at least two of two or more
+// for the baselines with a warm speed-up, CMP|Shared-L1 included.
 func TestReplayMatchesTicked(t *testing.T) {
 	var total, simulated int
 	for seed := int64(1); seed <= 52; seed++ {
@@ -124,7 +135,7 @@ func TestReplayMatchesTicked(t *testing.T) {
 					opt := Options{Cores: cores, Instances: inst, Kernel: kernel.Ticked}
 					stT, instT, dispT, _ := counted(t, s, opt)
 					opt.Kernel = kernel.Events
-					stE, instE, dispE, calls := counted(t, s, opt)
+					stE, instE, dispE, sim := counted(t, s, opt)
 					if !slices.Equal(stT, stE) {
 						t.Fatalf("seed %d %s inst %d cores %d: stats diverged:\nticked %+v\nevents %+v",
 							seed, s.name, inst, cores, stT, stE)
@@ -137,10 +148,16 @@ func TestReplayMatchesTicked(t *testing.T) {
 						t.Fatalf("seed %d %s: counted %d instances / %d dispatches, want %d / %d",
 							seed, s.name, instE, dispE, inst, inst*n)
 					}
-					want := wantSimulated(placements(t, s, opt))
-					if calls != want*n {
-						t.Fatalf("seed %d %s inst %d cores %d: simulated %d dispatches, want %d (%d instances)",
-							seed, s.name, inst, cores, calls, want*n, want)
+					want := wantSimulated(placements(t, s, opt), s.free)
+					if sim != want {
+						t.Fatalf("seed %d %s inst %d cores %d: simulated %d instances, want %d",
+							seed, s.name, inst, cores, sim, want)
+					}
+					w := s
+					w.plat = wrapped{s.plat}
+					if stW, _, _, simW := counted(t, w, opt); simW != sim || !slices.Equal(stW, stE) {
+						t.Fatalf("seed %d %s inst %d cores %d: wrapped platform simulated %d instances, want %d",
+							seed, s.name, inst, cores, simW, sim)
 					}
 					total += inst
 					simulated += want
@@ -168,12 +185,12 @@ func TestReplayUnsettledPlacement(t *testing.T) {
 		}
 	}
 	stT, _, _, _ := counted(t, s, Options{Cores: 8, Instances: 10, Kernel: kernel.Ticked})
-	stE, _, _, calls := counted(t, s, opt)
+	stE, _, _, sim := counted(t, s, opt)
 	if !slices.Equal(stT, stE) {
 		t.Fatalf("stats diverged:\nticked %+v\nevents %+v", stT, stE)
 	}
-	if want := opt.Instances * len(task.Nodes); calls != want {
-		t.Fatalf("simulated %d dispatches, want all %d", calls, want)
+	if sim != opt.Instances {
+		t.Fatalf("simulated %d instances, want all %d", sim, opt.Instances)
 	}
 }
 
@@ -189,11 +206,11 @@ func TestReplayRecorderStats(t *testing.T) {
 		if !slices.Equal(plain, recorded) {
 			t.Errorf("%s: stats differ with a recorder:\nplain    %+v\nrecorded %+v", s.name, plain, recorded)
 		}
-		if full != opt.Instances*len(task.Nodes) {
-			t.Errorf("%s: recorded run simulated %d dispatches, want all %d", s.name, full, opt.Instances*len(task.Nodes))
+		if full != opt.Instances {
+			t.Errorf("%s: recorded run simulated %d instances, want all %d", s.name, full, opt.Instances)
 		}
 		if replayed >= full {
-			t.Errorf("%s: plain run simulated %d dispatches, want fewer than %d", s.name, replayed, full)
+			t.Errorf("%s: plain run simulated %d instances, want fewer than %d", s.name, replayed, full)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"sync"
 
 	"l15cache/internal/dag"
 	"l15cache/internal/flight"
@@ -90,40 +90,65 @@ func (h *completionHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]
 // immediately. The consumer core pays each incoming edge's communication
 // cost (fetch phase) before the node's computation begins.
 func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, error) {
+	stats, _, err := run(alloc, plat, opt)
+	return stats, err
+}
+
+// scratches recycles the per-run scratch (cost tables and per-instance
+// arrays) across runs; every field is rewritten before it is read.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// run is Run that also reports how many instances it simulated rather
+// than replayed.
+func run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, int, error) {
 	opt.fill()
 	if opt.Cores < 1 {
-		return nil, fmt.Errorf("schedsim: need at least one core, got %d", opt.Cores)
+		return nil, 0, fmt.Errorf("schedsim: need at least one core, got %d", opt.Cores)
 	}
 	if err := alloc.Task.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	tab := &sc.costs
+	tab.fill(alloc.Task, plat)
+	sc.inDegree = growInts(sc.inDegree, len(alloc.Task.Nodes))
+	for id := range sc.inDegree {
+		sc.inDegree[id] = len(alloc.Task.Pred(dag.NodeID(id)))
+	}
+
 	stats := make([]InstanceStats, 0, opt.Instances)
 	// The run's instances and dispatches are tallied here and added to
 	// the shared counters once, not per dispatch.
 	var instances, dispatches uint64
-	var sc scratch
 	var prevCore []int
 	// Only the events kernel with no recorder may replay a steady state:
 	// those are the runs whose output is the stats alone.
 	replay := opt.Kernel != kernel.Ticked && opt.Recorder == nil
+	placementFree := tab.placementFree()
+	simulated := 0
 	for i := 0; i < opt.Instances; i++ {
 		var s InstanceStats
 		var cores []int
 		instances++
+		simulated++
 		if opt.Kernel == kernel.Ticked {
-			s, cores = runInstance(alloc, plat, opt.Cores, i == 0, prevCore,
+			s, cores = runInstance(alloc, tab, opt.Cores, i == 0, prevCore,
 				opt.Recorder, int32(opt.RecordTask), int32(i), &dispatches)
 		} else {
-			s, cores = runInstanceEvents(alloc, plat, opt.Cores, i == 0, prevCore,
-				opt.Recorder, int32(opt.RecordTask), int32(i), &sc, &dispatches)
+			s, cores = runInstanceEvents(alloc, opt.Cores, i == 0, prevCore,
+				opt.Recorder, int32(opt.RecordTask), int32(i), sc, &dispatches)
 		}
 		stats = append(stats, s)
 		// Steady state (DESIGN.md §11): a warm instance is a pure
 		// function of the previous placement, so once a warm instance
 		// reproduces the placement it started from, every later instance
-		// is a copy of it. Copies count as simulated instances and
-		// dispatches so the counters match a full simulation.
-		if replay && i >= 1 && slices.Equal(cores, prevCore) {
+		// is a copy of it. On a placement-free platform neither the
+		// previous placement nor the cold flag reaches any cost, so every
+		// instance is a copy of instance 0. Copies count as simulated
+		// instances and dispatches so the counters match a full
+		// simulation.
+		if replay && (placementFree || i >= 1 && slices.Equal(cores, prevCore)) {
 			rest := opt.Instances - 1 - i
 			for k := 0; k < rest; k++ {
 				stats = append(stats, s)
@@ -136,15 +161,78 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 	}
 	mInstances.Add(instances)
 	mDispatches.Add(dispatches)
-	return stats, nil
+	return stats, simulated, nil
+}
+
+// costs are a run's cost tables: each node's and each edge's uncontended
+// term, evaluated once per run, and the two phases' interference
+// coefficients. A dispatch pays a term times 1 + k·busyFrac.
+type costs struct {
+	cold, warm   []float64 // per node: ExecTime(v, false), ExecTime(v, true)
+	cross, same  []float64 // per edge: CommCost(e, producer, false), (…, true)
+	kExec, kComm float64   // Interference()
+	affinity     bool      // Affinity()
+}
+
+// fill evaluates plat's terms for every node and edge of t.
+func (c *costs) fill(t *dag.Task, plat Platform) {
+	n, e := len(t.Nodes), len(t.Edges)
+	c.cold, c.warm = growFloats(c.cold, n), growFloats(c.warm, n)
+	for i, v := range t.Nodes {
+		c.cold[i] = plat.ExecTime(v, false)
+		c.warm[i] = plat.ExecTime(v, true)
+	}
+	c.cross, c.same = growFloats(c.cross, e), growFloats(c.same, e)
+	for i, ed := range t.Edges {
+		p := t.Nodes[ed.From]
+		c.cross[i] = plat.CommCost(ed, p, false)
+		c.same[i] = plat.CommCost(ed, p, true)
+	}
+	c.kExec, c.kComm = plat.Interference()
+	c.affinity = plat.Affinity()
+}
+
+// placementFree reports whether no cost depends on the previous instance:
+// the dispatcher has no affinity and every node's warm term is bit for bit
+// its cold term. Edge terms may still depend on the placement within the
+// instance, which each instance recomputes identically.
+func (c *costs) placementFree() bool {
+	if c.affinity {
+		return false
+	}
+	for i, w := range c.warm {
+		if math.Float64bits(w) != math.Float64bits(c.cold[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// exec returns v's computation time at the given warmth and interference
+// factor fe = 1 + kExec·busyFrac.
+func (c *costs) exec(v dag.NodeID, warm bool, fe float64) float64 {
+	if warm {
+		return c.warm[v] * fe
+	}
+	return c.cold[v] * fe
+}
+
+// comm returns edge ei's fetch time at the given placement and
+// interference factor fc = 1 + kComm·busyFrac.
+func (c *costs) comm(ei int32, sameCore bool, fc float64) float64 {
+	if sameCore {
+		return c.same[ei] * fc
+	}
+	return c.cross[ei] * fc
 }
 
 // runInstance simulates one release of the task. cold marks the very first
 // instance (no platform cache state); prevCore carries the previous
 // instance's placement for warm-up and affinity decisions (nil when cold).
-// rec, when non-nil, receives the instance's flight events stamped with
-// (task, job). Each dispatch adds one to *dispatches.
-func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, dispatches *uint64) (InstanceStats, []int) {
+// tab holds the run's cost tables. rec, when non-nil, receives the
+// instance's flight events stamped with (task, job). Each dispatch adds one
+// to *dispatches.
+func runInstance(alloc *sched.Result, tab *costs, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, dispatches *uint64) (InstanceStats, []int) {
 	t := alloc.Task
 	n := len(t.Nodes)
 
@@ -204,7 +292,7 @@ func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore 
 			}
 			v := popReady()
 			c := idle[0]
-			if plat.Affinity() && prevCore != nil {
+			if tab.affinity && prevCore != nil {
 				if pc := prevCore[v]; pc >= 0 {
 					for _, ic := range idle {
 						if ic == pc {
@@ -227,16 +315,16 @@ func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore 
 			warm := !cold && prevCore != nil && prevCore[v] == c
 
 			var fetch float64
-			for _, p := range t.Pred(v) {
-				e, _ := t.Edge(p, v)
-				cost := plat.CommCost(e, t.Node(p), coreOf[p] == c, busyFrac)
+			pe := t.PredEdges(v)
+			for k, p := range t.Pred(v) {
+				cost := tab.comm(pe[k], coreOf[p] == c, 1+tab.kComm*busyFrac)
 				fetch += cost
 				rec.Emit(flight.Event{Kind: flight.KindEdge, Time: now,
 					Task: task, Job: job, Node: int32(v), Core: int32(c),
 					Cluster: -1, Wave: -1,
-					A: float64(p), B: e.Cost, C: cost})
+					A: float64(p), B: t.Edges[pe[k]].Cost, C: cost})
 			}
-			exec := plat.ExecTime(t.Node(v), warm, busyFrac)
+			exec := tab.exec(v, warm, 1+tab.kExec*busyFrac)
 
 			coreOf[v] = c
 			startAt[v] = now
@@ -285,18 +373,23 @@ func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore 
 	return stats, coreOf
 }
 
-// scratch holds the per-instance arrays of the events kernel so that
-// consecutive instances reuse one allocation. coreOf is double-buffered:
+// scratch holds a run's cost tables and the per-instance arrays of the
+// events kernel, so that consecutive instances, and runs through the
+// scratches pool, reuse one allocation. coreOf is double-buffered:
 // the previous instance's placement must stay readable (affinity, warm-up)
 // while the current instance writes the other buffer.
 type scratch struct {
+	costs
 	coreOf  [2][]int
 	flip    int
 	startAt []float64
 	indeg   []int
-	freeAt  []float64
-	ready   []dag.NodeID
-	events  []completion
+	// inDegree is each node's in-degree, filled once per run: every
+	// instance starts its indeg countdown from a copy.
+	inDegree []int
+	freeAt   []float64
+	ready    []dag.NodeID
+	events   []completion
 }
 
 func growInts(s []int, n int) []int {
@@ -366,11 +459,13 @@ func popCompletion(h *[]completion) completion {
 // runInstanceEvents is the events-kernel twin of runInstance: the same
 // work-conserving dispatch over the same strict event order, with the
 // container/heap boxing and per-iteration idle-core slices replaced by a
-// hand-rolled heap and scratch reuse. It must emit byte-identical flight
-// events — the kernel-equivalence tests diff the two.
-func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, sc *scratch, dispatches *uint64) (InstanceStats, []int) {
+// hand-rolled heap and scratch reuse; sc also carries the run's cost
+// tables. It must emit byte-identical flight events — the
+// kernel-equivalence tests diff the two.
+func runInstanceEvents(alloc *sched.Result, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, sc *scratch, dispatches *uint64) (InstanceStats, []int) {
 	t := alloc.Task
 	n := len(t.Nodes)
+	tab := &sc.costs
 
 	rec.Emit(flight.Event{Kind: flight.KindRelease, Task: task, Job: job,
 		Node: -1, Core: -1, Cluster: -1, Wave: -1})
@@ -385,9 +480,7 @@ func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, pre
 	sc.startAt = startAt
 	indeg := growInts(sc.indeg, n)
 	sc.indeg = indeg
-	for id := range t.Nodes {
-		indeg[id] = len(t.Pred(dag.NodeID(id)))
-	}
+	copy(indeg, sc.inDegree)
 	freeAt := growFloats(sc.freeAt, m)
 	sc.freeAt = freeAt
 	for i := range freeAt {
@@ -400,71 +493,72 @@ func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, pre
 	var stats InstanceStats
 	now := 0.0
 	done := 0
-	affinity := plat.Affinity()
 
 	for done < n {
 		// Dispatch while an idle core and a ready node exist
 		// (work-conserving).
 		for len(ready) > 0 {
-			// Lowest-numbered idle core, as idleCores()[0] did.
-			c := -1
+			// One scan finds the lowest-numbered idle core, as
+			// idleCores()[0] did, and counts the idle cores.
+			c, idle := -1, 0
 			for cc := 0; cc < m; cc++ {
 				if freeAt[cc] <= now {
-					c = cc
-					break
+					if c < 0 {
+						c = cc
+					}
+					idle++
 				}
 			}
 			if c < 0 {
 				break
 			}
-			best := 0
+			best, bp := 0, t.Node(ready[0]).Priority
 			for i := 1; i < len(ready); i++ {
-				pi, pb := t.Node(ready[i]).Priority, t.Node(ready[best]).Priority
-				if pi > pb || (pi == pb && ready[i] < ready[best]) {
-					best = i
+				if pi := t.Node(ready[i]).Priority; pi > bp || (pi == bp && ready[i] < ready[best]) {
+					best, bp = i, pi
 				}
 			}
 			v := ready[best]
 			ready = append(ready[:best], ready[best+1:]...)
-			if affinity && prevCore != nil {
+			if tab.affinity && prevCore != nil {
 				if pc := prevCore[v]; pc >= 0 && freeAt[pc] <= now {
 					c = pc
 				}
 			}
-			busy := 0
-			for c2 := 0; c2 < m; c2++ {
-				if c2 != c && freeAt[c2] > now {
-					busy++
-				}
-			}
+			// The chosen core is idle, so the other busy cores are all
+			// the busy ones.
 			busyFrac := 0.0
 			if m > 1 {
-				busyFrac = float64(busy) / float64(m-1)
+				busyFrac = float64(m-idle) / float64(m-1)
 			}
 			warm := !cold && prevCore != nil && prevCore[v] == c
 
 			var fetch float64
+			fc := 1 + tab.kComm*busyFrac
 			pe := t.PredEdges(v)
 			for k, p := range t.Pred(v) {
-				e := t.Edges[pe[k]]
-				cost := plat.CommCost(e, t.Node(p), coreOf[p] == c, busyFrac)
+				cost := tab.comm(pe[k], coreOf[p] == c, fc)
 				fetch += cost
-				rec.Emit(flight.Event{Kind: flight.KindEdge, Time: now,
-					Task: task, Job: job, Node: int32(v), Core: int32(c),
-					Cluster: -1, Wave: -1,
-					A: float64(p), B: e.Cost, C: cost})
+				if rec != nil {
+					rec.Emit(flight.Event{Kind: flight.KindEdge, Time: now,
+						Task: task, Job: job, Node: int32(v), Core: int32(c),
+						Cluster: -1, Wave: -1,
+						A: float64(p), B: t.Edges[pe[k]].Cost, C: cost})
+				}
 			}
-			exec := plat.ExecTime(t.Node(v), warm, busyFrac)
+			exec := tab.exec(v, warm, 1+tab.kExec*busyFrac)
 
 			coreOf[v] = c
 			startAt[v] = now
 			finish := now + fetch + exec
 			freeAt[c] = finish
 			*dispatches++
-			rec.Emit(flight.Event{Kind: flight.KindDispatch, Time: now,
-				Task: task, Job: job, Node: int32(v), Core: int32(c),
-				Cluster: -1, Wave: -1,
-				A: fetch, B: exec, C: float64(alloc.Model.Ways[v])})
+			if rec != nil {
+				rec.Emit(flight.Event{Kind: flight.KindDispatch, Time: now,
+					Task: task, Job: job, Node: int32(v), Core: int32(c),
+					Cluster: -1, Wave: -1,
+					A: fetch, B: exec, C: float64(alloc.Model.Ways[v])})
+			}
 			stats.Comm += fetch
 			stats.Exec += exec
 			pushCompletion(&events, completion{at: finish, node: v})
@@ -481,10 +575,12 @@ func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, pre
 		ev := popCompletion(&events)
 		now = math.Max(now, ev.at)
 		done++
-		rec.Emit(flight.Event{Kind: flight.KindFinish, Time: ev.at,
-			Task: task, Job: job, Node: int32(ev.node),
-			Core: int32(coreOf[ev.node]), Cluster: -1, Wave: -1,
-			A: ev.at - startAt[ev.node]})
+		if rec != nil {
+			rec.Emit(flight.Event{Kind: flight.KindFinish, Time: ev.at,
+				Task: task, Job: job, Node: int32(ev.node),
+				Core: int32(coreOf[ev.node]), Cluster: -1, Wave: -1,
+				A: ev.at - startAt[ev.node]})
+		}
 		for _, s := range t.Succ(ev.node) {
 			indeg[s]--
 			if indeg[s] == 0 {
@@ -511,11 +607,4 @@ func Makespans(stats []InstanceStats) []float64 {
 		ms[i] = s.Makespan
 	}
 	return ms
-}
-
-// SortedCopy returns the makespans in ascending order (for percentiles).
-func SortedCopy(xs []float64) []float64 {
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	return c
 }

@@ -13,14 +13,13 @@ import (
 // every edge costs its full μ and every node its full WCET.
 type rawPlatform struct{}
 
-func (rawPlatform) Name() string { return "raw" }
-func (rawPlatform) ExecTime(v *dag.Node, warm bool, busyFrac float64) float64 {
-	return v.WCET
-}
-func (rawPlatform) CommCost(e dag.Edge, producer *dag.Node, sameCore bool, busyFrac float64) float64 {
+func (rawPlatform) Name() string                            { return "raw" }
+func (rawPlatform) ExecTime(v *dag.Node, warm bool) float64 { return v.WCET }
+func (rawPlatform) CommCost(e dag.Edge, producer *dag.Node, sameCore bool) float64 {
 	return e.Cost
 }
-func (rawPlatform) Affinity() bool { return false }
+func (rawPlatform) Interference() (exec, comm float64) { return 0, 0 }
+func (rawPlatform) Affinity() bool                     { return false }
 
 func mustSchedule(t *testing.T, task *dag.Task) *sched.Result {
 	t.Helper()

@@ -7,6 +7,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"l15cache/internal/dag"
 )
@@ -123,9 +125,10 @@ func Synthetic(r *rand.Rand, p SynthParams) (*dag.Task, error) {
 		width := 2 + r.Intn(p.MaxWidth-1)
 		layers[l] = make([]dag.NodeID, width)
 		for i := range layers[l] {
-			layers[l][i] = t.AddNode(fmt.Sprintf("l%dn%d", l, i), 1, randData())
+			layers[l][i] = t.AddNode("", 1, randData())
 		}
 	}
+	nameLayers(t, layers)
 	// Connectivity: 20% chance per previous-layer node; guarantee one
 	// predecessor so the graph stays single-source.
 	for _, v := range layers[0] {
@@ -167,6 +170,25 @@ func Synthetic(r *rand.Rand, p SynthParams) (*dag.Task, error) {
 		return nil, fmt.Errorf("workload: generated invalid task: %w", err)
 	}
 	return t, nil
+}
+
+// nameLayers names node i of layer l "l<l>n<i>". The names are substrings
+// of one builder's string, which only ever grows, so in practice all of
+// them share one allocation.
+func nameLayers(t *dag.Task, layers [][]dag.NodeID) {
+	var b strings.Builder
+	b.Grow(5 * len(t.Nodes)) // "l<l>n<i>" with l < 10, i < 100
+	var d [20]byte
+	for l, layer := range layers {
+		for i, id := range layer {
+			start := b.Len()
+			b.WriteByte('l')
+			b.Write(strconv.AppendInt(d[:0], int64(l), 10))
+			b.WriteByte('n')
+			b.Write(strconv.AppendInt(d[:0], int64(i), 10))
+			t.Nodes[id].Name = b.String()[start:]
+		}
+	}
 }
 
 func alpha(r *rand.Rand, max float64) float64 {

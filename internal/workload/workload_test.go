@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,6 +54,47 @@ func TestSyntheticStructure(t *testing.T) {
 		}
 		if node.ID != task.Sink() && len(task.Succ(node.ID)) == 0 {
 			t.Errorf("node %d has no successor", node.ID)
+		}
+	}
+}
+
+// TestSyntheticNames checks every node name against the per-node
+// fmt.Sprintf("l%dn%d", l, i) naming, with each node's layer l and index i
+// derived from the graph: layer 0 feeds from src, every other layer from
+// the one before it, and a layer's nodes are numbered in ID order.
+func TestSyntheticNames(t *testing.T) {
+	for _, width := range []int{9, 21} {
+		r := rand.New(rand.NewSource(int64(width)))
+		p := DefaultSynthParams()
+		p.MaxWidth = width
+		for k := 0; k < 20; k++ {
+			task, err := Synthetic(r, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, sink := task.Source(), task.Sink()
+			if task.Node(src).Name != "src" || task.Node(sink).Name != "sink" {
+				t.Fatalf("p=%d task %d: source %q, sink %q", width, k, task.Node(src).Name, task.Node(sink).Name)
+			}
+			layer := make([]int, len(task.Nodes))
+			var count []int
+			for _, v := range task.Nodes {
+				if v.ID == src || v.ID == sink {
+					continue
+				}
+				pred := task.Pred(v.ID)[0]
+				if pred != src {
+					layer[v.ID] = layer[pred] + 1
+				}
+				l := layer[v.ID]
+				if l == len(count) {
+					count = append(count, 0)
+				}
+				if want := fmt.Sprintf("l%dn%d", l, count[l]); v.Name != want {
+					t.Fatalf("p=%d task %d: node %d named %q, want %q", width, k, v.ID, v.Name, want)
+				}
+				count[l]++
+			}
 		}
 	}
 }

@@ -130,14 +130,13 @@ func TestAnalyzeMakespanFacade(t *testing.T) {
 
 type rawFacadePlat struct{}
 
-func (rawFacadePlat) Name() string { return "raw" }
-func (rawFacadePlat) ExecTime(v *l15cache.Node, warm bool, busyFrac float64) float64 {
-	return v.WCET
-}
-func (rawFacadePlat) CommCost(e l15cache.Edge, producer *l15cache.Node, sameCore bool, busyFrac float64) float64 {
+func (rawFacadePlat) Name() string                                 { return "raw" }
+func (rawFacadePlat) ExecTime(v *l15cache.Node, warm bool) float64 { return v.WCET }
+func (rawFacadePlat) CommCost(e l15cache.Edge, producer *l15cache.Node, sameCore bool) float64 {
 	return e.Cost
 }
-func (rawFacadePlat) Affinity() bool { return false }
+func (rawFacadePlat) Interference() (exec, comm float64) { return 0, 0 }
+func (rawFacadePlat) Affinity() bool                     { return false }
 
 func TestKernelFacade(t *testing.T) {
 	task := l15cache.NewTask("facade-pipe", 1, 1)
