@@ -272,15 +272,16 @@ func BenchmarkRTOSKernel(b *testing.B) {
 // recorder-overhead gate.
 func benchFlightTrial(b *testing.B, record bool) {
 	b.Helper()
-	// The ring is allocated once per process in the cmd tools, so it is
-	// allocated once here too — the pair measures the Emit hot path, not
-	// a 25 MB make([]Event) per iteration.
+	// One recorder, reset before each iteration, so after the first trial
+	// the pair measures Emit appending into a grown buffer rather than
+	// the buffer's growth.
 	var rec *flight.Recorder
 	if record {
 		rec = flight.New()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		rec.Reset()
 		r := rand.New(rand.NewSource(7))
 		set := workload.DefaultTaskSetParams()
 		set.TargetUtilization = 0.6 * 8

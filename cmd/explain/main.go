@@ -81,14 +81,9 @@ func main() {
 	}
 }
 
-// summarize prints the recording header: event counts per kind and the
-// saturation evidence.
+// summarize prints the recording header: event counts per kind.
 func summarize(sb *strings.Builder, m *forensics.Model, rec flight.Recording) {
-	fmt.Fprintf(sb, "recording: %d events", len(rec.Events))
-	if m.Dropped > 0 {
-		fmt.Fprintf(sb, " (%d DROPPED — ring wrapped, analysis incomplete)", m.Dropped)
-	}
-	sb.WriteByte('\n')
+	fmt.Fprintf(sb, "recording: %d events\n", len(rec.Events))
 	for k := 0; k < flight.KindCount; k++ {
 		if n := m.KindCounts[k]; n > 0 {
 			fmt.Fprintf(sb, "  %-12s %d\n", flight.Kind(k).String(), n)

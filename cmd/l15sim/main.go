@@ -15,8 +15,10 @@
 // chrome://tracing, with the wall-clock sampler's heap, GC and latency
 // series as counter tracks; -flight writes a JSONL flight recording of
 // every Walloc way reassignment and gv_set (dissect it with cmd/explain).
-// A failed run still writes the requested artifact files, then exits 1;
-// an interrupt (Ctrl-C) at any point flushes them too before exiting.
+// A failed run still writes the requested artifact files, then exits 1.
+// An interrupt (Ctrl-C) writes -metrics and -trace, then exits 130
+// without writing -flight: the recording belongs to the SoC's goroutine,
+// which may still be emitting into it.
 // -cpuprofile/-memprofile write offline profiles.
 package main
 
@@ -84,28 +86,29 @@ func main() {
 	if *flightOut != "" {
 		rec = flight.New()
 	}
-	// flush writes every requested artifact; it runs once the run ends,
-	// failed or not, and from the interrupt handler, so a Ctrl-C mid-run
-	// still leaves complete (if shorter) files behind.
-	flush := func() error {
-		err := flushFiles()
-		if *flightOut != "" {
-			err = errors.Join(err, flight.WriteFile(*flightOut, rec.Snapshot()))
-		}
-		return err
-	}
+	// An interrupt mid-run still leaves complete (if shorter) -metrics
+	// and -trace files behind. The recorder is not read here: it is
+	// unlocked and the SoC may still be writing it.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	go func() {
 		<-sig
-		log.Print("interrupted; flushing outputs")
-		if err := flush(); err != nil {
+		log.Print("interrupted; flushing -metrics and -trace")
+		if err := flushFiles(); err != nil {
 			log.Print(err)
+		}
+		if *flightOut != "" {
+			log.Printf("flight recording not written to %s", *flightOut)
 		}
 		os.Exit(130)
 	}()
 
-	if err := errors.Join(run(o, rec), flush()); err != nil {
+	// The run has ended, failed or not: write every requested artifact.
+	err = run(o, rec)
+	if *flightOut != "" {
+		err = errors.Join(err, flight.WriteFile(*flightOut, rec.Snapshot()))
+	}
+	if err := errors.Join(err, flushFiles()); err != nil {
 		log.Fatal(err)
 	}
 }

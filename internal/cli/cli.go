@@ -135,7 +135,7 @@ func (s *Sweep) Flight(path string) *flight.Recorder {
 		if err := flight.WriteFile(path, rec.Snapshot()); err != nil {
 			return err
 		}
-		log.Printf("wrote %s (%d events, %d dropped)", path, rec.Len(), rec.Dropped())
+		log.Printf("wrote %s (%d events)", path, rec.Len())
 		return nil
 	})
 	return rec

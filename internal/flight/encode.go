@@ -14,20 +14,20 @@ import (
 // line, fields in fixed order, shortest-round-trip float formatting — so
 // identical values encode to identical bytes.
 
-// jsonlVersion is the format version the header line carries.
-const jsonlVersion = 1
+// jsonlVersion is the format version the header line carries;
+// DecodeJSONL rejects any other, such as version 1 with its "dropped"
+// count.
+const jsonlVersion = 2
 
 // AppendJSONL appends the deterministic JSONL encoding of the recording
 // to dst and returns the extended slice. The first line is a header
-// object ({"flight":1,"events":N,"dropped":D}); each following line is
+// object ({"flight":2,"events":N}); each following line is
 // one event with fields in fixed order.
 func AppendJSONL(dst []byte, rec Recording) []byte {
 	dst = append(dst, `{"flight":`...)
 	dst = strconv.AppendInt(dst, jsonlVersion, 10)
 	dst = append(dst, `,"events":`...)
 	dst = strconv.AppendInt(dst, int64(len(rec.Events)), 10)
-	dst = append(dst, `,"dropped":`...)
-	dst = strconv.AppendUint(dst, rec.Dropped, 10)
 	dst = append(dst, "}\n"...)
 	for _, e := range rec.Events {
 		dst = appendEventJSON(dst, e)
@@ -74,9 +74,8 @@ func appendFloat(dst []byte, v float64) []byte {
 
 // jsonlHeader mirrors the header line for decoding.
 type jsonlHeader struct {
-	Flight  int    `json:"flight"`
-	Events  int    `json:"events"`
-	Dropped uint64 `json:"dropped"`
+	Flight int `json:"flight"`
+	Events int `json:"events"`
 }
 
 // jsonlEvent mirrors one event line for decoding.
@@ -122,7 +121,6 @@ func DecodeJSONL(r io.Reader) (Recording, error) {
 	if hdr.Flight != jsonlVersion {
 		return rec, fmt.Errorf("flight: unsupported recording version %d", hdr.Flight)
 	}
-	rec.Dropped = hdr.Dropped
 	// The header's event count is checked, never used as a capacity: a
 	// corrupt file can claim any number.
 	for sc.Scan() {

@@ -1,5 +1,5 @@
 // Package flight is the simulator's flight recorder: a typed,
-// cycle-stamped, ring-buffered log of every scheduling and
+// cycle-stamped, append-only log of every scheduling and
 // cache-reconfiguration *decision*, built for post-hoc forensics. It is
 // the one event stream in simulated time — the schedulers, the SoC's
 // L1.5s and the §5.3 monitor all write or read it — as the Chrome trace
@@ -16,19 +16,18 @@
 //     with deterministic float formatting, and per-run recorders compose
 //     with the internal/runner harness so exported bytes are identical
 //     at any -workers count.
-//   - Zero-alloc hot path. Event is a fixed-size struct of scalars (no
-//     maps, no strings); Emit copies it into a preallocated ring under a
-//     mutex and allocates nothing.
-//   - Graceful saturation. When the ring wraps, the oldest events are
-//     overwritten and counted in Dropped, which the JSONL header carries —
-//     a recording never silently pretends to be complete.
+//   - One recorder per run. A Recorder belongs to the one goroutine
+//     simulating its run and takes no lock; a sweep gives each trial its
+//     own recorder and merges the recordings (Merge).
+//   - Cheap hot path. Event is a fixed-size struct of scalars (no maps,
+//     no strings); Emit appends it to the run's own log, growing the
+//     buffer amortised, and Reset empties the log but keeps the buffer
+//     for the next run.
 //
 // A nil *Recorder is a valid no-op sink, so the simulators thread one
 // through unconditionally and pay a single pointer test when recording is
 // off.
 package flight
-
-import "sync"
 
 // Kind discriminates the event types of the recording schema (DESIGN.md
 // §10). The scalar payload fields A, B, C of Event are interpreted per
@@ -152,37 +151,18 @@ type Event struct {
 	A, B, C float64 // kind-specific payload (see Kind docs)
 }
 
-// DefaultCap is the ring capacity of recorders built by New.
-const DefaultCap = 1 << 18
-
-// Recorder is the fixed-capacity ring. A nil *Recorder is a valid no-op
-// sink. The mutex makes Emit safe under the concurrent experiment
-// harnesses; determinism across worker counts comes from using one
-// recorder per simulated run (see Merge), not from serialising unrelated
-// runs into one ring.
+// Recorder is one run's append-only event log. A nil *Recorder is a
+// valid no-op sink. A Recorder is not safe for concurrent use: give each
+// simulated run its own (see Merge).
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	wrapped bool
-	seq     uint64
-	dropped uint64
+	buf []Event
 }
 
-// New returns a recorder with the default capacity.
-func New() *Recorder { return NewCap(DefaultCap) }
+// New returns an empty recorder.
+func New() *Recorder { return &Recorder{} }
 
-// NewCap returns a recorder holding up to capacity events (minimum 1).
-func NewCap(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{buf: make([]Event, 0, capacity)}
-}
-
-// Emit records one event, assigning its sequence number. Safe for
-// concurrent use and on a nil recorder; allocates nothing. Emit is only
-// the nil test, small enough to inline, so a simulator running without a
+// Emit records one event, assigning its sequence number. Emit is only the
+// nil test, small enough to inline, so a simulator running without a
 // recorder pays no call per event.
 func (r *Recorder) Emit(e Event) {
 	if r != nil {
@@ -190,69 +170,45 @@ func (r *Recorder) Emit(e Event) {
 	}
 }
 
-// emit is Emit's locked body, kept out of line so Emit inlines.
+// emit is Emit's body, kept out of line so Emit inlines.
 func (r *Recorder) emit(e Event) {
-	r.mu.Lock()
-	e.Seq = r.seq
-	r.seq++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % cap(r.buf)
-		r.wrapped = true
-		r.dropped++
-	}
-	r.mu.Unlock()
+	e.Seq = uint64(len(r.buf))
+	r.buf = append(r.buf, e)
 }
 
-// Events returns a copy of the retained events, oldest first.
+// Reset empties the recorder and keeps its buffer, so a recorder reused
+// run after run stops allocating once it has grown to the largest run.
+func (r *Recorder) Reset() {
+	if r != nil {
+		r.buf = r.buf[:0]
+	}
+}
+
+// Events returns a copy of the recorded events, oldest first.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	if r.wrapped {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
+	return append([]Event(nil), r.buf...)
 }
 
-// Dropped returns how many events the ring overwrote.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Len returns the number of retained events.
+// Len returns the number of recorded events.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.buf)
 }
 
-// Recording is the export form of a recorder: the retained events plus
-// the saturation evidence. The forensics analyzers consume this.
+// Recording is the export form of a recorder: its events, oldest first.
+// The forensics analyzers consume this.
 type Recording struct {
-	Events  []Event
-	Dropped uint64
+	Events []Event
 }
 
 // Snapshot captures the recorder as a Recording.
 func (r *Recorder) Snapshot() Recording {
-	return Recording{Events: r.Events(), Dropped: r.Dropped()}
+	return Recording{Events: r.Events()}
 }
 
 // Merge concatenates per-run recordings in argument order, renumbering
@@ -263,7 +219,6 @@ func (r *Recorder) Snapshot() Recording {
 func Merge(recs ...Recording) Recording {
 	var out Recording
 	for _, rec := range recs {
-		out.Dropped += rec.Dropped
 		for _, e := range rec.Events {
 			e.Seq = uint64(len(out.Events))
 			out.Events = append(out.Events, e)

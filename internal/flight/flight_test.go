@@ -23,36 +23,49 @@ func ev(i int) flight.Event {
 func TestRecorderNilSafe(t *testing.T) {
 	var r *flight.Recorder
 	r.Emit(ev(0))
-	if r.Len() != 0 || r.Dropped() != 0 || r.Events() != nil {
+	r.Reset()
+	if r.Len() != 0 || r.Events() != nil || r.Snapshot().Events != nil {
 		t.Error("nil recorder is not a no-op sink")
 	}
 }
 
-func TestRecorderRingWrap(t *testing.T) {
-	r := flight.NewCap(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(ev(i))
-	}
-	if got := r.Dropped(); got != 6 {
-		t.Fatalf("dropped = %d, want 6", got)
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained = %d, want 4", len(evs))
-	}
-	// The ring keeps the newest events, oldest first, with dense Seq.
-	for i, e := range evs {
-		if want := uint64(6 + i); e.Seq != want {
-			t.Fatalf("event %d: seq = %d, want %d", i, e.Seq, want)
+// TestRecorderAppendReset checks that a recorder keeps every event in
+// emit order with dense Seq, and that Reset empties it, restarts Seq at 0
+// and keeps the buffer, so refilling it allocates nothing.
+func TestRecorderAppendReset(t *testing.T) {
+	r := flight.New()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 1000; i++ {
+			r.Emit(ev(i))
+		}
+		evs := r.Events()
+		if len(evs) != 1000 || r.Len() != 1000 {
+			t.Fatalf("round %d: %d events (Len %d), want 1000", round, len(evs), r.Len())
+		}
+		for i, e := range evs {
+			want := ev(i)
+			want.Seq = uint64(i)
+			if e != want {
+				t.Fatalf("round %d: event %d = %+v, want %+v", round, i, e, want)
+			}
+		}
+		r.Reset()
+		if r.Len() != 0 || len(r.Events()) != 0 {
+			t.Fatalf("round %d: Reset left %d events", round, r.Len())
 		}
 	}
-	if got := r.Snapshot(); got.Dropped != 6 || len(got.Events) != 4 {
-		t.Fatalf("snapshot = %d events, %d dropped", len(got.Events), got.Dropped)
+	if allocs := testing.AllocsPerRun(10, func() {
+		r.Reset()
+		for i := 0; i < 1000; i++ {
+			r.Emit(ev(i))
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling a reset recorder allocated %v times, want 0", allocs)
 	}
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	rec := flight.Recording{Dropped: 2}
+	var rec flight.Recording
 	for i := 0; i < 50; i++ {
 		e := ev(i)
 		e.Seq = uint64(i)
@@ -99,11 +112,11 @@ func TestWriteReadFile(t *testing.T) {
 }
 
 func TestMergeRenumbers(t *testing.T) {
-	a := flight.Recording{Events: []flight.Event{ev(0), ev(1)}, Dropped: 1}
-	b := flight.Recording{Events: []flight.Event{ev(2)}, Dropped: 2}
+	a := flight.Recording{Events: []flight.Event{ev(0), ev(1)}}
+	b := flight.Recording{Events: []flight.Event{ev(2)}}
 	m := flight.Merge(a, b)
-	if m.Dropped != 3 || len(m.Events) != 3 {
-		t.Fatalf("merge = %d events, %d dropped", len(m.Events), m.Dropped)
+	if len(m.Events) != 3 {
+		t.Fatalf("merge = %d events, want 3", len(m.Events))
 	}
 	for i, e := range m.Events {
 		if e.Seq != uint64(i) {

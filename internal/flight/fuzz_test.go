@@ -45,16 +45,18 @@ func seedRecording(f *testing.F) flight.Recording {
 
 // TestDecodeRejectsCorruptCounts is the regression test for headers whose
 // event count is huge, negative or wrong: the decoder must return an
-// error instead of sizing a slice from it.
+// error instead of sizing a slice from it. It also rejects a version-1
+// header, the format that carried a "dropped" count.
 func TestDecodeRejectsCorruptCounts(t *testing.T) {
 	for _, hdr := range []string{
-		`{"flight":1,"events":4611686018427387904,"dropped":0}`,
-		`{"flight":1,"events":-1,"dropped":0}`,
-		`{"flight":1,"events":2,"dropped":0}` + "\n" +
+		`{"flight":2,"events":4611686018427387904}`,
+		`{"flight":2,"events":-1}`,
+		`{"flight":2,"events":2}` + "\n" +
 			`{"seq":0,"k":"sdu","t":1,"task":-1,"job":-1,"node":0,"core":0,"cl":0,"wave":-1,"a":1,"b":3,"c":0}`,
+		`{"flight":1,"events":0,"dropped":0}`,
 	} {
 		if _, err := flight.DecodeJSONL(bytes.NewReader([]byte(hdr + "\n"))); err == nil {
-			t.Errorf("JSONL with a wrong event count decoded: %s", hdr)
+			t.Errorf("JSONL with a wrong event count or version decoded: %s", hdr)
 		}
 	}
 }
@@ -63,7 +65,8 @@ func TestDecodeRejectsCorruptCounts(t *testing.T) {
 // decodes re-encodes and decodes back to the same recording.
 func FuzzDecodeJSONL(f *testing.F) {
 	f.Add(flight.AppendJSONL(nil, seedRecording(f)))
-	f.Add([]byte(`{"flight":1,"events":-1,"dropped":0}` + "\n"))
+	f.Add([]byte(`{"flight":2,"events":-1}` + "\n"))
+	f.Add([]byte(`{"flight":2,"events":0}` + "\n"))
 	f.Add([]byte(`{"flight":1,"events":0,"dropped":3}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := flight.DecodeJSONL(bytes.NewReader(data))

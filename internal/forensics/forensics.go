@@ -82,8 +82,6 @@ func (j *JobInfo) Makespan() float64 { return j.Finish - j.Release }
 
 // Model is the queryable form of a recording.
 type Model struct {
-	Dropped uint64 // events the ring overwrote (recording incomplete)
-
 	// Jobs in first-appearance order.
 	Jobs  []*JobInfo
 	byKey map[JobKey]*JobInfo
@@ -103,10 +101,7 @@ type Model struct {
 // Build indexes a recording. Events with unknown kinds are counted but
 // otherwise ignored, so a newer recording still loads.
 func Build(rec flight.Recording) *Model {
-	m := &Model{
-		Dropped: rec.Dropped,
-		byKey:   make(map[JobKey]*JobInfo),
-	}
+	m := &Model{byKey: make(map[JobKey]*JobInfo)}
 	for _, e := range rec.Events {
 		if int(e.Kind) < flight.KindCount {
 			m.KindCounts[e.Kind]++

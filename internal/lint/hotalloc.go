@@ -63,10 +63,11 @@ var hotRootNames = map[string]bool{
 	"AdvanceTo": true, "NextWakeup": true, "sduIdle": true,
 }
 
-// hotRootExtra adds the per-package roots: the flight recorder's
-// zero-alloc Emit, the SoC's SDU advance and loop replay (countdown and
-// park-cycle entry, measurement and settle points), and the event
-// dispatchers of the two DES simulators.
+// hotRootExtra adds the per-package roots: the flight recorder's Emit
+// (its amortised self-append into the run's log is sanctioned), the
+// SoC's SDU advance and loop replay (countdown and park-cycle entry,
+// measurement and settle points), and the event dispatchers of the two
+// DES simulators.
 var hotRootExtra = map[string]map[string]bool{
 	"flight": {"Emit": true},
 	"soc": {"advanceSDUs": true, "globalTime": true, "trackLoop": true,

@@ -11,9 +11,9 @@ import (
 
 // Demo runs the §4.3 producer/consumer demo plus an L1-overflowing sweep
 // (soc.DemoProducer, DemoConsumer and DemoSweeper on cores 0–2) on a fresh
-// SoC built from cfg, records its L1.5 events and analyses the recording
-// (Analyze). The SoC feeds reg, the report's numbers are published to
-// reg, the recording is appended to rec (nil keeps none), and the
+// SoC built from cfg, records its L1.5 events into rec (a fresh recorder
+// when rec is nil) and analyses the events the demo appended (Analyze).
+// The SoC feeds reg, the report's numbers are published to reg, and the
 // returned text is the report followed by the cluster-0 L1.5 and the L2
 // hit/miss totals. This is the cycle-accurate smoke run of cmd/repro: it
 // puts real L1/L1.5/L2 counters and an SDU reassignment-latency histogram
@@ -23,8 +23,11 @@ func Demo(cfg soc.Config, reg *metrics.Registry, rec *flight.Recorder) (string, 
 	if err != nil {
 		return "", err
 	}
-	own := flight.NewCap(1 << 12) // the demo moves a handful of ways
-	s.Instrument(reg, own)
+	if rec == nil {
+		rec = flight.New()
+	}
+	start := rec.Len()
+	s.Instrument(reg, rec)
 
 	pt := s.IdentityPageTable(1)
 	base := uint32(0x1000)
@@ -47,13 +50,7 @@ func Demo(cfg soc.Config, reg *metrics.Registry, rec *flight.Recorder) (string, 
 	}
 	s.SettleSDU(64)
 
-	recording := own.Snapshot()
-	if recording.Dropped > 0 {
-		return "", fmt.Errorf("monitor: demo recording overflowed (%d events dropped)", recording.Dropped)
-	}
-	for _, e := range recording.Events {
-		rec.Emit(e)
-	}
+	recording := flight.Recording{Events: rec.Events()[start:]}
 	ways := 0
 	var end uint64
 	for _, cl := range s.Clusters {

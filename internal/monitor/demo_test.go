@@ -53,3 +53,37 @@ func TestDemoKernelEquivalence(t *testing.T) {
 		t.Errorf("flight events differ\nticked:\n%s\nevents:\n%s", ticked.flight, events.flight)
 	}
 }
+
+// TestDemoAnalyzesOnlyItsOwnEvents runs the demo into a recorder that
+// already holds hardware way moves, as cmd/repro's does: the report must
+// match a run into a fresh recorder, and the recorder must hold the
+// earlier events followed by the demo's.
+func TestDemoAnalyzesOnlyItsOwnEvents(t *testing.T) {
+	fresh := flight.New()
+	want, err := Demo(soc.DefaultConfig(), metrics.NewRegistry(), fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flight.New()
+	for i := 0; i < 3; i++ {
+		rec.Emit(flight.Event{Kind: flight.KindSDU, Time: float64(1000 * i), Task: -1, Job: -1,
+			Node: int32(i), Core: 5, Cluster: 0, Wave: -1, A: 1, B: 5})
+	}
+	got, err := Demo(soc.DefaultConfig(), metrics.NewRegistry(), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("report read the recorder's earlier events\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	evs, demo := rec.Events(), fresh.Events()
+	if len(evs) != 3+len(demo) {
+		t.Fatalf("recorder holds %d events, want 3 + %d", len(evs), len(demo))
+	}
+	for i, e := range demo {
+		e.Seq += 3
+		if evs[3+i] != e {
+			t.Fatalf("event %d = %+v, want %+v", 3+i, evs[3+i], e)
+		}
+	}
+}
