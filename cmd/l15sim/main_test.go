@@ -78,7 +78,7 @@ spin:
 // -metrics, -trace and -flight: it must exit 130 with complete -metrics
 // and -trace files and no -flight file, since only the goroutine running
 // the SoC may read its recorder. Under -race it also fails on any race
-// report that touches the recorder.
+// report from the child.
 func TestInterruptWritesMetricsAndTrace(t *testing.T) {
 	runChild()
 	dir := t.TempDir()
@@ -128,10 +128,12 @@ func TestInterruptWritesMetricsAndTrace(t *testing.T) {
 		t.Errorf("stderr does not say the recording was not written:\n%s", stderr.String())
 	}
 	// Under -race the child reports data races to stderr but keeps its
-	// exit status, so look for reports that touch the recorder.
+	// exit status, so look for the reports: the interrupt handler reads
+	// the registry while the SoC runs, and must read neither the flight
+	// recorder nor the simulator's plain counters.
 	for _, report := range strings.Split(stderr.String(), "==================") {
-		if strings.Contains(report, "DATA RACE") && strings.Contains(report, "internal/flight.") {
-			t.Errorf("the flight recorder is shared across goroutines:\n%s", report)
+		if strings.Contains(report, "DATA RACE") {
+			t.Errorf("the child raced:\n%s", report)
 		}
 	}
 }

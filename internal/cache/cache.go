@@ -286,21 +286,25 @@ func (c *Cache) InvalidateWay(w int) int {
 	return n
 }
 
-// PublishMetrics registers the cache's counters with the registry under the
-// given prefix (e.g. "soc.l2" -> "soc.l2.hits"). The Stats block stays the
-// live store — it is copied into the registry only when a snapshot is
-// taken, so the single-threaded access hot path pays no atomic traffic. The
-// Stats field remains the compatibility accessor for existing callers.
-func (c *Cache) PublishMetrics(r *metrics.Registry, prefix string) {
+// PublishMetrics creates the cache's counters in the registry under the
+// given prefix (e.g. "soc.l2" -> "soc.l2.hits") and returns the function
+// that stores the Stats block into them. The Stats block stays the live
+// store, so the single-threaded access hot path pays no atomic traffic;
+// the owner calls the returned function on the goroutine that runs the
+// cache, so a snapshot taken on any other goroutine reads only atomics.
+// A nil registry publishes nothing and returns nil.
+func (c *Cache) PublishMetrics(r *metrics.Registry, prefix string) func() {
 	if r == nil {
-		return
+		return nil
 	}
-	r.RegisterCollector(func(r *metrics.Registry) {
-		r.Counter(prefix + ".hits").Store(c.Stats.Hits)
-		r.Counter(prefix + ".misses").Store(c.Stats.Misses)
-		r.Counter(prefix + ".evictions").Store(c.Stats.Evictions)
-		r.Counter(prefix + ".writebacks").Store(c.Stats.Writebacks)
-	})
+	hits, misses := r.Counter(prefix+".hits"), r.Counter(prefix+".misses")
+	evictions, writebacks := r.Counter(prefix+".evictions"), r.Counter(prefix+".writebacks")
+	return func() {
+		hits.Store(c.Stats.Hits)
+		misses.Store(c.Stats.Misses)
+		evictions.Store(c.Stats.Evictions)
+		writebacks.Store(c.Stats.Writebacks)
+	}
 }
 
 // InvalidateAll clears the whole cache.

@@ -60,7 +60,7 @@ type Edge struct {
 // slices instead of chasing maps or scanning the edge list. A structural
 // change (AddNode, AddEdge) makes the layout stale; the next Validate lays
 // the rows out again into fresh buffers, so a layout is never written
-// after it is built and clones share it.
+// after it is built and clones share it. View hands the layout out.
 type Task struct {
 	Name     string
 	Period   float64 // T_i
@@ -77,17 +77,49 @@ type Task struct {
 	// without them; AddEdge rebuilds them from Edges.
 	outHead, outNext []int32
 
-	lay *layout // frozen adjacency; stale once Nodes or Edges grow
+	lay *View // frozen adjacency; stale once Nodes or Edges grow
 }
 
-// layout is a task's adjacency frozen into CSR rows, one set per
-// direction, plus the topological order. It is immutable once built.
-type layout struct {
+// View is a task's adjacency frozen into CSR rows, one set per direction,
+// plus the topological order and the unique source and sink. It is
+// immutable once built, so the hot loops (both simulators' dispatch, Alg.
+// 1's waves) take it once with Task.View and read its rows without
+// re-checking the task. A view taken before a structural change keeps
+// describing the graph it was taken from.
+type View struct {
 	nodes, edges int // len(Nodes), len(Edges) it was laid out from
 	pred, succ   csr
 	topo         []NodeID // Kahn order, lowest ID first
 	cyclic       bool     // topo is nil: the edges close a cycle
+	source, sink NodeID   // the one node without predecessors/successors, or -1
 }
+
+// Pred returns v's predecessors in edge-insertion order, nil for an
+// unknown node. The slice is shared; callers must not mutate it.
+func (l *View) Pred(v NodeID) []NodeID { return l.pred.row(v) }
+
+// PredEdges returns the indices into Edges of v's incoming edges, aligned
+// with Pred(v).
+func (l *View) PredEdges(v NodeID) []int32 { return l.pred.edges(v) }
+
+// Succ returns v's successors in edge-insertion order, nil for an unknown
+// node.
+func (l *View) Succ(v NodeID) []NodeID { return l.succ.row(v) }
+
+// SuccEdges returns the indices into Edges of v's outgoing edges, aligned
+// with Succ(v).
+func (l *View) SuccEdges(v NodeID) []int32 { return l.succ.edges(v) }
+
+// InDegree returns the number of v's predecessors; v must be a node of
+// the task.
+func (l *View) InDegree(v NodeID) int { return int(l.pred.off[v+1] - l.pred.off[v]) }
+
+// Source returns the unique source node, or -1 if there is not exactly
+// one node without predecessors.
+func (l *View) Source() NodeID { return l.source }
+
+// Sink returns the unique sink node, or -1 (see Source).
+func (l *View) Sink() NodeID { return l.sink }
 
 // csr holds one direction of the adjacency: the neighbours of v are
 // ids[off[v]:off[v+1]], and edge holds the indices into Edges of the
@@ -208,11 +240,11 @@ func (t *Task) valid(id NodeID) bool { return id >= 0 && int(id) < len(t.Nodes) 
 // Node returns the node with the given ID.
 func (t *Task) Node(id NodeID) *Node { return t.Nodes[id] }
 
-// rows returns the laid-out adjacency. The readers below never lay the
-// rows out themselves (they run inside allocation-free dispatch loops):
-// reading a task whose structure changed since its last Validate is a
-// programming error.
-func (t *Task) rows() *layout {
+// View returns the task's laid-out adjacency, checked once here: it never
+// lays the rows out itself (the callers run allocation-free dispatch
+// loops), so taking the view of a task whose structure changed since its
+// last Validate is a programming error and panics.
+func (t *Task) View() *View {
 	if l := t.fresh(); l != nil {
 		return l
 	}
@@ -221,7 +253,7 @@ func (t *Task) rows() *layout {
 
 // fresh returns the layout if it was laid out from the current Nodes and
 // Edges, else nil.
-func (t *Task) fresh() *layout {
+func (t *Task) fresh() *View {
 	if l := t.lay; l != nil && l.nodes == len(t.Nodes) && l.edges == len(t.Edges) {
 		return l
 	}
@@ -230,29 +262,29 @@ func (t *Task) fresh() *layout {
 
 // Pred returns pre(v): the predecessors of id, in edge-insertion order.
 // The slice is owned by the task; callers must not mutate it.
-func (t *Task) Pred(id NodeID) []NodeID { return t.rows().pred.row(id) }
+func (t *Task) Pred(id NodeID) []NodeID { return t.View().Pred(id) }
 
 // Succ returns suc(v): the successors of id, in edge-insertion order.
 // The slice is owned by the task; callers must not mutate it.
-func (t *Task) Succ(id NodeID) []NodeID { return t.rows().succ.row(id) }
+func (t *Task) Succ(id NodeID) []NodeID { return t.View().Succ(id) }
 
 // PredEdges returns the indices into Edges of id's incoming edges,
 // aligned with Pred(id). The slice is owned by the task; callers must
 // not mutate it.
-func (t *Task) PredEdges(id NodeID) []int32 { return t.rows().pred.edges(id) }
+func (t *Task) PredEdges(id NodeID) []int32 { return t.View().PredEdges(id) }
 
 // SuccEdges returns the indices into Edges of id's outgoing edges,
 // aligned with Succ(id). The slice is owned by the task; callers must
 // not mutate it.
-func (t *Task) SuccEdges(id NodeID) []int32 { return t.rows().succ.edges(id) }
+func (t *Task) SuccEdges(id NodeID) []int32 { return t.View().SuccEdges(id) }
 
 // Edge returns the edge from->to and whether it exists. The lookup scans
 // only from's out-edges, so it is O(out-degree), not O(|E|).
 func (t *Task) Edge(from, to NodeID) (Edge, bool) {
-	out := &t.rows().succ
-	for k, s := range out.row(from) {
+	l := t.View()
+	for k, s := range l.Succ(from) {
 		if s == to {
-			return t.Edges[out.edges(from)[k]], true
+			return t.Edges[l.SuccEdges(from)[k]], true
 		}
 	}
 	return Edge{}, false
@@ -260,10 +292,10 @@ func (t *Task) Edge(from, to NodeID) (Edge, bool) {
 
 // Source returns the unique source node's ID. Call Validate first; Source
 // returns -1 if there is not exactly one node without predecessors.
-func (t *Task) Source() NodeID { return only(t.rows().pred.off) }
+func (t *Task) Source() NodeID { return t.View().source }
 
 // Sink returns the unique sink node's ID, or -1 (see Source).
-func (t *Task) Sink() NodeID { return only(t.rows().succ.off) }
+func (t *Task) Sink() NodeID { return t.View().sink }
 
 // only returns the one node whose row in off is empty, or -1 if there is
 // none or more than one.
@@ -309,10 +341,10 @@ func (t *Task) Validate() error {
 		return fmt.Errorf("dag %q: deadline %g exceeds period %g", t.Name, t.Deadline, t.Period)
 	}
 	l := t.layOut()
-	if t.Source() < 0 {
+	if l.source < 0 {
 		return fmt.Errorf("dag %q: must have exactly one source node", t.Name)
 	}
-	if t.Sink() < 0 {
+	if l.sink < 0 {
 		return fmt.Errorf("dag %q: must have exactly one sink node", t.Name)
 	}
 	for _, n := range t.Nodes {
@@ -363,7 +395,7 @@ func (t *Task) topoOrder() ([]NodeID, error) {
 
 // layOut returns the task's layout, building a fresh one if Nodes or
 // Edges grew since the last.
-func (t *Task) layOut() *layout {
+func (t *Task) layOut() *View {
 	if l := t.fresh(); l != nil {
 		return l
 	}
@@ -373,13 +405,14 @@ func (t *Task) layOut() *layout {
 	// arrays, the topological order and Kahn's ready heap.
 	ints := make([]int32, 2*(n+1)+2*m+n)
 	ids := make([]NodeID, 2*m+2*n)
-	l := &layout{nodes: n, edges: m,
+	l := &View{nodes: n, edges: m,
 		pred: csr{off: ints[:n+1], edge: ints[n+1 : n+1+m], ids: ids[:m]},
 		succ: csr{off: ints[n+1+m : 2*n+2+m], edge: ints[2*n+2+m : 2*n+2+2*m], ids: ids[m : 2*m]},
 		topo: ids[2*m : 2*m : 2*m+n]}
 	cur := ints[2*n+2+2*m:]
 	l.pred.fill(t.Edges, true, cur)
 	l.succ.fill(t.Edges, false, cur)
+	l.source, l.sink = only(l.pred.off), only(l.succ.off)
 
 	// Kahn's algorithm; cur becomes the in-degree countdown.
 	indeg := cur

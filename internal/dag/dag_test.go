@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -91,7 +92,9 @@ func TestAddEdgeErrors(t *testing.T) {
 
 // TestRowsFollowInsertionOrder checks that every laid-out row lists its
 // neighbours, and the aligned edge indices, in edge-insertion order, even
-// when edges are added out of node order.
+// when edges are added out of node order, and that the task's accessors
+// and its View read the same rows, in-degrees, source and sink. It runs
+// on one hand-built graph and on generated layered DAGs.
 func TestRowsFollowInsertionOrder(t *testing.T) {
 	task := New("rows", 10, 10)
 	for i := 0; i < 6; i++ {
@@ -104,29 +107,68 @@ func TestRowsFollowInsertionOrder(t *testing.T) {
 	if err := task.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for v := NodeID(0); v < 6; v++ {
+	checkRows(t, task)
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		task := randomLayeredTask(r)
+		if err := task.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		checkRows(t, task)
+	}
+}
+
+// checkRows compares every row of a laid-out task, read through the task
+// and through its View, with the rows derived from its edge list.
+func checkRows(t *testing.T, task *Task) {
+	t.Helper()
+	g := task.View()
+	src, sink := NodeID(-1), NodeID(-1)
+	var sources, sinks int
+	for v := NodeID(0); int(v) < len(task.Nodes); v++ {
 		var wantPred, wantSucc []NodeID
 		var wantPE, wantSE []int32
-		for i, e := range edges {
-			if e[1] == v {
-				wantPred, wantPE = append(wantPred, e[0]), append(wantPE, int32(i))
+		for i, e := range task.Edges {
+			if e.To == v {
+				wantPred, wantPE = append(wantPred, e.From), append(wantPE, int32(i))
 			}
-			if e[0] == v {
-				wantSucc, wantSE = append(wantSucc, e[1]), append(wantSE, int32(i))
+			if e.From == v {
+				wantSucc, wantSE = append(wantSucc, e.To), append(wantSE, int32(i))
 			}
 		}
-		if got := task.Pred(v); !slices.Equal(got, wantPred) {
-			t.Errorf("Pred(%d) = %v, want %v", v, got, wantPred)
+		if len(wantPred) == 0 {
+			src, sources = v, sources+1
 		}
-		if got := task.PredEdges(v); !slices.Equal(got, wantPE) {
-			t.Errorf("PredEdges(%d) = %v, want %v", v, got, wantPE)
+		if len(wantSucc) == 0 {
+			sink, sinks = v, sinks+1
 		}
-		if got := task.Succ(v); !slices.Equal(got, wantSucc) {
-			t.Errorf("Succ(%d) = %v, want %v", v, got, wantSucc)
+		// Sprint prints nil and empty rows alike.
+		for _, c := range []struct {
+			name             string
+			task, view, want any
+		}{
+			{"Pred", task.Pred(v), g.Pred(v), wantPred},
+			{"PredEdges", task.PredEdges(v), g.PredEdges(v), wantPE},
+			{"Succ", task.Succ(v), g.Succ(v), wantSucc},
+			{"SuccEdges", task.SuccEdges(v), g.SuccEdges(v), wantSE},
+			{"InDegree", len(task.Pred(v)), g.InDegree(v), len(wantPred)},
+		} {
+			if want := fmt.Sprint(c.want); fmt.Sprint(c.task) != want || fmt.Sprint(c.view) != want {
+				t.Errorf("%s(%d) = %v, View().%[1]s = %v, want %v", c.name, v, c.task, c.view, want)
+			}
 		}
-		if got := task.SuccEdges(v); !slices.Equal(got, wantSE) {
-			t.Errorf("SuccEdges(%d) = %v, want %v", v, got, wantSE)
-		}
+	}
+	if sources != 1 {
+		src = -1
+	}
+	if sinks != 1 {
+		sink = -1
+	}
+	if task.Source() != src || g.Source() != src {
+		t.Errorf("Source = %d, View().Source = %d, want %d", task.Source(), g.Source(), src)
+	}
+	if task.Sink() != sink || g.Sink() != sink {
+		t.Errorf("Sink = %d, View().Sink = %d, want %d", task.Sink(), g.Sink(), sink)
 	}
 }
 
@@ -141,15 +183,24 @@ func TestMutationRelaysRows(t *testing.T) {
 	}
 	before := task.Succ(1)
 	beforeTopo, _ := task.TopoOrder()
+	view := task.View()
 	task.MustAddEdge(1, 5, 1, 0.5)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Succ on a stale layout did not panic")
-			}
+	for name, read := range map[string]func(){
+		"Succ": func() { task.Succ(1) },
+		"View": func() { task.View() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a stale layout did not panic", name)
+				}
+			}()
+			read()
 		}()
-		task.Succ(1)
-	}()
+	}
+	if got := view.Succ(1); !slices.Equal(got, []NodeID{4}) {
+		t.Errorf("view taken before the mutation reads Succ(1) = %v, want [4]", got)
+	}
 	if err := task.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -130,36 +130,51 @@ type L15 struct {
 // the way-reconfiguration latency of §5.3.
 var SDULatencyBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// Instrument publishes the cluster's counters to the registry under prefix
-// (e.g. "soc.cluster0.l15"). Per-core hit/miss/global-hit counters, the
-// rollups, the tag store's counters and the owned-way gauge are collected
-// lazily at snapshot time; the SDU configuration-latency histogram is
-// observed live as demands are satisfied. A nil registry publishes
-// nothing. The Walloc's way moves themselves go to the flight recording
+// Instrument creates the cluster's instruments in the registry under
+// prefix (e.g. "soc.cluster0.l15") and returns the function that stores
+// the per-core hit/miss/global-hit counters, the rollups, the tag store's
+// counters and the owned-way gauge into them, to be called on the
+// goroutine that runs the cache (see cache.PublishMetrics); the SDU
+// configuration-latency histogram is observed live as demands are
+// satisfied. A nil registry publishes nothing and returns nil. The
+// Walloc's way moves themselves go to the flight recording
 // (FlightRecord), the one simulated-time event stream.
-func (l *L15) Instrument(r *metrics.Registry, prefix string) {
+func (l *L15) Instrument(r *metrics.Registry, prefix string) func() {
 	if r == nil {
-		return
+		return nil
 	}
 	l.mSDULat = r.Histogram(prefix+".sdu_config_latency_cycles", SDULatencyBuckets)
-	l.store.PublishMetrics(r, prefix+".store")
-	r.RegisterCollector(func(r *metrics.Registry) {
-		var hits, misses, global uint64
-		for core, st := range l.Stats {
-			r.Counter(fmt.Sprintf("%s.core%d.hits", prefix, core)).Store(st.Hits)
-			r.Counter(fmt.Sprintf("%s.core%d.misses", prefix, core)).Store(st.Misses)
-			r.Counter(fmt.Sprintf("%s.core%d.global_hits", prefix, core)).Store(st.GlobalHits)
-			hits += st.Hits
-			misses += st.Misses
-			global += st.GlobalHits
+	store := l.store.PublishMetrics(r, prefix+".store")
+	type coreCounters struct{ hits, misses, global *metrics.Counter }
+	cores := make([]coreCounters, len(l.Stats))
+	for core := range cores {
+		cores[core] = coreCounters{
+			r.Counter(fmt.Sprintf("%s.core%d.hits", prefix, core)),
+			r.Counter(fmt.Sprintf("%s.core%d.misses", prefix, core)),
+			r.Counter(fmt.Sprintf("%s.core%d.global_hits", prefix, core)),
 		}
-		r.Counter(prefix + ".hits").Store(hits)
-		r.Counter(prefix + ".misses").Store(misses)
-		r.Counter(prefix + ".global_hits").Store(global)
-		r.Counter(prefix + ".writeback_lines").Store(l.WritebackLines)
-		r.Counter(prefix + ".config_events").Store(l.configEvents)
-		r.Gauge(prefix + ".owned_ways").Set(float64(l.OwnedWays()))
-	})
+	}
+	hits, misses, global := r.Counter(prefix+".hits"), r.Counter(prefix+".misses"), r.Counter(prefix+".global_hits")
+	writeback, configs := r.Counter(prefix+".writeback_lines"), r.Counter(prefix+".config_events")
+	owned := r.Gauge(prefix + ".owned_ways")
+	return func() {
+		store()
+		var h, m, g uint64
+		for core, st := range l.Stats {
+			cores[core].hits.Store(st.Hits)
+			cores[core].misses.Store(st.Misses)
+			cores[core].global.Store(st.GlobalHits)
+			h += st.Hits
+			m += st.Misses
+			g += st.GlobalHits
+		}
+		hits.Store(h)
+		misses.Store(m)
+		global.Store(g)
+		writeback.Store(l.WritebackLines)
+		configs.Store(l.configEvents)
+		owned.Set(float64(l.OwnedWays()))
+	}
 }
 
 // FlightRecord attaches a flight recorder: Walloc way grants and

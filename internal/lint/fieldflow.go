@@ -25,10 +25,9 @@ package lint
 //
 // The same walk doubles as the fingerprint-encoder coverage pass: inside
 // a fingerprint builder's reachable bodies, calls to the memo.Encoder
-// field methods (Str/I64/U64/F64/Bool/Bytes/Task — matched by method name
-// on a receiver type named Encoder, the convention the testdata mirrors)
-// record which fields appear in encoded value arguments, and struct-typed
-// arguments handed whole to an encoder mark their entire type as covered.
+// field methods (Str/I64/U64/F64/Bool/Bytes — matched by method name on a
+// receiver type named Encoder, the convention the testdata mirrors)
+// record which fields appear in encoded value arguments.
 
 import (
 	"go/ast"
@@ -77,12 +76,10 @@ type fieldUse struct {
 }
 
 // encodeUse is one encoder field-method call inside a function body: the
-// fields read by its value arguments, and the struct types any value
-// argument hands over whole.
+// fields read by its value arguments.
 type encodeUse struct {
-	keys  []FieldKey
-	whole []string // TypeKeys of struct arguments encoded in their entirety
-	pos   token.Pos
+	keys []FieldKey
+	pos  token.Pos
 }
 
 // funcSummary caches the per-function facts the traversals combine.
@@ -210,11 +207,11 @@ func derefUnalias(t types.Type) types.Type {
 // resolve exactly like the real internal/memo type.
 var encoderFieldMethods = map[string]bool{
 	"Str": true, "I64": true, "U64": true, "F64": true,
-	"Bool": true, "Bytes": true, "Task": true,
+	"Bool": true, "Bytes": true,
 }
 
 // encoderCall recognises e.I64("name", value...) calls and collects the
-// fields their value arguments read, plus struct types encoded whole.
+// fields their value arguments read.
 func encoderCall(pkg *Package, call *ast.CallExpr) (encodeUse, bool) {
 	selExpr, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !encoderFieldMethods[selExpr.Sel.Name] {
@@ -248,19 +245,6 @@ func encoderCall(pkg *Package, call *ast.CallExpr) (encodeUse, bool) {
 			}
 			return true
 		})
-		// A struct handed over whole (memo's Task, or a future
-		// struct-valued Bytes source) covers its entire type.
-		if tv, ok := pkg.Info.Types[arg]; ok {
-			if named, ok := derefUnalias(tv.Type).(*types.Named); ok {
-				if _, isStruct := named.Underlying().(*types.Struct); isStruct && named.Obj() != nil {
-					key := named.Obj().Name()
-					if p := named.Obj().Pkg(); p != nil {
-						key = p.Path() + "." + key
-					}
-					eu.whole = append(eu.whole, key)
-				}
-			}
-		}
 	}
 	return eu, true
 }
@@ -308,7 +292,6 @@ type reachResult struct {
 	reads   map[FieldKey]readEvidence
 	encodes []encodeUse // in visit order; positions resolved by pkg below
 	encPkgs []*Package  // parallel to encodes: the package owning each call
-	whole   map[string]bool
 }
 
 // ReadKeys returns the read set in sorted order.
@@ -329,12 +312,12 @@ type visitFrame struct {
 }
 
 // reach walks the call graph breadth-first from a root and accumulates
-// reads, encoder calls and whole-type coverage. rootPkg/rootLabel/rootBody
+// reads and encoder calls. rootPkg/rootLabel/rootBody
 // describe an inline root (a function literal); when rootBody is nil the
 // walk starts at rootID's graph node instead and rootLabel defaults to
 // its display name.
 func (ff *fieldFlow) reach(rootPkg *Package, rootLabel string, rootBody ast.Node, rootID FuncID) *reachResult {
-	res := &reachResult{reads: map[FieldKey]readEvidence{}, whole: map[string]bool{}}
+	res := &reachResult{reads: map[FieldKey]readEvidence{}}
 	var frames []visitFrame
 	visited := map[FuncID]bool{}
 	queue := []int{}
@@ -355,9 +338,6 @@ func (ff *fieldFlow) reach(rootPkg *Package, rootLabel string, rootBody ast.Node
 		for _, eu := range sum.encodes {
 			res.encodes = append(res.encodes, eu)
 			res.encPkgs = append(res.encPkgs, pkg)
-			for _, w := range eu.whole {
-				res.whole[w] = true
-			}
 		}
 	}
 	enqueue := func(edges []CallEdge, parent int) {

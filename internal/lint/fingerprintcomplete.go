@@ -81,7 +81,7 @@ func runFingerprintComplete(mp *ModulePass) error {
 
 				// Error direction: compute reads the builder never observes.
 				for _, key := range compute.ReadKeys() {
-					if !observed[key.TypeKey()] || builder.whole[key.TypeKey()] {
+					if !observed[key.TypeKey()] {
 						continue
 					}
 					if _, ok := builder.reads[key]; ok {

@@ -1,7 +1,7 @@
 // Package runner is fingerprintcomplete testdata that must produce no
 // diagnostics: every Map site either covers the compute path's reads
-// completely (by encoding, by guard reads, by whole-struct encoding or
-// through a builder helper method) or has memoization deliberately off.
+// completely (by encoding, by guard reads or through a builder helper
+// method) or has memoization deliberately off.
 package runner
 
 // Shard mirrors runner.Shard.
@@ -39,9 +39,6 @@ func (e *Encoder) I64(name string, v int64) { e.b = append(e.b, name...) }
 // U64 appends an unsigned integer field.
 func (e *Encoder) U64(name string, v uint64) { e.b = append(e.b, name...) }
 
-// Task appends a whole struct, covering its entire type.
-func (e *Encoder) Task(name string, p Params) { e.b = append(e.b, name...) }
-
 // Sum returns the accumulated key bytes.
 func (e *Encoder) Sum() []byte { return e.b }
 
@@ -75,24 +72,10 @@ func Covered(c Trial) []int {
 	})
 }
 
-// Params is a second observed struct, encoded whole.
+// Params is a second observed struct.
 type Params struct {
 	Period int64
 	Jitter int64
-}
-
-// fingerprintWhole hands the struct to the encoder in its entirety.
-func fingerprintWhole(p Params) []byte {
-	e := NewEncoder()
-	e.Task("params", p)
-	return e.Sum()
-}
-
-// WholeType may read any Params field: the whole type is covered.
-func WholeType(p Params) []int {
-	return Map(Config{Name: "whole", Fingerprint: fingerprintWhole(p)}, 2, func(s Shard) (int, error) {
-		return int(p.Period + p.Jitter), nil
-	})
 }
 
 // appendTo is the AppendFingerprint idiom: the builder delegates the

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-
-	"l15cache/internal/dag"
 )
 
 // FormatVersion is the version byte of the canonical trial encoding. It
@@ -30,7 +28,6 @@ const (
 	tagF64   byte = 0x04
 	tagBool  byte = 0x05
 	tagBytes byte = 0x06
-	tagTask  byte = 0x07
 	tagTrial byte = 0xFF // closes a fingerprint when a trial key is derived
 )
 
@@ -111,18 +108,6 @@ func (e *Encoder) Bool(name string, v bool) {
 func (e *Encoder) Bytes(name string, v []byte) {
 	e.field(tagBytes, name)
 	e.appendLenBytes(v)
-}
-
-// Task appends a named DAG task field using the canonical task encoding
-// of internal/dag (its own version byte travels inside the field, so a
-// dag-layout bump also re-keys every trial that embeds a task).
-func (e *Encoder) Task(name string, t *dag.Task) {
-	e.field(tagTask, name)
-	// Length prefix first: encode into place, then patch the length.
-	lenAt := len(e.buf)
-	e.buf = append(e.buf, 0, 0, 0, 0)
-	e.buf = t.AppendCanonical(e.buf)
-	binary.BigEndian.PutUint32(e.buf[lenAt:], uint32(len(e.buf)-lenAt-4))
 }
 
 // Fingerprint returns a copy of the encoding so far: the per-Map-call

@@ -8,10 +8,14 @@
 //   - directly, through atomic Counter/Gauge/Histogram handles obtained
 //     once and cached (safe under concurrent harnesses such as the
 //     experiments fan-out);
-//   - lazily, through RegisterCollector: single-threaded components (the
-//     tag-store caches, the TLBs) keep their cheap non-atomic Stats blocks
-//     and copy them into the registry only when Snapshot is taken, so the
-//     simulated hot path pays nothing.
+//   - in batches: single-threaded components (the SoC's caches, TLBs,
+//     L1.5s and cores) keep cheap non-atomic counters and store them into
+//     atomic handles from the goroutine that runs them when a run
+//     returns, so the simulated hot path pays nothing and a Snapshot on
+//     another goroutine reads only atomics.
+//
+// RegisterCollector is for sources any goroutine may read at snapshot
+// time (the Go runtime's statistics).
 //
 // The parallel experiment harness (internal/runner) publishes its
 // operator-facing progress through the same registry: per-sweep
@@ -281,10 +285,11 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 }
 
 // RegisterCollector adds a callback that Snapshot invokes (outside the
-// registry lock) before reading the instruments. Collectors bridge
-// components that keep cheap non-atomic counters: they copy those values in
-// with Counter.Store / Gauge.Set. A collector must not retain the registry
-// lock assumptions — it may freely create instruments.
+// registry lock) before reading the instruments; it copies values in with
+// Counter.Store / Gauge.Set and may freely create instruments. Snapshot
+// runs on whatever goroutine calls it, so a collector must read only
+// state that is safe to read from there: never a simulator's plain
+// counters.
 func (r *Registry) RegisterCollector(fn func(*Registry)) {
 	if fn == nil {
 		return

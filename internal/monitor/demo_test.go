@@ -87,3 +87,43 @@ func TestDemoAnalyzesOnlyItsOwnEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotWhileSoCRuns samples the demo's registry from another
+// goroutine, as the -trace telemetry sampler samples metrics.Default,
+// while the SoC runs on it. Under -race it fails if an instrument reads
+// the simulator's plain counters instead of values the SoC goroutine
+// stored; without -race it checks that the sampler saw the run start
+// and that the final snapshot holds the run's counts.
+func TestSnapshotWhileSoCRuns(t *testing.T) {
+	reg := metrics.NewRegistry()
+	started, stop, stopped := make(chan struct{}), make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			reg.Snapshot()
+			if n++; n == 1 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				stopped <- n
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	_, err := Demo(soc.DefaultConfig(), reg, nil)
+	close(stop)
+	samples := <-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"soc.l1.hits", "soc.instret", "soc.cluster0.l15.hits"} {
+		if snap.Counters[name] == 0 {
+			t.Errorf("%s = 0 after the run", name)
+		}
+	}
+	t.Logf("%d snapshots taken while the demo ran", samples)
+}

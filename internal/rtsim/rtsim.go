@@ -197,8 +197,9 @@ type job struct {
 	taskIdx  int
 	jobIdx   int // release index of the task (0, 1, ...)
 	task     *dag.Task
-	base     int    // the task's first entry in the plan's node tables
-	key      uint64 // ready-key bits above the node rank (trial.jobShift)
+	g        *dag.View // task's rows, taken at release
+	base     int       // the task's first entry in the plan's ways and nodeRank
+	key      uint64    // ready-key bits above the node rank (trial.jobShift)
 	release  float64
 	deadline float64
 
@@ -362,30 +363,16 @@ type release struct {
 }
 
 // plan is one planning family's per-task result: clones of the task set
-// carrying the family's node priorities and, indexed like the shared node
-// tables, ways, Alg. 1's way plan (Model.Ways, proposed system only), and
-// nodeRank, each node's place in its task by Priority desc, then ID.
+// carrying the family's node priorities (a clone shares its original's
+// rows, so every plan reads one dag.View per task) and, with node v of
+// task ti at entry base[ti]+v, ways, Alg. 1's way plan (Model.Ways,
+// proposed system only), and nodeRank, each node's place in its task by
+// Priority desc, then ID.
 type plan struct {
-	*tables
 	tasks    []*dag.Task
+	base     []int
 	ways     []int
 	nodeRank []uint64
-}
-
-// tables is the task set's structure laid out flat for the dispatch loop,
-// which every plan of a trial shares: planning sets priorities and ways
-// but changes no node, edge or WCET. Node v of task ti is entry
-// base[ti]+v. Entry i's in-edges are predEdge[predOff[i]:predOff[i+1]] in
-// Task.Pred order; its successors are succ[succOff[i]:succOff[i+1]] in
-// Task.Succ order.
-type tables struct {
-	base             []int
-	source           []dag.NodeID // task index -> source node
-	predOff, succOff []int
-	predEdge         []dag.Edge
-	succ             []dag.NodeID
-	wcet             []float64
-	data             []int64
 }
 
 // family indexes the planning a system needs. The proposed system plans
@@ -455,16 +442,15 @@ func simulate(tasks []*dag.Task, kinds []Kind, cfg Config, stop bool) ([]Metrics
 		return nil, err
 	}
 	var plans [2]*plan
-	var tab *tables
 	out := make([]Metrics, len(kinds))
 	for i, k := range kinds {
 		f := family(k)
 		if plans[f] == nil {
-			p, err := newPlan(tasks, k == KindProp, cfg, tab)
+			p, err := newPlan(tasks, k == KindProp, cfg)
 			if err != nil {
 				return nil, err
 			}
-			plans[f], tab = p, p.tables
+			plans[f] = p
 		}
 		out[i] = tr.runSystem(k, plans[f], stop)
 		if uses[f]--; uses[f] == 0 {
@@ -475,14 +461,12 @@ func simulate(tasks []*dag.Task, kinds []Kind, cfg Config, stop bool) ([]Metrics
 }
 
 // newPlan clones every task and schedules the clone (Alg. 1 when prop is
-// set: the way plan and priorities; longest-path-first otherwise). The
-// plan shares tab, the node tables of another plan of the same task set;
-// with tab nil it lays them out from its planned clones.
-func newPlan(tasks []*dag.Task, prop bool, cfg Config, tab *tables) (*plan, error) {
+// set: the way plan and priorities; longest-path-first otherwise).
+func newPlan(tasks []*dag.Task, prop bool, cfg Config) (*plan, error) {
 	n := len(tasks)
-	p := &plan{tables: tab, tasks: make([]*dag.Task, n)}
-	if tab == nil {
-		p.tables = newTables(tasks)
+	p := &plan{tasks: make([]*dag.Task, n), base: make([]int, n+1)}
+	for ti, t := range tasks {
+		p.base[ti+1] = p.base[ti] + len(t.Nodes)
 	}
 	nodes := p.base[n]
 	p.nodeRank = make([]uint64, nodes)
@@ -503,9 +487,6 @@ func newPlan(tasks []*dag.Task, prop bool, cfg Config, tab *tables) (*plan, erro
 			return nil, err
 		}
 		p.tasks[ti] = c
-		if tab == nil {
-			p.tables.add(ti, c)
-		}
 		b := p.base[ti]
 		order = order[:0]
 		for v := range c.Nodes {
@@ -525,37 +506,6 @@ func newPlan(tasks []*dag.Task, prop bool, cfg Config, tab *tables) (*plan, erro
 		}
 	}
 	return p, nil
-}
-
-// newTables sizes the node tables of tasks; add fills in each task.
-func newTables(tasks []*dag.Task) *tables {
-	n, m := len(tasks), 0
-	tab := &tables{base: make([]int, n+1), source: make([]dag.NodeID, n)}
-	for ti, t := range tasks {
-		tab.base[ti+1] = tab.base[ti] + len(t.Nodes)
-		m += len(t.Edges)
-	}
-	nodes := tab.base[n]
-	tab.predOff, tab.succOff = make([]int, nodes+1), make([]int, nodes+1)
-	tab.predEdge, tab.succ = make([]dag.Edge, 0, m), make([]dag.NodeID, 0, m)
-	tab.wcet, tab.data = make([]float64, nodes), make([]int64, nodes)
-	return tab
-}
-
-// add lays out task ti, a validated clone of the task set's task ti,
-// after tasks 0..ti-1.
-func (tab *tables) add(ti int, c *dag.Task) {
-	tab.source[ti] = c.Source()
-	b := tab.base[ti]
-	for v, node := range c.Nodes {
-		id, i := dag.NodeID(v), b+v
-		for _, e := range c.PredEdges(id) {
-			tab.predEdge = append(tab.predEdge, c.Edges[e])
-		}
-		tab.succ = append(tab.succ, c.Succ(id)...)
-		tab.predOff[i+1], tab.succOff[i+1] = len(tab.predEdge), len(tab.succ)
-		tab.wcet[i], tab.data[i] = node.WCET, node.Data
-	}
 }
 
 // newTrial derives the horizon, the rate-monotonic ranks, the cluster
@@ -695,7 +645,7 @@ func (tr *trial) newSim(kind Kind, p *plan) *sim {
 		s.idle.add(c)
 	}
 	s.relIdx = make([]int, len(p.tasks))
-	s.prevCore = make([]int, len(p.wcet))
+	s.prevCore = make([]int, len(p.nodeRank))
 	for i := range s.prevCore {
 		s.prevCore[i] = -1
 	}
@@ -751,7 +701,7 @@ func (s *sim) run(stop bool) {
 			j := s.newJob(rel.taskIdx, rel.at)
 			jobs = append(jobs, jobRef{j: j, jobIdx: j.jobIdx})
 			s.metrics.Jobs++
-			s.ready = append(s.ready, s.readyOf(j, s.source[rel.taskIdx]))
+			s.ready = append(s.ready, s.readyOf(j, j.g.Source()))
 		}
 		s.dispatch()
 	}
@@ -812,6 +762,7 @@ func (s *sim) newJob(taskIdx int, at float64) *job {
 	j.taskIdx = taskIdx
 	j.jobIdx = s.relIdx[taskIdx]
 	j.task = t
+	j.g = t.View()
 	j.base = b
 	j.key = uint64(s.rmRank[taskIdx])<<s.rankShift | uint64(j.jobIdx)<<s.jobShift
 	j.release = at
@@ -823,9 +774,9 @@ func (s *sim) newJob(taskIdx int, at float64) *job {
 		Task: int32(taskIdx), Job: int32(j.jobIdx), Node: -1, Core: -1,
 		Cluster: -1, Wave: -1, A: j.deadline})
 	for id := range n {
-		i := b + id
-		j.indeg[id] = s.predOff[i+1] - s.predOff[i]
-		j.succLeft[id] = s.succOff[i+1] - s.succOff[i]
+		v := dag.NodeID(id)
+		j.indeg[id] = j.g.InDegree(v)
+		j.succLeft[id] = len(j.g.Succ(v))
 		j.coreOf[id] = -1
 		j.cluster[id] = -1
 		j.granted[id] = 0
@@ -837,7 +788,7 @@ func (s *sim) newJob(taskIdx int, at float64) *job {
 
 // recycle returns a job record to its task's free list.
 func (s *sim) recycle(j *job) {
-	j.task = nil
+	j.task, j.g = nil, nil
 	s.free[j.taskIdx] = append(s.free[j.taskIdx], j)
 }
 
@@ -1135,7 +1086,8 @@ func (s *sim) place(rn readyNode, idle *coreSet, lo, hi int) {
 				Wave: -1, A: float64(grant), B: finish, C: misconf})
 		}
 
-		for _, e := range s.predEdge[s.predOff[i]:s.predOff[i+1]] {
+		for _, ei := range j.g.PredEdges(v) {
+			e := j.task.Edges[ei]
 			p := e.From
 			n := j.granted[p]
 			if j.cluster[p] != cl {
@@ -1144,19 +1096,20 @@ func (s *sim) place(rn readyNode, idle *coreSet, lo, hi int) {
 				// the (uncontended) L2.
 				n = 0
 			}
-			cost := etm.Cost(e.Cost, e.Alpha, s.data[j.base+int(p)], s.cfg.WayBytes, n)
+			cost := etm.Cost(e.Cost, e.Alpha, j.task.Nodes[p].Data, s.cfg.WayBytes, n)
 			fetch += cost
 			s.rec.Emit(flight.Event{Kind: flight.KindEdge, Time: s.now,
 				Task: int32(j.taskIdx), Job: int32(j.jobIdx),
 				Node: int32(v), Core: int32(c), Cluster: int32(cl),
 				Wave: -1, A: float64(p), B: e.Cost, C: cost})
 		}
-		exec = s.wcet[i]
+		exec = j.task.Nodes[v].WCET
 	default:
 		warm := s.prevCore[i] == c
 		kExec, kComm := s.plat.Interference()
 		fc := 1 + kComm*busyFrac
-		for _, e := range s.predEdge[s.predOff[i]:s.predOff[i+1]] {
+		for _, ei := range j.g.PredEdges(v) {
+			e := j.task.Edges[ei]
 			p := e.From
 			cost := s.plat.CommCost(e, j.task.Nodes[p], j.coreOf[p] == c) * fc
 			fetch += cost
@@ -1194,12 +1147,10 @@ func (s *sim) place(rn readyNode, idle *coreSet, lo, hi int) {
 // proposed system prefers an idle core in the cluster already holding the
 // heaviest predecessor's ways. Ties go to the lowest core.
 func (s *sim) chooseCore(j *job, v dag.NodeID, idle *coreSet, lo, hi int) int {
-	i := j.base + int(v)
 	if s.kind == KindProp {
 		bestCl, bestData := -1, int64(-1)
-		for _, e := range s.predEdge[s.predOff[i]:s.predOff[i+1]] {
-			p := e.From
-			if d := s.data[j.base+int(p)]; j.granted[p] > 0 && d > bestData {
+		for _, p := range j.g.Pred(v) {
+			if d := j.task.Nodes[p].Data; j.granted[p] > 0 && d > bestData {
 				bestData, bestCl = d, j.cluster[p]
 			}
 		}
@@ -1222,7 +1173,7 @@ func (s *sim) chooseCore(j *job, v dag.NodeID, idle *coreSet, lo, hi int) int {
 		return best
 	}
 	if s.plat.Affinity() {
-		if pc := s.prevCore[i]; pc >= lo && pc < hi && idle.has(pc) {
+		if pc := s.prevCore[j.base+int(v)]; pc >= lo && pc < hi && idle.has(pc) {
 			return pc
 		}
 	}
@@ -1232,7 +1183,6 @@ func (s *sim) chooseCore(j *job, v dag.NodeID, idle *coreSet, lo, hi int) int {
 // complete finishes a node: releases ways whose consumers are all done,
 // marks new ready nodes, and checks the job deadline at the sink.
 func (s *sim) complete(j *job, v dag.NodeID) {
-	i := j.base + int(v)
 	j.done[v] = true
 	j.left--
 	s.rec.Emit(flight.Event{Kind: flight.KindFinish, Time: s.now,
@@ -1247,8 +1197,7 @@ func (s *sim) complete(j *job, v dag.NodeID) {
 		if j.succLeft[v] == 0 {
 			s.releaseWays(j, v)
 		}
-		for _, e := range s.predEdge[s.predOff[i]:s.predOff[i+1]] {
-			p := e.From
+		for _, p := range j.g.Pred(v) {
 			j.succLeft[p]--
 			if j.succLeft[p] == 0 && j.done[p] {
 				s.releaseWays(j, p)
@@ -1256,7 +1205,7 @@ func (s *sim) complete(j *job, v dag.NodeID) {
 		}
 	}
 
-	for _, nxt := range s.succ[s.succOff[i]:s.succOff[i+1]] {
+	for _, nxt := range j.g.Succ(v) {
 		j.indeg[nxt]--
 		if j.indeg[nxt] == 0 {
 			s.ready = append(s.ready, s.readyOf(j, nxt))

@@ -116,7 +116,7 @@ func TestRecycledJobIsFresh(t *testing.T) {
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPlan(tasks, true, cfg, nil)
+	p, err := newPlan(tasks, true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,10 +144,11 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 	rec.Emit(flight.Event{Kind: flight.KindSchedStart, Task: task,
 		Job: -1, Node: -1, Core: -1, Cluster: -1, Wave: -1,
 		A: float64(zeta), B: float64(wayBytes), C: allocFlag})
+	g := t.View()
 	n := len(t.Nodes)
 	remaining := make([]int, n) // unexamined predecessors per node
-	for id := range t.Nodes {
-		remaining[id] = len(t.Pred(dag.NodeID(id)))
+	for id := range remaining {
+		remaining[id] = g.InDegree(dag.NodeID(id))
 	}
 	var omega []WayGroup // Ω
 	used := 0            // ΣΩ, maintained incrementally
@@ -167,8 +168,8 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 	lambda := make([]float64, n)
 	enter := func(v dag.NodeID) {
 		best := 0.0
-		pe := t.PredEdges(v)
-		for k, p := range t.Pred(v) {
+		pe := g.PredEdges(v)
+		for k, p := range g.Pred(v) {
 			if l := head[p] + weight[pe[k]]; l > best {
 				best = l
 			}
@@ -184,8 +185,8 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 	// order holds the waves back to back; every wave is a capped window
 	// of it, so the whole traversal allocates it once.
 	order := make([]dag.NodeID, 0, n)
-	order = append(order, t.Source()) // Q = {v_src}
-	enter(t.Source())
+	order = append(order, g.Source()) // Q = {v_src}
+	enter(g.Source())
 	waveIdx := int32(0)
 	for lo := 0; lo < len(order); waveIdx++ {
 		hi := len(order)
@@ -197,7 +198,7 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 			for _, w := range omega {
 				if !w.Global {
 					w.Global = true
-					if sucs := t.Succ(w.Owner); len(sucs) > 0 {
+					if sucs := g.Succ(w.Owner); len(sucs) > 0 {
 						w.Owner = sucs[0]
 					}
 					rec.Emit(flight.Event{Kind: flight.KindGVConvert,
@@ -228,13 +229,13 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 			// Local ways hold dependent data for suc(v_j); a node
 			// with no successors needs none (Fig. 6: the sink only
 			// reads global ways).
-			if allocate && len(t.Succ(vj)) > 0 && used < zeta {
+			if allocate && len(g.Succ(vj)) > 0 && used < zeta {
 				size := fWays(t.Node(vj), res.Model, used, zeta)
 				if size > 0 {
 					omega = append(omega, WayGroup{Size: size, Owner: vj})
 					used += size
 					res.Model.Ways[vj] = size
-					for _, e := range t.SuccEdges(vj) {
+					for _, e := range g.SuccEdges(vj) {
 						weight[e] = res.Model.EdgeCost(t.Edges[e])
 					}
 					weightsChanged = true
@@ -250,7 +251,7 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 			pri--
 			// Line 21: Q gains every node whose predecessors are now
 			// all examined.
-			for _, s := range t.Succ(vj) {
+			for _, s := range g.Succ(vj) {
 				remaining[s]--
 				if remaining[s] == 0 {
 					order = append(order, s)

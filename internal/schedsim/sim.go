@@ -112,10 +112,6 @@ func run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, int,
 	defer scratches.Put(sc)
 	tab := &sc.costs
 	tab.fill(alloc.Task, plat)
-	sc.inDegree = growInts(sc.inDegree, len(alloc.Task.Nodes))
-	for id := range sc.inDegree {
-		sc.inDegree[id] = len(alloc.Task.Pred(dag.NodeID(id)))
-	}
 
 	stats := make([]InstanceStats, 0, opt.Instances)
 	// The run's instances and dispatches are tallied here and added to
@@ -384,12 +380,9 @@ type scratch struct {
 	flip    int
 	startAt []float64
 	indeg   []int
-	// inDegree is each node's in-degree, filled once per run: every
-	// instance starts its indeg countdown from a copy.
-	inDegree []int
-	freeAt   []float64
-	ready    []dag.NodeID
-	events   []completion
+	freeAt  []float64
+	ready   []dag.NodeID
+	events  []completion
 }
 
 func growInts(s []int, n int) []int {
@@ -459,12 +452,14 @@ func popCompletion(h *[]completion) completion {
 // runInstanceEvents is the events-kernel twin of runInstance: the same
 // work-conserving dispatch over the same strict event order, with the
 // container/heap boxing and per-iteration idle-core slices replaced by a
-// hand-rolled heap and scratch reuse; sc also carries the run's cost
-// tables. It must emit byte-identical flight events — the
-// kernel-equivalence tests diff the two.
+// hand-rolled heap and scratch reuse, and the rows read through the
+// task's view; sc also carries the run's cost tables. It must emit
+// byte-identical flight events — the kernel-equivalence tests diff the
+// two.
 func runInstanceEvents(alloc *sched.Result, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, sc *scratch, dispatches *uint64) (InstanceStats, []int) {
 	t := alloc.Task
-	n := len(t.Nodes)
+	g, nodes := t.View(), t.Nodes
+	n := len(nodes)
 	tab := &sc.costs
 
 	rec.Emit(flight.Event{Kind: flight.KindRelease, Task: task, Job: job,
@@ -480,14 +475,16 @@ func runInstanceEvents(alloc *sched.Result, m int, cold bool, prevCore []int, re
 	sc.startAt = startAt
 	indeg := growInts(sc.indeg, n)
 	sc.indeg = indeg
-	copy(indeg, sc.inDegree)
+	for v := range indeg {
+		indeg[v] = g.InDegree(dag.NodeID(v))
+	}
 	freeAt := growFloats(sc.freeAt, m)
 	sc.freeAt = freeAt
 	for i := range freeAt {
 		freeAt[i] = 0
 	}
 	ready := sc.ready[:0]
-	ready = append(ready, t.Source())
+	ready = append(ready, g.Source())
 	events := sc.events[:0]
 
 	var stats InstanceStats
@@ -512,9 +509,9 @@ func runInstanceEvents(alloc *sched.Result, m int, cold bool, prevCore []int, re
 			if c < 0 {
 				break
 			}
-			best, bp := 0, t.Node(ready[0]).Priority
+			best, bp := 0, nodes[ready[0]].Priority
 			for i := 1; i < len(ready); i++ {
-				if pi := t.Node(ready[i]).Priority; pi > bp || (pi == bp && ready[i] < ready[best]) {
+				if pi := nodes[ready[i]].Priority; pi > bp || (pi == bp && ready[i] < ready[best]) {
 					best, bp = i, pi
 				}
 			}
@@ -535,8 +532,8 @@ func runInstanceEvents(alloc *sched.Result, m int, cold bool, prevCore []int, re
 
 			var fetch float64
 			fc := 1 + tab.kComm*busyFrac
-			pe := t.PredEdges(v)
-			for k, p := range t.Pred(v) {
+			pe := g.PredEdges(v)
+			for k, p := range g.Pred(v) {
 				cost := tab.comm(pe[k], coreOf[p] == c, fc)
 				fetch += cost
 				if rec != nil {
@@ -581,7 +578,7 @@ func runInstanceEvents(alloc *sched.Result, m int, cold bool, prevCore []int, re
 				Core: int32(coreOf[ev.node]), Cluster: -1, Wave: -1,
 				A: ev.at - startAt[ev.node]})
 		}
-		for _, s := range t.Succ(ev.node) {
+		for _, s := range g.Succ(ev.node) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)

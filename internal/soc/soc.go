@@ -135,6 +135,10 @@ type SoC struct {
 	stepCore  int
 	quiet     bool
 	until     uint64
+
+	// publish stores the plain counters into the instruments of the
+	// registries Instrument attached (publishMetrics).
+	publish []func()
 }
 
 // New builds the SoC.
@@ -197,48 +201,64 @@ func New(cfg Config) (*SoC, error) {
 // gets per-core L1 I$/D$ and TLB counters, per-cluster L1.5 counters with
 // SDU latency histograms (see l15.Instrument), the shared L2, and
 // aggregate rollups (soc.l1.*, soc.tlb.*, per-cluster soc.clusterN.l15.*,
-// soc.instret, soc.cycles); the counters are collected lazily, so the
-// simulation hot path is unaffected until a snapshot is taken. rec, the
-// SoC's one event sink, gets every L1.5's way reassignments and gv_set
-// calls as typed, tick-stamped events carrying the cluster index (see
-// l15.FlightRecord). Either argument may be nil; a nil rec detaches the
-// recorder an earlier call attached.
+// soc.instret, soc.cycles). The simulator keeps plain counters on its hot
+// path and stores them into reg's atomic instruments only on the
+// goroutine that runs it: here, and whenever Run or SettleSDU returns, so
+// a snapshot taken on another goroutine (a telemetry sampler, an
+// interrupt handler) reads the values as of the last return and never
+// the live counters. rec, the SoC's one event sink, gets every L1.5's way
+// reassignments and gv_set calls as typed, tick-stamped events carrying
+// the cluster index (see l15.FlightRecord). Either argument may be nil; a
+// nil rec detaches the recorder an earlier call attached.
 func (s *SoC) Instrument(reg *metrics.Registry, rec *flight.Recorder) {
 	for _, cl := range s.Clusters {
-		cl.L15.Instrument(reg, fmt.Sprintf("soc.cluster%d.l15", cl.ID))
 		cl.L15.FlightRecord(rec, cl.ID)
 	}
 	if reg == nil {
 		return
 	}
-	for i, p := range s.ports {
-		p.l1i.PublishMetrics(reg, fmt.Sprintf("soc.core%02d.l1i", i))
-		p.l1d.PublishMetrics(reg, fmt.Sprintf("soc.core%02d.l1d", i))
-		p.tlb.PublishMetrics(reg, fmt.Sprintf("soc.core%02d.tlb", i))
+	for _, cl := range s.Clusters {
+		s.publish = append(s.publish, cl.L15.Instrument(reg, fmt.Sprintf("soc.cluster%d.l15", cl.ID)))
 	}
-	s.L2.PublishMetrics(reg, "soc.l2")
-	reg.RegisterCollector(func(r *metrics.Registry) {
-		var l1Hits, l1Misses, tlbHits, tlbMisses uint64
+	for i, p := range s.ports {
+		s.publish = append(s.publish,
+			p.l1i.PublishMetrics(reg, fmt.Sprintf("soc.core%02d.l1i", i)),
+			p.l1d.PublishMetrics(reg, fmt.Sprintf("soc.core%02d.l1d", i)),
+			p.tlb.PublishMetrics(reg, fmt.Sprintf("soc.core%02d.tlb", i)))
+	}
+	s.publish = append(s.publish, s.L2.PublishMetrics(reg, "soc.l2"))
+	l1Hits, l1Misses := reg.Counter("soc.l1.hits"), reg.Counter("soc.l1.misses")
+	tlbHits, tlbMisses := reg.Counter("soc.tlb.hits"), reg.Counter("soc.tlb.misses")
+	instret, cycles := reg.Counter("soc.instret"), reg.Counter("soc.cycles")
+	s.publish = append(s.publish, func() {
+		var l1h, l1m, th, tm uint64
 		for _, p := range s.ports {
-			l1Hits += p.l1i.Stats.Hits + p.l1d.Stats.Hits
-			l1Misses += p.l1i.Stats.Misses + p.l1d.Stats.Misses
-			tlbHits += p.tlb.Hits
-			tlbMisses += p.tlb.Misses
+			l1h += p.l1i.Stats.Hits + p.l1d.Stats.Hits
+			l1m += p.l1i.Stats.Misses + p.l1d.Stats.Misses
+			th += p.tlb.Hits
+			tm += p.tlb.Misses
 		}
-		r.Counter("soc.l1.hits").Store(l1Hits)
-		r.Counter("soc.l1.misses").Store(l1Misses)
-		r.Counter("soc.tlb.hits").Store(tlbHits)
-		r.Counter("soc.tlb.misses").Store(tlbMisses)
-		var instret, cycles uint64
+		l1Hits.Store(l1h)
+		l1Misses.Store(l1m)
+		tlbHits.Store(th)
+		tlbMisses.Store(tm)
+		var ir, cy uint64
 		for _, c := range s.Cores {
-			instret += c.Stats.Instret
-			if c.Cycles > cycles {
-				cycles = c.Cycles
-			}
+			ir += c.Stats.Instret
+			cy = max(cy, c.Cycles)
 		}
-		r.Counter("soc.instret").Store(instret)
-		r.Counter("soc.cycles").Store(cycles)
+		instret.Store(ir)
+		cycles.Store(cy)
 	})
+	s.publishMetrics()
+}
+
+// publishMetrics stores the simulator's counters into every registry
+// Instrument attached.
+func (s *SoC) publishMetrics() {
+	for _, fn := range s.publish {
+		fn()
+	}
 }
 
 // ClusterOf returns the cluster containing the core.
@@ -291,6 +311,7 @@ func (s *SoC) IdentityPageTable(tid uint16) *tlb.PageTable {
 // registers, clock or Halted flag directly, nor write memory except
 // through a core's stores.
 func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu.Trap, error) {
+	defer s.publishMetrics()
 	replay := s.Cfg.Kernel == kernel.Events && s.Cfg.IssueWidth <= 1
 	clear(s.retired)
 	for i := range s.loops {
@@ -419,6 +440,7 @@ func (s *SoC) SettleSDU(n int) {
 			cl.L15.AdvanceTo(cl.L15.Ticks() + uint64(n))
 		}
 	}
+	s.publishMetrics()
 }
 
 // LoadProgram assembles the source and loads it at base, returning the

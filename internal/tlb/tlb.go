@@ -135,17 +135,19 @@ func (t *TLB) TID() uint16 {
 	return t.pt.TID
 }
 
-// PublishMetrics registers the TLB's hit/miss counters with the registry
-// under the given prefix; the Hits/Misses fields stay the live store and
-// are copied in at snapshot time.
-func (t *TLB) PublishMetrics(r *metrics.Registry, prefix string) {
+// PublishMetrics creates the TLB's hit/miss counters in the registry
+// under the given prefix and returns the function that stores the live
+// Hits/Misses fields into them, to be called on the goroutine that runs
+// the TLB (see cache.PublishMetrics). A nil registry returns nil.
+func (t *TLB) PublishMetrics(r *metrics.Registry, prefix string) func() {
 	if r == nil {
-		return
+		return nil
 	}
-	r.RegisterCollector(func(r *metrics.Registry) {
-		r.Counter(prefix + ".hits").Store(t.Hits)
-		r.Counter(prefix + ".misses").Store(t.Misses)
-	})
+	hits, misses := r.Counter(prefix+".hits"), r.Counter(prefix+".misses")
+	return func() {
+		hits.Store(t.Hits)
+		misses.Store(t.Misses)
+	}
 }
 
 // Peek returns the translation Translate would serve from the TLB for va,
