@@ -37,6 +37,9 @@ func main() {
 	partitioned := flag.Bool("partitioned", false, "partition tasks to clusters instead of global scheduling")
 	flightOut := flag.String("flight", "", "record one representative trial to this JSONL flight file")
 	cli.Main("casestudy", func(ctx context.Context, sw *cli.Sweep) error {
+		if !(*step > 0) {
+			return fmt.Errorf("-step %g: want a positive utilisation step", *step)
+		}
 		cfg := experiments.DefaultCaseStudyConfig(*cores)
 		cfg.Trials = *trials
 		cfg.Seed = sw.Seed

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -9,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFlightAcrossWorkers runs casestudy -cores 8 -trials 4 -flight at
@@ -51,5 +54,27 @@ func TestFlightAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(tables[0], tables[1]) {
 		t.Errorf("stdout differs between -workers 1 and 2:\n%s\nvs\n%s", tables[0], tables[1])
+	}
+}
+
+// TestRejectsNonPositiveStep checks that a -step the utilisation loop
+// could never finish with (zero, negative, NaN) fails before any sweep
+// starts: exit 1, an error naming the flag, and nothing on stdout.
+func TestRejectsNonPositiveStep(t *testing.T) {
+	for _, step := range []string{"0", "-0.05", "NaN"} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestFlightAcrossWorkers$")
+		cmd.Env = append(os.Environ(), "CASESTUDY_TEST_ARGS=-step\n"+step)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("-step %s: err = %v, want exit status 1\n%s", step, err, stderr.Bytes())
+		}
+		if !strings.Contains(stderr.String(), "-step") || len(out) != 0 {
+			t.Errorf("-step %s: stderr %q, stdout %q", step, stderr.String(), out)
+		}
 	}
 }

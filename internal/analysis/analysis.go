@@ -90,24 +90,6 @@ func Schedulable(t *dag.Task, m int, w dag.EdgeWeight) (bool, Bound, error) {
 	return b.Makespan <= t.Deadline, b, nil
 }
 
-// Speedup returns the analytical makespan-bound improvement of the
-// proposed system (edge costs wProp) over a conventional one (wBase) on m
-// cores, as a fraction of the conventional bound.
-func Speedup(t *dag.Task, m int, wBase, wProp dag.EdgeWeight) (float64, error) {
-	base, err := Makespan(t, m, wBase)
-	if err != nil {
-		return 0, err
-	}
-	prop, err := Makespan(t, m, wProp)
-	if err != nil {
-		return 0, err
-	}
-	if base.Makespan == 0 {
-		return 0, nil
-	}
-	return (base.Makespan - prop.Makespan) / base.Makespan, nil
-}
-
 // CondMakespan bounds a conditional DAG task's makespan: the maximum
 // Graham bound over every run-time scenario (exactly one arm per
 // conditional executes). The enumeration is exact; callers with very many

@@ -94,15 +94,6 @@ func (b Bitmap) Lowest() int {
 	return bits.TrailingZeros64(uint64(b))
 }
 
-// TakeLowest removes and returns the lowest way index, or -1 if empty.
-func (b *Bitmap) TakeLowest() int {
-	w := b.Lowest()
-	if w >= 0 {
-		*b = b.Clear(w)
-	}
-	return w
-}
-
 // Ways returns the way indices in the set in ascending order.
 func (b Bitmap) Ways() []int {
 	ws := make([]int, 0, b.Count())
@@ -112,20 +103,6 @@ func (b Bitmap) Ways() []int {
 		v &^= 1 << uint(w)
 	}
 	return ws
-}
-
-// TakeN removes up to n ways (lowest-first) from b and returns them as a new
-// Bitmap. It is how the Walloc FSM carves free slots out of the N/U pool.
-func (b *Bitmap) TakeN(n int) Bitmap {
-	var out Bitmap
-	for i := 0; i < n; i++ {
-		w := b.TakeLowest()
-		if w < 0 {
-			break
-		}
-		out = out.Set(w)
-	}
-	return out
 }
 
 // String formats the bitmap as the hex literal the ISA carries plus the way

@@ -103,28 +103,9 @@ func TestLowestAndTake(t *testing.T) {
 	if b.Lowest() != 5 {
 		t.Errorf("Lowest = %d, want 5", b.Lowest())
 	}
-	if w := b.TakeLowest(); w != 5 || b.Has(5) {
-		t.Errorf("TakeLowest = %d, rest %v", w, b)
-	}
 	var empty Bitmap
-	if empty.Lowest() != -1 || empty.TakeLowest() != -1 {
+	if empty.Lowest() != -1 {
 		t.Error("empty bitmap should report -1")
-	}
-}
-
-func TestTakeN(t *testing.T) {
-	pool := FirstN(16)
-	got := pool.TakeN(4)
-	if got != FirstN(4) {
-		t.Errorf("TakeN(4) = %v, want ways 0-3", got)
-	}
-	if pool.Count() != 12 {
-		t.Errorf("pool left %d ways, want 12", pool.Count())
-	}
-	// Taking more than available drains the pool without panicking.
-	small := FromWays(7)
-	if got := small.TakeN(3); got != FromWays(7) || !small.IsEmpty() {
-		t.Errorf("TakeN over-draw: got %v, pool %v", got, small)
 	}
 }
 
@@ -178,27 +159,6 @@ func TestQuickMaskPartition(t *testing.T) {
 		}
 		shared := o.Intersect(g)
 		return shared.Intersect(write) == 0 && shared.Union(write) == o
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: TakeN removes exactly min(n, Count) ways and they come from the
-// original set.
-func TestQuickTakeN(t *testing.T) {
-	f := func(v uint64, n uint8) bool {
-		pool := Bitmap(v)
-		orig := pool
-		k := int(n % 70)
-		taken := pool.TakeN(k)
-		wantTaken := k
-		if orig.Count() < k {
-			wantTaken = orig.Count()
-		}
-		return taken.Count() == wantTaken &&
-			taken.Union(pool) == orig &&
-			taken.Intersect(pool) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

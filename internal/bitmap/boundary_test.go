@@ -49,12 +49,6 @@ func TestEmptyMask(t *testing.T) {
 	if b.Lowest() != -1 {
 		t.Fatalf("Lowest on empty = %d, want -1", b.Lowest())
 	}
-	if w := (&b).TakeLowest(); w != -1 {
-		t.Fatalf("TakeLowest on empty = %d, want -1", w)
-	}
-	if got := (&b).TakeN(3); !got.IsEmpty() {
-		t.Fatalf("TakeN(3) on empty = %s, want empty", got)
-	}
 	if len(b.Ways()) != 0 {
 		t.Fatalf("Ways on empty = %v", b.Ways())
 	}
@@ -92,19 +86,5 @@ func TestFullMask(t *testing.T) {
 	// Mask-logic identities at full width: OW|GV, OW&~GV.
 	if full.Union(0) != full || full.Diff(full) != 0 || full.Intersect(full) != full {
 		t.Fatal("mask-logic identities broken on all-ones")
-	}
-}
-
-func TestTakeNDrainsFullMask(t *testing.T) {
-	b := FirstN(MaxWays)
-	got := (&b).TakeN(MaxWays)
-	if got.Count() != MaxWays || !b.IsEmpty() {
-		t.Fatalf("TakeN(MaxWays) took %d ways, left %s", got.Count(), b)
-	}
-	// Asking for more than remains takes what is there and stops.
-	c := FromWays(3, 7)
-	got = (&c).TakeN(MaxWays)
-	if got.Count() != 2 || !c.IsEmpty() {
-		t.Fatalf("TakeN over-asked: took %s, left %s", got, c)
 	}
 }

@@ -267,25 +267,6 @@ func (c *Cache) FlushWay(w int) (valid, dirty int) {
 	return valid, dirty
 }
 
-// InvalidateWay drops every line in the given way (used when the L1.5
-// Walloc reassigns a way to another core). It returns the number of valid
-// lines dropped.
-func (c *Cache) InvalidateWay(w int) int {
-	if w < 0 || w >= c.ways {
-		return 0
-	}
-	n := 0
-	for s := 0; s < c.sets; s++ {
-		i := s*c.ways + w
-		if c.valid[i] {
-			c.valid[i] = false
-			c.dirty[i] = false
-			n++
-		}
-	}
-	return n
-}
-
 // PublishMetrics creates the cache's counters in the registry under the
 // given prefix (e.g. "soc.l2" -> "soc.l2.hits") and returns the function
 // that stores the Stats block into them. The Stats block stays the live
@@ -304,16 +285,5 @@ func (c *Cache) PublishMetrics(r *metrics.Registry, prefix string) func() {
 		misses.Store(c.Stats.Misses)
 		evictions.Store(c.Stats.Evictions)
 		writebacks.Store(c.Stats.Writebacks)
-	}
-}
-
-// InvalidateAll clears the whole cache.
-func (c *Cache) InvalidateAll() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-	}
-	for s := range c.plru {
-		c.plru[s] = 0
 	}
 }

@@ -146,30 +146,23 @@ func TestMaskedAccess(t *testing.T) {
 	}
 }
 
+// TestInvalidateWay checks FlushWay, the L1.5's way revocation: it drops
+// every line of one way, counts the dirty ones, and ignores a way index
+// out of range.
 func TestInvalidateWay(t *testing.T) {
 	c := mustNew(t, 16*64, 4, 64, 1)
 	all := c.AllWays()
 	for s := 0; s < 4; s++ {
-		c.Access(s, 7, false, bitmap.FromWays(2))
+		c.Access(s, 7, s%2 == 0, bitmap.FromWays(2))
 	}
-	if n := c.InvalidateWay(2); n != 4 {
-		t.Errorf("invalidated %d lines, want 4", n)
+	if valid, dirty := c.FlushWay(2); valid != 4 || dirty != 2 {
+		t.Errorf("flushed %d lines (%d dirty), want 4 (2 dirty)", valid, dirty)
 	}
 	if w := c.Probe(0, 7, all); w != -1 {
 		t.Error("line survived way invalidation")
 	}
-	if n := c.InvalidateWay(99); n != 0 {
-		t.Errorf("out-of-range way invalidated %d lines", n)
-	}
-}
-
-func TestInvalidateAll(t *testing.T) {
-	c := mustNew(t, 16*64, 4, 64, 1)
-	all := c.AllWays()
-	c.Access(0, 1, true, all)
-	c.InvalidateAll()
-	if res := c.Access(0, 1, false, all); res.Hit {
-		t.Error("line survived full invalidation")
+	if valid, dirty := c.FlushWay(99); valid != 0 || dirty != 0 {
+		t.Errorf("out-of-range way flushed %d lines (%d dirty)", valid, dirty)
 	}
 }
 

@@ -3,6 +3,7 @@ package dag
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // jsonTask is the stable on-disk schema for a DAG task. Node IDs are
@@ -46,12 +47,20 @@ func (t *Task) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jt)
 }
 
-// UnmarshalJSON decodes and validates a task (structure only — Validate
-// runs so a malformed file fails loudly at load time).
+// UnmarshalJSON decodes and validates a task, so a malformed file fails
+// loudly at load time: beyond Validate's structure checks, the period must
+// be positive, the deadline non-negative (0 means none), and the volume and
+// critical path finite.
 func (t *Task) UnmarshalJSON(data []byte) error {
 	var jt jsonTask
 	if err := json.Unmarshal(data, &jt); err != nil {
 		return err
+	}
+	if !(jt.Period > 0) {
+		return fmt.Errorf("dag %q: period %g is not positive", jt.Name, jt.Period)
+	}
+	if jt.Deadline < 0 {
+		return fmt.Errorf("dag %q: deadline %g is negative", jt.Name, jt.Deadline)
 	}
 	nt := New(jt.Name, jt.Period, jt.Deadline)
 	for _, n := range jt.Nodes {
@@ -67,6 +76,9 @@ func (t *Task) UnmarshalJSON(data []byte) error {
 	}
 	if err := nt.Validate(); err != nil {
 		return err
+	}
+	if w, cp := nt.Volume(), nt.CriticalPathLength(RawCost); math.IsInf(w, 0) || math.IsInf(cp, 0) {
+		return fmt.Errorf("dag %q: volume %g or critical path %g is not finite", jt.Name, w, cp)
 	}
 	*t = *nt
 	return nil

@@ -1,7 +1,9 @@
 package dag
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -43,20 +45,23 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// handWrittenJSON is a task as a user would type it: implicit node IDs,
+// an omitted data field.
+const handWrittenJSON = `{
+	"name": "pipeline",
+	"period": 100,
+	"deadline": 100,
+	"nodes": [
+		{"name": "a", "wcet": 5, "data": 4096},
+		{"name": "b", "wcet": 3}
+	],
+	"edges": [
+		{"from": 0, "to": 1, "cost": 2, "alpha": 0.5}
+	]
+}`
+
 func TestLoadJSONHandWritten(t *testing.T) {
-	src := `{
-		"name": "pipeline",
-		"period": 100,
-		"deadline": 100,
-		"nodes": [
-			{"name": "a", "wcet": 5, "data": 4096},
-			{"name": "b", "wcet": 3}
-		],
-		"edges": [
-			{"from": 0, "to": 1, "cost": 2, "alpha": 0.5}
-		]
-	}`
-	task, err := LoadJSON([]byte(src))
+	task, err := LoadJSON([]byte(handWrittenJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,19 +70,69 @@ func TestLoadJSONHandWritten(t *testing.T) {
 	}
 }
 
+// badJSON holds one file per way LoadJSON must refuse its input.
+var badJSON = []string{
+	`{`, // syntax
+	`{"name":"x","period":10,"deadline":10,"nodes":[],"edges":[]}`,                                            // no nodes
+	`{"name":"x","period":10,"deadline":10,"nodes":[{"name":"a","wcet":1}],"edges":[{"from":0,"to":5}]}`,      // bad edge
+	`{"name":"x","period":10,"deadline":20,"nodes":[{"name":"a","wcet":1}],"edges":[]}`,                       // D > T
+	`{"name":"x","period":10,"deadline":10,"nodes":[{"name":"a","wcet":1},{"name":"b","wcet":1}],"edges":[]}`, // two sources
+	`{"name":"x","period":0,"deadline":0,"nodes":[{"name":"a","wcet":1}],"edges":[]}`,                         // T <= 0
+	`{"name":"x","period":10,"deadline":-1,"nodes":[{"name":"a","wcet":1}],"edges":[]}`,                       // D < 0
+	`{"name":"x","period":10,"deadline":10,"nodes":[{"name":"a","wcet":1e308},{"name":"b","wcet":1e308}],` +
+		`"edges":[{"from":0,"to":1,"cost":1,"alpha":0}]}`, // infinite volume
+	`{"name":"x","period":10,"deadline":10,"nodes":[{"name":"a","wcet":1},{"name":"b","wcet":1},{"name":"c","wcet":1}],` +
+		`"edges":[{"from":0,"to":1,"cost":1e308,"alpha":0},{"from":1,"to":2,"cost":1e308,"alpha":0}]}`, // infinite critical path
+}
+
 func TestLoadJSONErrors(t *testing.T) {
-	bad := []string{
-		`{`, // syntax
-		`{"name":"x","period":10,"deadline":10,"nodes":[],"edges":[]}`,                                            // no nodes
-		`{"name":"x","period":10,"deadline":10,"nodes":[{"name":"a","wcet":1}],"edges":[{"from":0,"to":5}]}`,      // bad edge
-		`{"name":"x","period":10,"deadline":20,"nodes":[{"name":"a","wcet":1}],"edges":[]}`,                       // D > T
-		`{"name":"x","period":10,"deadline":10,"nodes":[{"name":"a","wcet":1},{"name":"b","wcet":1}],"edges":[]}`, // two sources
-	}
-	for i, src := range bad {
+	for i, src := range badJSON {
 		if _, err := LoadJSON([]byte(src)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+}
+
+// FuzzLoadJSON feeds LoadJSON arbitrary bytes: it must never panic, and a
+// task it accepts must be valid, have a finite volume, and survive a
+// marshal/load round trip byte for byte.
+func FuzzLoadJSON(f *testing.F) {
+	fig1, err := Fig1Example().MarshalJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fig1)
+	f.Add([]byte(handWrittenJSON))
+	for _, src := range badJSON {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		task, err := LoadJSON(data)
+		if err != nil {
+			return
+		}
+		if err := task.Validate(); err != nil {
+			t.Fatalf("accepted task fails Validate: %v", err)
+		}
+		if w := task.Volume(); math.IsInf(w, 0) || math.IsNaN(w) {
+			t.Fatalf("accepted task has volume %g", w)
+		}
+		once, err := task.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadJSON(once)
+		if err != nil {
+			t.Fatalf("re-load of %s: %v", once, err)
+		}
+		twice, err := again.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("round trip changed the bytes:\n%s\n%s", once, twice)
+		}
+	})
 }
 
 func TestJSONSchemaFieldNames(t *testing.T) {

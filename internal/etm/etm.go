@@ -74,13 +74,3 @@ func (m *Model) EdgeCost(e dag.Edge) float64 {
 
 // Weight returns m.EdgeCost as a dag.EdgeWeight.
 func (m *Model) Weight() dag.EdgeWeight { return m.EdgeCost }
-
-// TotalCommunication returns the sum of edge costs under the current
-// allocation; with an empty allocation it equals Σμ.
-func (m *Model) TotalCommunication() float64 {
-	var s float64
-	for _, e := range m.Task.Edges {
-		s += m.EdgeCost(e)
-	}
-	return s
-}

@@ -151,11 +151,6 @@ func TestCSVExports(t *testing.T) {
 		t.Errorf("makespan CSV rows:\n%s", csv)
 	}
 
-	abl := &AblationResult{Name: "zeta", Points: []AblationPoint{{Param: 4, Value: 0.5}}}
-	if got := abl.CSV(); got != "zeta,value\n4,0.5\n" {
-		t.Errorf("ablation CSV = %q", got)
-	}
-
 	se := SideEffectsCSV([]SideEffectsPoint{{Cores: 8, Utilization: 0.8, WayUtilization: 0.95, Phi: 0.001}})
 	if !strings.Contains(se, "8,0.8,0.95,0.001") {
 		t.Errorf("side effects CSV = %q", se)

@@ -59,16 +59,6 @@ func SideEffectsCSV(points []SideEffectsPoint) string {
 	return sb.String()
 }
 
-// CSV renders an ablation sweep.
-func (a *AblationResult) CSV() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s,value\n", a.Name)
-	for _, pt := range a.Points {
-		fmt.Fprintf(&sb, "%g,%.6g\n", pt.Param, pt.Value)
-	}
-	return sb.String()
-}
-
 // AcceptanceCSV renders the acceptance-ratio sweep.
 func AcceptanceCSV(points []AcceptancePoint) string {
 	var sb strings.Builder

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestKernelEquivalenceSweeps(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			return res.Format() + res.CSV(), nil
+			return res.Format() + fmt.Sprint(res.Points), nil
 		}
 	}
 
@@ -108,7 +109,7 @@ func TestKernelEquivalenceSweeps(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			return res.Format() + res.CSV(), nil
+			return res.Format() + fmt.Sprint(res.Points), nil
 		}},
 		{"AcceptanceRatio", func(ctx context.Context, k kernel.Mode) (string, error) {
 			cfg := DefaultAcceptanceConfig()

@@ -605,6 +605,3 @@ func (l *L15) setIndex(va uint32) int {
 func (l *L15) tag(pa mem.PhysAddr) uint32 {
 	return uint32(pa) / uint32(l.cfg.LineBytes) / uint32(l.store.Sets())
 }
-
-// StoreStats exposes the underlying tag store's counters.
-func (l *L15) StoreStats() cache.Stats { return l.store.Stats }

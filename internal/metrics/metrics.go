@@ -68,17 +68,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Load returns the current value.
 func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Add adds d to the gauge (lock-free CAS loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Histogram is a fixed-bucket distribution. Bucket i counts observations
 // v <= Bounds[i] (and > Bounds[i-1]); the final implicit bucket counts
 // v > Bounds[len-1]. All updates are atomic, so concurrent harnesses may
@@ -134,14 +123,8 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the running sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // snapshot captures the histogram under no lock (counts are atomic).
 func (h *Histogram) snapshot() HistogramSnapshot {

@@ -298,26 +298,3 @@ func fWays(v *dag.Node, m *etm.Model, used, zeta int) int {
 	}
 	return free
 }
-
-// TopologicalPriority assigns priorities by plain topological order
-// (earlier nodes higher), the naive baseline that ignores path lengths
-// entirely. It allocates no L1.5 ways.
-func TopologicalPriority(t *dag.Task) (*Result, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := t.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	pri := len(t.Nodes)
-	for _, id := range order {
-		t.Node(id).Priority = pri
-		pri--
-	}
-	return &Result{
-		Task:     t,
-		WayBytes: etm.DefaultWayBytes,
-		Model:    etm.NewModel(t, etm.DefaultWayBytes),
-	}, nil
-}

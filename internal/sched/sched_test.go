@@ -297,29 +297,10 @@ func TestQuickWavesRespectPrecedence(t *testing.T) {
 	}
 }
 
-func TestTopologicalPriority(t *testing.T) {
-	task := dag.Fig1Example()
-	res, err := TopologicalPriority(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grantedWays(res) != 0 {
-		t.Error("topological baseline allocated ways")
-	}
-	// Priorities follow topological order: every edge goes from higher to
-	// lower priority.
-	for _, e := range task.Edges {
-		if task.Node(e.From).Priority <= task.Node(e.To).Priority {
-			t.Errorf("edge %d->%d violates topological priorities", e.From, e.To)
-		}
-	}
-	if _, err := TopologicalPriority(dag.New("bad", 1, 1)); err == nil {
-		t.Error("invalid task accepted")
-	}
-}
-
-// Longest-path-first priorities beat topological ones on parallel-starved
-// platforms in aggregate: on 2 cores the critical path must be favoured.
+// Longest-path-first priorities beat plain topological ones (randomTask
+// adds nodes in topological order, so earlier nodes rank higher) on
+// parallel-starved platforms in aggregate: on 2 cores the critical path
+// must be favoured.
 func TestPriorityPolicyComparison(t *testing.T) {
 	var lpfWins, topoWins int
 	for seed := int64(0); seed < 20; seed++ {
@@ -331,12 +312,14 @@ func TestPriorityPolicyComparison(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		topoTask := task.Clone()
-		topo, err := TopologicalPriority(topoTask)
-		if err != nil {
+		topo := task.Clone()
+		if err := topo.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		a := simulateSerialComparable(lpf)
+		for id := range topo.Nodes {
+			topo.Nodes[id].Priority = len(topo.Nodes) - id
+		}
+		a := simulateSerialComparable(lpf.Task)
 		b := simulateSerialComparable(topo)
 		switch {
 		case a < b:
@@ -351,10 +334,9 @@ func TestPriorityPolicyComparison(t *testing.T) {
 }
 
 // simulateSerialComparable computes a simple 2-core list-schedule makespan
-// for the result's priorities (re-implemented minimally here to avoid an
+// for the task's priorities (re-implemented minimally here to avoid an
 // import cycle with schedsim).
-func simulateSerialComparable(res *Result) float64 {
-	t := res.Task
+func simulateSerialComparable(t *dag.Task) float64 {
 	n := len(t.Nodes)
 	const m = 2
 	indeg := make([]int, n)

@@ -403,11 +403,6 @@ func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu
 	}
 }
 
-// Replayed returns how many steps the runs so far replayed in closed form
-// instead of stepping (DESIGN.md §11); every other retired instruction was
-// a real step.
-func (s *SoC) Replayed() uint64 { return s.replayed }
-
 // advanceSDUs brings every cluster's Walloc to the global time target,
 // preserving the one-way-per-cycle constraint. Under the events kernel a
 // cluster whose SDU reports no wakeup (kernel.Never) jumps its counter

@@ -1,12 +1,6 @@
 // Package stats provides the small statistical helpers the experiment
-// harnesses use: means, maxima, normalisation and percentiles over float64
-// samples.
+// harnesses use: means and maxima over float64 samples.
 package stats
-
-import (
-	"math"
-	"sort"
-)
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -32,91 +26,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Min returns the smallest value in xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Normalize divides every sample by the largest value across all the given
-// series, the scheme Fig. 7 of the paper uses ("normalised by the highest
-// value observed"). It returns the normalised copies and the normaliser.
-// If the global maximum is zero the series are returned unchanged.
-func Normalize(series ...[]float64) ([][]float64, float64) {
-	var max float64
-	for _, s := range series {
-		if m := Max(s); m > max {
-			max = m
-		}
-	}
-	out := make([][]float64, len(series))
-	for i, s := range series {
-		out[i] = make([]float64, len(s))
-		for j, x := range s {
-			if max > 0 {
-				out[i][j] = x / max
-			} else {
-				out[i][j] = x
-			}
-		}
-	}
-	return out, max
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var v float64
-	for _, x := range xs {
-		d := x - m
-		v += d * d
-	}
-	return math.Sqrt(v / float64(len(xs)))
 }

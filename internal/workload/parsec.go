@@ -64,13 +64,6 @@ var profiles = map[Kernel]profile{
 	X264:          {wcetScale: 1.1, dataScale: 1.4, alphaLo: 0.3, alphaHi: 0.7},
 }
 
-// Profile returns the kernel's characterisation scales (exposed for tests
-// and documentation).
-func Profile(k Kernel) (wcetScale, dataScale, alphaLo, alphaHi float64, ok bool) {
-	p, ok := profiles[k]
-	return p.wcetScale, p.dataScale, p.alphaLo, p.alphaHi, ok
-}
-
 // CaseStudyParams configure PARSEC-like task generation.
 type CaseStudyParams struct {
 	// Threads is the degree of parallelism of the benchmark's parallel

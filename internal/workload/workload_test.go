@@ -327,16 +327,13 @@ func TestQuickUUniFast(t *testing.T) {
 func TestParsecProfiles(t *testing.T) {
 	// Every kernel has a profile with sane bands.
 	for _, k := range Kernels() {
-		w, d, lo, hi, ok := Profile(k)
+		p, ok := profiles[k]
 		if !ok {
 			t.Fatalf("%s has no profile", k)
 		}
-		if w <= 0 || d <= 0 || lo <= 0 || hi <= lo {
-			t.Errorf("%s profile out of range: %g %g %g %g", k, w, d, lo, hi)
+		if p.wcetScale <= 0 || p.dataScale <= 0 || p.alphaLo <= 0 || p.alphaHi <= p.alphaLo {
+			t.Errorf("%s profile out of range: %+v", k, p)
 		}
-	}
-	if _, _, _, _, ok := Profile(Kernel("nonesuch")); ok {
-		t.Error("unknown kernel has a profile")
 	}
 }
 
