@@ -37,8 +37,9 @@ func main() {
 	partitioned := flag.Bool("partitioned", false, "partition tasks to clusters instead of global scheduling")
 	flightOut := flag.String("flight", "", "record one representative trial to this JSONL flight file")
 	cli.Main("casestudy", func(ctx context.Context, sw *cli.Sweep) error {
-		if !(*step > 0) {
-			return fmt.Errorf("-step %g: want a positive utilisation step", *step)
+		utils, err := utilisations(*step)
+		if err != nil {
+			return err
 		}
 		cfg := experiments.DefaultCaseStudyConfig(*cores)
 		cfg.Trials = *trials
@@ -52,10 +53,6 @@ func main() {
 			}
 		}
 
-		var utils []float64
-		for u := 0.40; u <= 0.90+1e-9; u += *step {
-			utils = append(utils, u)
-		}
 		res, err := experiments.RunCaseStudy(ctx, cfg, utils)
 		if err != nil {
 			return err
@@ -67,4 +64,29 @@ func main() {
 		}
 		return nil
 	})
+}
+
+// maxPoints caps the utilisation sweep; 0.40 to 0.90 in steps of 0.001
+// is 501 points.
+const maxPoints = 1000
+
+// utilisations returns the sweep's target utilisations 0.40, 0.40+step,
+// … up to 0.90, accumulated one step at a time. It refuses a step that is
+// not positive, that leaves u unchanged (u += step would never end), or
+// that asks for more than maxPoints points.
+func utilisations(step float64) ([]float64, error) {
+	if !(step > 0) {
+		return nil, fmt.Errorf("-step %g: want a positive utilisation step", step)
+	}
+	var utils []float64
+	for u := 0.40; u <= 0.90+1e-9; u += step {
+		if u+step == u {
+			return nil, fmt.Errorf("-step %g: too small to move the utilisation from %g", step, u)
+		}
+		if len(utils) == maxPoints {
+			return nil, fmt.Errorf("-step %g: more than %d utilisation points", step, maxPoints)
+		}
+		utils = append(utils, u)
+	}
+	return utils, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -59,22 +60,57 @@ func TestFlightAcrossWorkers(t *testing.T) {
 
 // TestRejectsNonPositiveStep checks that a -step the utilisation loop
 // could never finish with (zero, negative, NaN) fails before any sweep
-// starts: exit 1, an error naming the flag, and nothing on stdout.
+// starts.
 func TestRejectsNonPositiveStep(t *testing.T) {
 	for _, step := range []string{"0", "-0.05", "NaN"} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestFlightAcrossWorkers$")
-		cmd.Env = append(os.Environ(), "CASESTUDY_TEST_ARGS=-step\n"+step)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("-step %s: err = %v, want exit status 1\n%s", step, err, stderr.Bytes())
-		}
-		if !strings.Contains(stderr.String(), "-step") || len(out) != 0 {
-			t.Errorf("-step %s: stderr %q, stdout %q", step, stderr.String(), out)
-		}
+		requireRejected(t, step)
+	}
+}
+
+// TestRejectsStepTooSmall checks the same for positive steps the loop
+// cannot finish with: 1e-17 leaves 0.40 unchanged, and 1e-12 would ask
+// for about 5·10^11 points.
+func TestRejectsStepTooSmall(t *testing.T) {
+	for _, step := range []string{"1e-17", "1e-12"} {
+		requireRejected(t, step)
+	}
+}
+
+// requireRejected runs casestudy -step step -flight -metrics and requires
+// exit 1 within a minute, an error naming the flag, nothing on stdout, no
+// flight recording (the representative trial runs before the sweep) and
+// no rtsim trial in the metrics snapshot.
+func requireRejected(t *testing.T, step string) {
+	t.Helper()
+	dir := t.TempDir()
+	flightPath, metricsPath := filepath.Join(dir, "rec.jsonl"), filepath.Join(dir, "metrics.json")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestFlightAcrossWorkers$")
+	args := []string{"-step", step, "-flight", flightPath, "-metrics", metricsPath}
+	cmd.Env = append(os.Environ(), "CASESTUDY_TEST_ARGS="+strings.Join(args, "\n"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("-step %s: err = %v, want exit status 1\n%s", step, err, stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), "-step") || len(out) != 0 {
+		t.Errorf("-step %s: stderr %q, stdout %q", step, stderr.String(), out)
+	}
+	if _, err := os.Stat(flightPath); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-step %s: a flight recording was written (stat: %v)", step, err)
+	}
+	snap, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct{ Counters map[string]uint64 }
+	if err := json.Unmarshal(snap, &m); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Counters["rtsim.trials"]; n != 0 {
+		t.Errorf("-step %s: %d rtsim trials ran", step, n)
 	}
 }

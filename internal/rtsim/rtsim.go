@@ -196,9 +196,11 @@ func (m Metrics) Success() bool { return m.Misses == 0 }
 type job struct {
 	taskIdx  int
 	jobIdx   int // release index of the task (0, 1, ...)
+	ref      int // index of this release in the run's sim.jobs
 	task     *dag.Task
 	g        *dag.View // task's rows, taken at release
 	base     int       // the task's first entry in the plan's ways and nodeRank
+	ebase    int       // the task's first edge entry in a CMP run's cost tables
 	key      uint64    // ready-key bits above the node rank (trial.jobShift)
 	release  float64
 	deadline float64
@@ -214,20 +216,23 @@ type job struct {
 	missed   bool
 }
 
-// readyNode identifies a dispatchable node. key orders ready nodes for
-// the events kernel: a smaller key dispatches first, exactly as readyLess
-// orders them.
+// readyNode identifies a dispatchable node: node v of the job of release
+// ref (an index into sim.jobs, so the ready list holds no pointer). key
+// orders ready nodes for the events kernel: a smaller key dispatches
+// first, exactly as readyLess orders them.
 type readyNode struct {
-	j   *job
+	ref int
 	v   dag.NodeID
 	key uint64
 }
 
-// event is a node completion.
+// event is a node completion. It names its job by the release's index
+// in sim.jobs and carries the job's release, so ordering events reads no
+// job and the heap holds no pointer for the garbage collector to track.
 type event struct {
-	at float64
-	j  *job
-	v  dag.NodeID
+	at, release float64
+	ref         int
+	v           dag.NodeID
 }
 
 // eventHeap is a hand-rolled binary min-heap of completions, replacing the
@@ -245,8 +250,8 @@ func lessEvent(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.j.release != b.j.release {
-		return a.j.release < b.j.release
+	if a.release != b.release {
+		return a.release < b.release
 	}
 	return a.v < b.v
 }
@@ -269,8 +274,7 @@ func popEvent(h *eventHeap) event {
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = event{} // release the *job reference
-	*h = old[:n]
+	*h = (*h)[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -297,15 +301,21 @@ type sim struct {
 	rec      *flight.Recorder
 	kind     Kind
 	kernel   kernel.Mode
-	plat     *schedsim.CMP // nil for Prop
-	relIdx   []int         // task index -> next release index
-	prevCore []int         // node table entry -> core of its last dispatch, -1 none
+	tab      *costs // a CMP run's cost tables, nil for Prop
+	relIdx   []int  // task index -> next release index
+	prevCore []int  // node table entry -> core of its last dispatch, -1 none
 
 	now    float64
 	freeAt []float64
 	idle   coreSet // events kernel: the cores c with freeAt[c] <= now
 	ready  []readyNode
 	events eventHeap
+
+	// jobs holds every release of the run in order; deadlines, in
+	// Schedulable runs only, files each under its absolute deadline, a
+	// min-heap whose finished entries are dropped when they reach the top.
+	jobs      []jobRef
+	deadlines []deadlineRef
 
 	// Way ownership is sticky, as in the hardware: a way stays assigned
 	// to its last owner until the Walloc reassigns it. assigned counts
@@ -350,6 +360,7 @@ type trial struct {
 	partition []int     // task index -> cluster (Partitioned mode), else nil
 	releases  []release // every release inside the horizon, in dispatch order
 	free      [][]*job  // task index -> finished jobs
+	costs     costs     // the CMP runs' cost tables, refilled per run
 
 	// A ready key is rmRank<<rankShift | jobIdx<<jobShift | node rank,
 	// each field exactly as wide as its largest value needs.
@@ -367,12 +378,13 @@ type release struct {
 // rows, so every plan reads one dag.View per task) and, with node v of
 // task ti at entry base[ti]+v, ways, Alg. 1's way plan (Model.Ways,
 // proposed system only), and nodeRank, each node's place in its task by
-// Priority desc, then ID.
+// Priority desc. Edge ei of task ti is entry ebase[ti]+ei of a CMP run's
+// edge cost tables.
 type plan struct {
-	tasks    []*dag.Task
-	base     []int
-	ways     []int
-	nodeRank []uint64
+	tasks       []*dag.Task
+	base, ebase []int
+	ways        []int
+	nodeRank    []uint64
 }
 
 // family indexes the planning a system needs. The proposed system plans
@@ -400,10 +412,14 @@ func Run(tasks []*dag.Task, kind Kind, cfg Config) (Metrics, error) {
 // every deadline: Schedulable(tasks, kinds, cfg)[i] equals
 // Run(tasks, kinds[i], cfg).Success(). It plans once per family (the CMP
 // systems share one longest-path-first plan), recycles finished jobs
-// across the systems' runs, and stops a system's run at its first
-// deadline miss, which can never be undone; a run that meets every
-// deadline still simulates the full horizon. The rtsim counters count the
-// work simulated. Schedulable records nothing: cfg.Recorder must be nil.
+// across the systems' runs, and stops a system's run as soon as a miss is
+// certain: when the clock would pass the deadline of a job that has not
+// finished. Every earlier event is processed by then, so that job cannot
+// finish before the next event, which is after its deadline; a miss can
+// never be undone. A run that meets every deadline still simulates the
+// full horizon. The rtsim counters count the work simulated (a stopped
+// run counts one miss). Schedulable records nothing: cfg.Recorder must be
+// nil.
 func Schedulable(tasks []*dag.Task, kinds []Kind, cfg Config) ([]bool, error) {
 	if cfg.Recorder != nil {
 		return nil, fmt.Errorf("rtsim: Schedulable does not record; use Run")
@@ -420,9 +436,9 @@ func Schedulable(tasks []*dag.Task, kinds []Kind, cfg Config) ([]bool, error) {
 }
 
 // simulate runs the task set on each system in kinds. With stop set, a
-// run ends at its first deadline miss and its metrics are partial. Each
-// plan is built for the first system of its family and released after
-// the last.
+// run ends once a deadline miss is certain and its metrics are partial.
+// Each plan is built for the first system of its family and released
+// after the last.
 func simulate(tasks []*dag.Task, kinds []Kind, cfg Config, stop bool) ([]Metrics, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -464,16 +480,16 @@ func simulate(tasks []*dag.Task, kinds []Kind, cfg Config, stop bool) ([]Metrics
 // set: the way plan and priorities; longest-path-first otherwise).
 func newPlan(tasks []*dag.Task, prop bool, cfg Config) (*plan, error) {
 	n := len(tasks)
-	p := &plan{tasks: make([]*dag.Task, n), base: make([]int, n+1)}
+	p := &plan{tasks: make([]*dag.Task, n), base: make([]int, n+1), ebase: make([]int, n+1)}
 	for ti, t := range tasks {
 		p.base[ti+1] = p.base[ti] + len(t.Nodes)
+		p.ebase[ti+1] = p.ebase[ti] + len(t.Edges)
 	}
 	nodes := p.base[n]
 	p.nodeRank = make([]uint64, nodes)
 	if prop {
 		p.ways = make([]int, nodes)
 	}
-	var order []dag.NodeID
 	for ti, t := range tasks {
 		c := t.Clone()
 		var res *sched.Result
@@ -488,21 +504,13 @@ func newPlan(tasks []*dag.Task, prop bool, cfg Config) (*plan, error) {
 		}
 		p.tasks[ti] = c
 		b := p.base[ti]
-		order = order[:0]
-		for v := range c.Nodes {
+		// Alg. 1 and longest-path-first hand out the priorities
+		// len(Nodes) down to 1, one per node in examination order.
+		for v, node := range c.Nodes {
 			if prop {
 				p.ways[b+v] = res.Model.Ways[v]
 			}
-			order = append(order, dag.NodeID(v))
-		}
-		slices.SortFunc(order, func(a, b dag.NodeID) int {
-			if pa, pb := c.Nodes[a].Priority, c.Nodes[b].Priority; pa != pb {
-				return cmp.Compare(pb, pa)
-			}
-			return cmp.Compare(a, b)
-		})
-		for r, v := range order {
-			p.nodeRank[b+int(v)] = uint64(r)
+			p.nodeRank[b+v] = uint64(len(c.Nodes) - node.Priority)
 		}
 	}
 	return p, nil
@@ -534,8 +542,8 @@ func newTrial(tasks []*dag.Task, cfg Config) (*trial, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return tasks[order[a]].Period < tasks[order[b]].Period
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(tasks[a].Period, tasks[b].Period)
 	})
 	tr.rmRank = make([]int, len(tasks))
 	for rank, idx := range order {
@@ -562,12 +570,11 @@ func newTrial(tasks []*dag.Task, cfg Config) (*trial, error) {
 		return nil, fmt.Errorf("rtsim: %d tasks, %d jobs of a task and %d nodes of a task overflow a 64-bit ready key",
 			len(tasks), maxJobs, maxNodes)
 	}
-	sort.SliceStable(tr.releases, func(a, b int) bool {
-		ra, rb := tr.releases[a], tr.releases[b]
-		if ra.at != rb.at {
-			return ra.at < rb.at
+	slices.SortStableFunc(tr.releases, func(a, b release) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return tr.rmRank[ra.taskIdx] < tr.rmRank[rb.taskIdx]
+		return cmp.Compare(tr.rmRank[a.taskIdx], tr.rmRank[b.taskIdx])
 	})
 	return tr, nil
 }
@@ -633,11 +640,11 @@ func (tr *trial) newSim(kind Kind, p *plan) *sim {
 		// reclaimable ones are the ways its nodes hold.
 		s.grants = make([]uint64, cfg.Zeta+1)
 	case KindCMPL1:
-		s.plat = schedsim.CMPL1()
+		s.tab = tr.costs.fill(p, schedsim.CMPL1())
 	case KindCMPL2:
-		s.plat = schedsim.CMPL2()
+		s.tab = tr.costs.fill(p, schedsim.CMPL2())
 	case KindSharedL1:
-		s.plat = schedsim.SharedL1()
+		s.tab = tr.costs.fill(p, schedsim.SharedL1())
 	}
 	s.freeAt = make([]float64, cfg.Cores)
 	s.idle, s.scan = newCoreSet(cfg.Cores), newCoreSet(cfg.Cores)
@@ -655,17 +662,63 @@ func (tr *trial) newSim(kind Kind, p *plan) *sim {
 	return s
 }
 
+// costs are a CMP run's cost tables: with the plan's base and ebase
+// offsets, each node's cold and warm execution term and each edge's
+// cross- and same-core fetch term, as the platform evaluates them, and
+// the platform's interference coefficients and affinity. A dispatch pays
+// a term times 1 + k·busyFrac.
+type costs struct {
+	cold, warm   []float64
+	cross, same  []float64
+	kExec, kComm float64
+	affinity     bool
+}
+
+// fill evaluates plat's terms for every node and edge of the plan's tasks,
+// reusing the tables' storage, and returns c.
+func (c *costs) fill(p *plan, plat *schedsim.CMP) *costs {
+	n, m := p.base[len(p.tasks)], p.ebase[len(p.tasks)]
+	c.cold, c.warm = slices.Grow(c.cold[:0], n)[:n], slices.Grow(c.warm[:0], n)[:n]
+	c.cross, c.same = slices.Grow(c.cross[:0], m)[:m], slices.Grow(c.same[:0], m)[:m]
+	for ti, t := range p.tasks {
+		b, eb := p.base[ti], p.ebase[ti]
+		for v, node := range t.Nodes {
+			c.cold[b+v] = plat.ExecTime(node, false)
+			c.warm[b+v] = plat.ExecTime(node, true)
+		}
+		for ei, e := range t.Edges {
+			producer := t.Nodes[e.From]
+			c.cross[eb+ei] = plat.CommCost(e, producer, false)
+			c.same[eb+ei] = plat.CommCost(e, producer, true)
+		}
+	}
+	c.kExec, c.kComm = plat.Interference()
+	c.affinity = plat.Affinity()
+	return c
+}
+
 // jobRef names one release's incarnation of a recycled job record.
 type jobRef struct {
 	j      *job
 	jobIdx int
 }
 
+// finished reports whether the incarnation has finished (its record may
+// since serve a later release).
+func (r jobRef) finished() bool { return r.j.jobIdx != r.jobIdx || r.j.left == 0 }
+
+// deadlineRef files the release at index ref of sim.jobs under its job's
+// absolute deadline.
+type deadlineRef struct {
+	at  float64
+	ref int
+}
+
 // run executes the event loop: releases and completions in time order, with
-// a dispatch pass after every event. With stop set it ends at the first
-// deadline miss.
+// a dispatch pass after every event. With stop set it ends once a deadline
+// miss is certain (missCertain).
 func (s *sim) run(stop bool) {
-	jobs := make([]jobRef, 0, len(s.releases))
+	s.jobs = make([]jobRef, 0, len(s.releases))
 	ri, stopped := 0, false
 	for ri < len(s.releases) || s.events.Len() > 0 {
 		// Next event time: release or completion.
@@ -676,6 +729,10 @@ func (s *sim) run(stop bool) {
 		if s.events.Len() > 0 && s.events[0].at < next {
 			next = s.events[0].at
 		}
+		if stop && s.missCertain(next) {
+			stopped = true
+			break
+		}
 		s.integrate(next)
 		s.now = next
 
@@ -685,21 +742,20 @@ func (s *sim) run(stop bool) {
 		// node at the same instant.
 		for s.events.Len() > 0 && s.events[0].at <= s.now {
 			ev := popEvent(&s.events)
-			if c := ev.j.coreOf[ev.v]; s.freeAt[c] <= s.now {
+			j := s.jobs[ev.ref].j
+			if c := j.coreOf[ev.v]; s.freeAt[c] <= s.now {
 				s.idle.add(c)
 			}
-			s.complete(ev.j, ev.v)
-		}
-		if stop && s.metrics.Misses > 0 {
-			stopped = true
-			break
+			s.complete(j, ev.v)
 		}
 		// Then releases.
 		for ri < len(s.releases) && s.releases[ri].at <= s.now {
 			rel := s.releases[ri]
 			ri++
 			j := s.newJob(rel.taskIdx, rel.at)
-			jobs = append(jobs, jobRef{j: j, jobIdx: j.jobIdx})
+			if stop {
+				s.pushDeadline(deadlineRef{at: j.deadline, ref: j.ref})
+			}
 			s.metrics.Jobs++
 			s.ready = append(s.ready, s.readyOf(j, j.g.Source()))
 		}
@@ -708,10 +764,10 @@ func (s *sim) run(stop bool) {
 	// Any job still unfinished at the horizon missed its deadline (the
 	// deadline was inside the horizon by construction). A stopped run
 	// already has its miss.
-	for _, r := range jobs {
+	for _, r := range s.jobs {
 		j := r.j
-		if j.jobIdx != r.jobIdx || j.left == 0 {
-			continue // finished, maybe reused by a later release
+		if r.finished() {
+			continue // maybe reused by a later release
 		}
 		if !stopped && !j.missed {
 			j.missed = true
@@ -735,8 +791,61 @@ func (s *sim) run(stop bool) {
 	}
 }
 
-// newJob releases the next job of a task. It reuses a free job record of
-// the task when there is one, reset to exactly what a fresh record holds.
+// missCertain reports whether an unfinished job's deadline is before
+// next, and if so counts the miss. Every event before next is processed,
+// so such a job finishes at next at the earliest: too late. The finished
+// jobs among those deadlines are dropped from the heap on the way.
+func (s *sim) missCertain(next float64) bool {
+	for len(s.deadlines) > 0 && s.deadlines[0].at < next {
+		if !s.jobs[s.deadlines[0].ref].finished() {
+			s.metrics.Misses++
+			return true
+		}
+		s.popDeadline()
+	}
+	return false
+}
+
+// pushDeadline adds d to the deadline heap.
+func (s *sim) pushDeadline(d deadlineRef) {
+	h := append(s.deadlines, d)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up].at <= h[i].at {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	s.deadlines = h
+}
+
+// popDeadline removes the earliest deadline from the heap.
+func (s *sim) popDeadline() {
+	h := s.deadlines
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		small := i
+		if l := 2*i + 1; l < n && h[l].at < h[small].at {
+			small = l
+		}
+		if r := 2*i + 2; r < n && h[r].at < h[small].at {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+	s.deadlines = h
+}
+
+// newJob releases the next job of a task and appends it to s.jobs. It
+// reuses a free job record of the task when there is one, reset to
+// exactly what a fresh record holds.
 func (s *sim) newJob(taskIdx int, at float64) *job {
 	t := s.tasks[taskIdx]
 	n := len(t.Nodes)
@@ -761,9 +870,12 @@ func (s *sim) newJob(taskIdx int, at float64) *job {
 	}
 	j.taskIdx = taskIdx
 	j.jobIdx = s.relIdx[taskIdx]
+	j.ref = len(s.jobs)
+	s.jobs = append(s.jobs, jobRef{j: j, jobIdx: j.jobIdx})
 	j.task = t
 	j.g = t.View()
 	j.base = b
+	j.ebase = s.ebase[taskIdx]
 	j.key = uint64(s.rmRank[taskIdx])<<s.rankShift | uint64(j.jobIdx)<<s.jobShift
 	j.release = at
 	j.deadline = at + t.Deadline
@@ -894,7 +1006,7 @@ func (s *sim) dispatch() {
 			if ri < 0 {
 				return
 			}
-			lo, hi := s.clusterCores(s.partition[s.ready[ri].j.taskIdx])
+			lo, hi := s.clusterCores(s.partition[s.jobs[s.ready[ri].ref].j.taskIdx])
 			if s.idle.next(lo, hi) >= 0 {
 				s.place(s.takeReady(ri), &s.idle, lo, hi)
 				break
@@ -935,7 +1047,7 @@ func (s *sim) dispatchTicked() {
 				return
 			}
 			rn := s.ready[ri]
-			lo, hi := s.clusterCores(s.partition[rn.j.taskIdx])
+			lo, hi := s.clusterCores(s.partition[s.jobs[rn.ref].j.taskIdx])
 			if idle.next(lo, hi) < 0 {
 				taken[ri] = true
 				continue
@@ -1004,18 +1116,19 @@ func (s *sim) takeReady(ri int) readyNode {
 
 // readyOf returns node v of job j as a ready node with its key.
 func (s *sim) readyOf(j *job, v dag.NodeID) readyNode {
-	return readyNode{j: j, v: v, key: j.key | s.nodeRank[j.base+int(v)]}
+	return readyNode{ref: j.ref, v: v, key: j.key | s.nodeRank[j.base+int(v)]}
 }
 
 func (s *sim) readyLess(a, b readyNode) bool {
-	ra, rb := s.rmRank[a.j.taskIdx], s.rmRank[b.j.taskIdx]
+	ja, jb := s.jobs[a.ref].j, s.jobs[b.ref].j
+	ra, rb := s.rmRank[ja.taskIdx], s.rmRank[jb.taskIdx]
 	if ra != rb {
 		return ra < rb
 	}
-	if a.j.release != b.j.release {
-		return a.j.release < b.j.release
+	if ja.release != jb.release {
+		return ja.release < jb.release
 	}
-	pa, pb := a.j.task.Node(a.v).Priority, b.j.task.Node(b.v).Priority
+	pa, pb := ja.task.Node(a.v).Priority, jb.task.Node(b.v).Priority
 	if pa != pb {
 		return pa > pb
 	}
@@ -1026,7 +1139,7 @@ func (s *sim) readyLess(a, b readyNode) bool {
 // completion, taking the core out of idle unless the node has zero
 // length.
 func (s *sim) place(rn readyNode, idle *coreSet, lo, hi int) {
-	j, v := rn.j, rn.v
+	j, v := s.jobs[rn.ref].j, rn.v
 	i := j.base + int(v)
 
 	c := s.chooseCore(j, v, idle, lo, hi)
@@ -1105,20 +1218,27 @@ func (s *sim) place(rn readyNode, idle *coreSet, lo, hi int) {
 		}
 		exec = j.task.Nodes[v].WCET
 	default:
-		warm := s.prevCore[i] == c
-		kExec, kComm := s.plat.Interference()
-		fc := 1 + kComm*busyFrac
+		tab := s.tab
+		fc := 1 + tab.kComm*busyFrac
 		for _, ei := range j.g.PredEdges(v) {
 			e := j.task.Edges[ei]
 			p := e.From
-			cost := s.plat.CommCost(e, j.task.Nodes[p], j.coreOf[p] == c) * fc
+			term := tab.cross[j.ebase+int(ei)]
+			if j.coreOf[p] == c {
+				term = tab.same[j.ebase+int(ei)]
+			}
+			cost := term * fc
 			fetch += cost
 			s.rec.Emit(flight.Event{Kind: flight.KindEdge, Time: s.now,
 				Task: int32(j.taskIdx), Job: int32(j.jobIdx),
 				Node: int32(v), Core: int32(c), Cluster: -1,
 				Wave: -1, A: float64(p), B: e.Cost, C: cost})
 		}
-		exec = s.plat.ExecTime(j.task.Nodes[v], warm) * (1 + kExec*busyFrac)
+		exec = tab.cold[i]
+		if s.prevCore[i] == c {
+			exec = tab.warm[i]
+		}
+		exec *= 1 + tab.kExec*busyFrac
 	}
 
 	j.coreOf[v] = c
@@ -1139,7 +1259,7 @@ func (s *sim) place(rn readyNode, idle *coreSet, lo, hi int) {
 	if s.freeAt[c] > s.now {
 		idle.remove(c)
 	}
-	pushEvent(&s.events, event{at: s.now + dur, j: j, v: v})
+	pushEvent(&s.events, event{at: s.now + dur, release: j.release, ref: j.ref, v: v})
 }
 
 // chooseCore picks among the idle cores in [lo, hi), which hold at least
@@ -1172,7 +1292,7 @@ func (s *sim) chooseCore(j *job, v dag.NodeID, idle *coreSet, lo, hi int) int {
 		}
 		return best
 	}
-	if s.plat.Affinity() {
+	if s.tab.affinity {
 		if pc := s.prevCore[j.base+int(v)]; pc >= lo && pc < hi && idle.has(pc) {
 			return pc
 		}

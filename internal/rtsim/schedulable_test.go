@@ -92,6 +92,55 @@ func TestSchedulableCounters(t *testing.T) {
 	}
 }
 
+// TestSchedulableStopsWhenMissCertain runs a hand-built set on one core: a
+// short-period task H (two 4-unit nodes every 20) and a low-priority task
+// L (ten 10-unit nodes, period 200, deadline 30). L's first job cannot
+// finish before t = 108 (H's first 8 units, then its own 100), long after
+// its deadline. Once the clock passes t = 30 with that job unfinished the
+// miss is certain, so Schedulable may dispatch no node after it: for
+// every system, its dispatch count is bounded by the full run's
+// dispatches at or before t = 30.
+func TestSchedulableStopsWhenMissCertain(t *testing.T) {
+	h := dag.Chain("H", 2, 4, 0, 0, 0)
+	h.Period, h.Deadline = 20, 20
+	l := dag.Chain("L", 10, 10, 0, 0, 0)
+	l.Period, l.Deadline = 200, 30
+	tasks := []*dag.Task{h, l}
+	cfg := DefaultConfig()
+	cfg.Cores, cfg.ClusterSize = 1, 1
+	for _, k := range allKinds {
+		rec := flight.New()
+		rcfg := cfg
+		rcfg.Recorder = rec
+		m, err := Run(tasks, k, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var early, all uint64
+		for _, e := range rec.Events() {
+			if e.Kind == flight.KindDispatch {
+				all++
+				if e.Time <= l.Deadline {
+					early++
+				}
+			}
+		}
+		nodes := mNodes.Load()
+		ok, err := Schedulable(tasks, []Kind{k}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopped := mNodes.Load() - nodes
+		if m.Success() || ok[0] {
+			t.Fatalf("%v: Run misses %d, Schedulable %v; want a miss", k, m.Misses, ok[0])
+		}
+		if stopped > early {
+			t.Errorf("%v: Schedulable dispatched %d nodes, want at most the %d dispatched by t = %g (full run: %d)",
+				k, stopped, early, l.Deadline, all)
+		}
+	}
+}
+
 func TestSchedulableErrors(t *testing.T) {
 	tasks := testTaskSet(t, 1, 8, 0.5)
 	cfg := DefaultConfig()

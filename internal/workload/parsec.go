@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"l15cache/internal/dag"
 )
@@ -93,6 +94,10 @@ func DefaultCaseStudyParams() CaseStudyParams {
 // WCETs are drawn around unit scale and later rescaled by the task-set
 // builder to meet the target utilisation; data volumes and α follow the
 // paper's distributions.
+//
+// The structure depends only on the kernel and p.Threads, so it is built
+// once per pair (see shapeOf) and each task is a clone of it with the
+// values drawn in the order the structure's builder added nodes and edges.
 func ParsecTask(r *rand.Rand, k Kernel, p CaseStudyParams) (*dag.Task, error) {
 	if p.Threads < 1 {
 		return nil, fmt.Errorf("workload: threads = %d", p.Threads)
@@ -101,80 +106,143 @@ func ParsecTask(r *rand.Rand, k Kernel, p CaseStudyParams) (*dag.Task, error) {
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown kernel %q", k)
 	}
-	b := &taskBuilder{r: r, p: p, prof: prof, t: dag.New(string(k), 0, 0)}
+	s, err := shapeOf(k, p.Threads)
+	if err != nil {
+		return nil, err
+	}
+	t := s.t.Clone()
+	v, e := 0, 0
+	for _, isEdge := range s.calls {
+		if isEdge {
+			drawEdge(r, p, prof, t, &t.Edges[e])
+			e++
+		} else {
+			drawNode(r, p, prof, t.Nodes[v])
+			v++
+		}
+	}
+	// The clone shares the shape's checked rows, so this checks only the
+	// drawn values.
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("workload: kernel %s produced invalid DAG: %w", k, err)
+	}
+	return t, nil
+}
+
+// shape is one kernel's structure at one thread count: a validated task
+// whose node names, edges and rows are final and whose values are all
+// zero, plus the builder's calls in order (false adds a node, true an
+// edge), which ParsecTask replays to draw one task's values.
+type shape struct {
+	t     *dag.Task
+	calls []bool
+}
+
+type shapeKey struct {
+	kernel  Kernel
+	threads int
+}
+
+// shapes caches every shape built so far, keyed by shapeKey. A shape is
+// never written after it is stored, so the case study's parallel trials
+// share it.
+var shapes sync.Map
+
+// shapeOf returns the shape of kernel k at the given thread count,
+// building and caching it on first use.
+func shapeOf(k Kernel, threads int) (*shape, error) {
+	key := shapeKey{k, threads}
+	if s, ok := shapes.Load(key); ok {
+		return s.(*shape), nil
+	}
+	b := &taskBuilder{t: dag.New(string(k), 0, 0)}
 	switch k {
 	case Blackscholes, Swaptions:
-		b.forkJoin(p.Threads, 1)
+		b.forkJoin(threads, 1)
 	case Bodytrack:
-		b.forkJoin(p.Threads, 3) // per-frame stages, each fork-join
+		b.forkJoin(threads, 3) // per-frame stages, each fork-join
 	case Canneal:
 		b.diamondChain(4)
 	case Dedup:
-		b.pipeline([]int{1, p.Threads, p.Threads, p.Threads, 1})
+		b.pipeline([]int{1, threads, threads, threads, 1})
 	case Ferret:
-		b.pipeline([]int{1, p.Threads, p.Threads, p.Threads, p.Threads, 1})
+		b.pipeline([]int{1, threads, threads, threads, threads, 1})
 	case Fluidanimate:
-		b.grid(3, p.Threads)
+		b.grid(3, threads)
 	case Freqmine:
 		b.tree(2, 3)
 	case Streamcluster:
-		b.forkJoin(p.Threads, 2)
+		b.forkJoin(threads, 2)
 	case Vips:
-		b.pipeline([]int{1, 2, p.Threads, 2, 1})
+		b.pipeline([]int{1, 2, threads, 2, 1})
 	case X264:
-		b.wavefront(3, p.Threads)
+		b.wavefront(3, threads)
 	default:
 		return nil, fmt.Errorf("workload: unknown kernel %q", k)
 	}
 	if err := b.t.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: kernel %s produced invalid DAG: %w", k, err)
 	}
-	return b.t, nil
+	s, _ := shapes.LoadOrStore(key, &shape{t: b.t, calls: b.calls})
+	return s.(*shape), nil
 }
 
+// taskBuilder lays out a kernel's structure with zero values and records
+// the order of its node and edge calls.
 type taskBuilder struct {
-	r    *rand.Rand
-	p    CaseStudyParams
-	prof profile
-	t    *dag.Task
+	t     *dag.Task
+	calls []bool
 }
 
 func (b *taskBuilder) node(name string) dag.NodeID {
-	wcet := (0.5 + b.r.Float64()) * b.prof.wcetScale
-	data := b.p.MinData
-	if b.p.MaxData > b.p.MinData {
-		data += b.r.Int63n(b.p.MaxData - b.p.MinData + 1)
-	}
-	// Scale by the kernel's data character, clamped to the case study's
-	// published [MinData, MaxData] range.
-	data = int64(float64(data) * b.prof.dataScale)
-	if data < b.p.MinData {
-		data = b.p.MinData
-	}
-	if data > b.p.MaxData {
-		data = b.p.MaxData
-	}
-	return b.t.AddNode(name, wcet, data)
+	b.calls = append(b.calls, false)
+	return b.t.AddNode(name, 0, 0)
 }
 
 func (b *taskBuilder) edge(from, to dag.NodeID) {
+	b.calls = append(b.calls, true)
+	b.t.MustAddEdge(from, to, 0, 0)
+}
+
+// drawNode draws a node's WCET and dependent-data volume.
+func drawNode(r *rand.Rand, p CaseStudyParams, prof profile, n *dag.Node) {
+	n.WCET = (0.5 + r.Float64()) * prof.wcetScale
+	data := p.MinData
+	if p.MaxData > p.MinData {
+		data += r.Int63n(p.MaxData - p.MinData + 1)
+	}
+	// Scale by the kernel's data character, clamped to the case study's
+	// published [MinData, MaxData] range.
+	data = int64(float64(data) * prof.dataScale)
+	if data < p.MinData {
+		data = p.MinData
+	}
+	if data > p.MaxData {
+		data = p.MaxData
+	}
+	n.Data = data
+}
+
+// drawEdge draws an edge's communication cost and α; its producer's data
+// volume is already drawn.
+func drawEdge(r *rand.Rand, p CaseStudyParams, prof profile, t *dag.Task, e *dag.Edge) {
 	// Edge communication cost scales with the producer's data volume:
 	// transmitting δ bytes through the memory hierarchy costs time
 	// proportional to δ (unit cost per 4 KB, jittered).
-	cost := float64(b.t.Node(from).Data) / 4096 * (0.5 + b.r.Float64())
+	e.Cost = float64(t.Nodes[e.From].Data) / 4096 * (0.5 + r.Float64())
 	// α within the kernel's cacheability band, capped by the platform.
-	lo, hi := b.prof.alphaLo, b.prof.alphaHi
-	if hi > b.p.AlphaMax {
-		hi = b.p.AlphaMax
+	lo, hi := prof.alphaLo, prof.alphaHi
+	if hi > p.AlphaMax {
+		hi = p.AlphaMax
 	}
 	if lo > hi {
 		lo = hi / 2
 	}
-	a := lo + b.r.Float64()*(hi-lo)
+	a := lo + r.Float64()*(hi-lo)
 	if a <= 0 {
 		a = 0.05
 	}
-	b.t.MustAddEdge(from, to, cost, a)
+	e.Alpha = a
 }
 
 // forkJoin builds `stages` sequential fork-join phases of the given width.
